@@ -5,7 +5,8 @@ same flat ``section.key: value`` text files the runs write back out as
 manifests, so any emitted artifact can be regenerated from its manifest
 alone.
 
-Exit codes: 0 success, 2 config error, 3 numerical abort, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 numerical abort, 4 I/O or
+record-format error.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .figures import (
     tail_figure,
 )
 from .records import (
+    RecordFormatError,
     config_from_manifest,
     format_manifest,
     load_model,
@@ -100,8 +102,13 @@ def _dataset_for(kind: str, seed: int) -> Dataset2D:
     raise ValueError(f"unknown dataset kind {kind!r} (expected standard or hard)")
 
 
+def _dense_settings(entries: dict[str, str]) -> dict[str, str]:
+    """Every dense grid and sampler key: the config's value, else the default."""
+    return {key: entries.get(key, default) for key, default in DENSE_DEFAULTS.items()}
+
+
 def _dense_grid_for(entries: dict[str, str], seed: int) -> tuple[DenseGrid, dict[str, int]]:
-    merged = {**DENSE_DEFAULTS, **{k: v for k, v in entries.items() if k.startswith("dense.")}}
+    merged = _dense_settings(entries)
     grid = gen_dense_task(
         seed,
         int(merged["dense.height"]),
@@ -410,6 +417,10 @@ def cmd_dense_demo(args: argparse.Namespace) -> int:
             )
             run_dir = out / f"dense-{strategy}-s{k:03d}"
             run_dir.mkdir(parents=True, exist_ok=True)
+            (run_dir / "manifest.txt").write_text(
+                format_manifest(config, data_seed + k, model_seed + k, "dense")
+                + "".join(f"{key}: {value}\n" for key, value in _dense_settings(entries).items())
+            )
             save_model(run_dir / "model.txt", result.model)
             save_step_log(run_dir / "steps.csv", result.step_log)
             save_patch_log(run_dir / "patches.csv", result.patch_log)
@@ -489,6 +500,9 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDiverged as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
+    except RecordFormatError as exc:
+        print(f"record format error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -132,6 +132,17 @@ def log_density(x: np.ndarray, spec: GaussianSpec) -> np.ndarray:
     return -d2 / (2.0 * spec.cov_scale) - np.log(2.0 * np.pi * spec.cov_scale)
 
 
+def _log_densities(
+    x: np.ndarray, common: GaussianSpec, uncommon: GaussianSpec, use_priors: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    lc, lu = log_density(x, common), log_density(x, uncommon)
+    if use_priors:
+        total = common.count + uncommon.count
+        lc = lc + np.log(common.count / total)
+        lu = lu + np.log(uncommon.count / total)
+    return lc, lu
+
+
 def density_difference(
     x: np.ndarray,
     common: GaussianSpec = DEFAULT_COMMON,
@@ -139,11 +150,7 @@ def density_difference(
     use_priors: bool = False,
 ) -> np.ndarray:
     """phi_common(x) - phi_uncommon(x); optionally weighted by empirical priors."""
-    lc, lu = log_density(x, common), log_density(x, uncommon)
-    if use_priors:
-        total = common.count + uncommon.count
-        lc = lc + np.log(common.count / total)
-        lu = lu + np.log(uncommon.count / total)
+    lc, lu = _log_densities(x, common, uncommon, use_priors)
     return np.exp(lc) - np.exp(lu)
 
 
@@ -155,9 +162,13 @@ def analytic_boundary_side(
     tolerance: float = 1e-12,
 ):
     """+1 where the common density wins, -1 where the uncommon one does, 0 on
-    the (toleranced) equal-density curve. Priors excluded by default: the
-    reference curve is where the raw generating densities match."""
-    diff = density_difference(x, common, uncommon, use_priors)
+    the equal-density curve, where |log phi_common - log phi_uncommon| <=
+    ``tolerance``. The side comes from the log-density difference because far
+    from both means the raw densities underflow together while their ratio
+    stays well defined. Priors excluded by default: the reference curve is
+    where the raw generating densities match."""
+    lc, lu = _log_densities(x, common, uncommon, use_priors)
+    diff = lc - lu
     side = np.where(np.abs(diff) <= tolerance, 0.0, np.sign(diff))
     return float(side) if np.ndim(side) == 0 else side
 

@@ -436,9 +436,15 @@ def train_dense(
         patches = sample_patches(
             grid.height, grid.width, rng, size_min=size_min, size_max=size_max, count=patch_count
         )
+        kept, sels = [], []
+        for j, region in enumerate(patches.regions()):
+            sel = region[valid[region]]
+            if sel.size:  # an empty region is dropped: no pixels, no gradient, no cosine
+                kept.append(j)
+                sels.append(sel)
         full.unpack_into(model, params + config.momentum * velocity)
         bg = batch_gradients(
-            model, feats, targets, loss_fn, full, serial=config.reference_mode
+            model, feats, targets, loss_fn, full, serial=config.reference_mode, regions=sels
         )
         if not np.all(np.isfinite(bg.losses[valid])):
             raise TrainingDiverged(
@@ -447,27 +453,18 @@ def train_dense(
             )
 
         loss_grid = bg.losses.reshape(grid.height, grid.width)
-        regions, rows, losses, rare_fracs = [], [], [], []
-        for j, region in enumerate(patches.regions()):
-            sel = region[valid[region]]
-            if sel.size == 0:
-                continue  # dropped: no pixels means no gradient, no cosine
-            regions.append((j, sel))
-            rows.append(bg.grads[sel].mean(axis=0))
-            losses.append(patch_mean_loss(loss_grid, grid.valid_mask, region))
-            rare_fracs.append(float(rare[sel].mean()))
-        patch_grads = np.stack(rows)
-        patch_losses = np.array(losses)
+        patch_losses = np.array([patch_mean_loss(loss_grid, grid.valid_mask, sel) for sel in sels])
+        rare_fracs = [float(rare[sel].mean()) for sel in sels]
 
         weighting = None
         if track:
-            weighting, state = step_arrays(state, patch_grads[:, subset_idx], config.gradtail)
+            weighting, state = step_arrays(state, bg.grads[:, subset_idx], config.gradtail)
         if config.strategy == "gradtail":
             weights = weighting.weights
         else:
-            weights = np.ones(len(regions))
+            weights = np.ones(len(sels))
 
-        grad = np.einsum("b,bp->p", weights, patch_grads) / len(regions)
+        grad = np.einsum("b,bp->p", weights, bg.grads) / len(sels)
         params, velocity = nesterov_update(
             params, velocity, grad, config.learning_rate, config.momentum
         )
@@ -477,7 +474,7 @@ def train_dense(
         if state is not None:
             log.sigma[step] = state.sigma
             log.ema_norm[step] = state.ema_grad.norm()
-        for k, (j, sel) in enumerate(regions):
+        for k, (j, sel) in enumerate(zip(kept, sels)):
             patch_log.step.append(step)
             patch_log.patch_index.append(j)
             patch_log.pixels.append(int(sel.size))

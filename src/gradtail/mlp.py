@@ -334,11 +334,25 @@ def _forward_cache(weights, biases, activation: str, inputs: np.ndarray):
     return acts, preacts
 
 
-def raw_batch_gradients(weights, biases, activation: str, inputs: np.ndarray, targets, loss_fn: Loss):
+def raw_batch_gradients(
+    weights,
+    biases,
+    activation: str,
+    inputs: np.ndarray,
+    targets,
+    loss_fn: Loss,
+    regions: Sequence[np.ndarray] | None = None,
+):
     """Per-example gradients of the unweighted loss over all parameters.
 
     Returns (grads (B, P) in all_params order, losses (B,), outputs (B, K)).
     Every row depends only on its own example; batch order is preserved.
+
+    With ``regions`` (a list of index arrays into the batch), ``grads`` is
+    (R, P) instead: row r is the mean gradient over the examples
+    ``regions[r]``. A dense layer's per-example weight gradient is the outer
+    product delta_b act_b^T, so a region mean is delta[sel]^T @ act[sel] / |sel|
+    and no per-example row is ever formed.
     """
     _, deriv = _ACTIVATIONS[activation]
     acts, preacts = _forward_cache(weights, biases, activation, inputs)
@@ -356,16 +370,29 @@ def raw_batch_gradients(weights, biases, activation: str, inputs: np.ndarray, ta
     grad_w: list[np.ndarray | None] = [None] * n_layers
     grad_b: list[np.ndarray | None] = [None] * n_layers
     for l in range(n_layers - 1, -1, -1):
-        grad_w[l] = np.einsum("bi,bj->bij", delta, acts[l])
-        grad_b[l] = delta
+        if regions is None:
+            grad_w[l] = np.einsum("bi,bj->bij", delta, acts[l]).reshape(bsz, -1)
+            grad_b[l] = delta
+        else:
+            grad_w[l], grad_b[l] = _region_means(delta, acts[l], regions)
         if l > 0:
             delta = (delta @ weights[l]) * deriv(acts[l], preacts[l - 1])
 
     parts = []
     for l in range(n_layers):
-        parts.append(grad_w[l].reshape(bsz, -1))
+        parts.append(grad_w[l])
         parts.append(grad_b[l])
     return np.concatenate(parts, axis=1), losses, out
+
+
+def _region_means(delta: np.ndarray, act: np.ndarray, regions) -> tuple[np.ndarray, np.ndarray]:
+    """One layer's region-mean weight gradients (R, out*in) and bias gradients (R, out)."""
+    rows_w, rows_b = [], []
+    for sel in regions:
+        d = delta[sel]
+        rows_w.append((d.T @ act[sel]).ravel() / sel.size)
+        rows_b.append(d.mean(axis=0))
+    return np.stack(rows_w), np.stack(rows_b)
 
 
 def _target_at(targets, i):
@@ -376,9 +403,10 @@ def _target_at(targets, i):
 
 @dataclass
 class BatchGradients:
-    """Per-example gradients on a subset layout plus the forward-pass byproducts."""
+    """Per-example (or per-region) gradients on a subset layout plus the
+    per-example forward-pass byproducts."""
 
-    grads: np.ndarray  # (B, P) on `layout`
+    grads: np.ndarray  # (B, P) on `layout`; (R, P) region means when regions are given
     losses: np.ndarray  # (B,)
     outputs: np.ndarray  # (B, K)
     layout: ParamSubset
@@ -391,13 +419,24 @@ def batch_gradients(
     loss_fn: Loss,
     subset: ParamSubset | None = None,
     serial: bool = False,
+    regions: Sequence[np.ndarray] | None = None,
 ) -> BatchGradients:
-    """Vectorized per-example gradients; `serial` forces a per-example loop."""
+    """Vectorized per-example gradients; `serial` forces a per-example loop.
+
+    ``regions`` (index arrays into the batch, possibly overlapping) switches
+    ``grads`` to one mean-gradient row per region. The serial path computes
+    every per-example row and averages it per region: it is the oracle of
+    the region-reduced vectorized path.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2:
         raise ValueError("inputs must be (batch, input_dim)")
     if inputs.shape[0] == 0:
         raise ValueError("empty batch")
+    if regions is not None:
+        regions = [np.asarray(sel, dtype=np.intp) for sel in regions]
+        if not regions or any(sel.ndim != 1 or sel.size == 0 for sel in regions):
+            raise ValueError("regions must be a non-empty list of non-empty 1-D index arrays")
     subset = subset if subset is not None else ParamSubset.all_params(model)
     subset.validate(model)
 
@@ -414,9 +453,12 @@ def batch_gradients(
         full = np.stack(rows)
         losses = np.array(losses)
         out = np.stack(outs)
+        if regions is not None:
+            full = np.stack([full[sel].mean(axis=0) for sel in regions])
     else:
         full, losses, out = raw_batch_gradients(
-            model.weights, model.biases, model.hidden_activation, inputs, targets, loss_fn
+            model.weights, model.biases, model.hidden_activation, inputs, targets, loss_fn,
+            regions,
         )
 
     idx = subset.index_map(model)

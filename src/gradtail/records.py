@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import csv
+import functools
 import io
 from dataclasses import asdict
 from pathlib import Path
@@ -23,6 +24,29 @@ from .engine import PatchLog, StepLog, TraceTable, TrainConfig
 from .mlp import MlpModel, ParamSubset, ParamVector
 
 FORMAT_LINE = "format: gradtail-record v1"
+
+
+class RecordFormatError(ValueError):
+    """A record, log or dataset file was read but its contents do not parse."""
+
+
+def _reader(load):
+    """Report any parse failure of ``load(path)`` as a RecordFormatError on path.
+
+    A missing or unreadable file stays an OSError.
+    """
+
+    @functools.wraps(load)
+    def checked(path, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except RecordFormatError:
+            raise
+        except (KeyError, IndexError, ValueError) as exc:
+            detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise RecordFormatError(f"{path}: malformed contents ({detail})") from exc
+
+    return checked
 
 
 def _encode_array(arr: np.ndarray) -> str:
@@ -50,17 +74,18 @@ def write_record(path: str | Path, kind: str, fields: dict, arrays: dict) -> Non
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@_reader
 def read_record(path: str | Path) -> tuple[str, dict[str, str], dict[str, np.ndarray]]:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != FORMAT_LINE:
-        raise ValueError(f"{path}: not a gradtail-record v1 file")
+        raise RecordFormatError(f"{path}: not a gradtail-record v1 file")
     kind, fields, arrays = "", {}, {}
     for line in lines[1:]:
         if not line.strip():
             continue
         key, _, value = line.partition(": ")
         if not _:
-            raise ValueError(f"{path}: malformed line {line!r}")
+            raise RecordFormatError(f"{path}: malformed line {line!r}")
         if key == "kind":
             kind = value
         elif key.startswith("array:"):
@@ -88,10 +113,11 @@ def save_model(path: str | Path, model: MlpModel) -> None:
     write_record(path, "model-checkpoint", fields, arrays)
 
 
+@_reader
 def load_model(path: str | Path) -> MlpModel:
     kind, fields, arrays = read_record(path)
     if kind != "model-checkpoint":
-        raise ValueError(f"{path}: expected a model checkpoint, found {kind!r}")
+        raise RecordFormatError(f"{path}: expected a model checkpoint, found {kind!r}")
     dims = [int(d) for d in fields["layer_dims"].split(",")]
     weights = [arrays[f"weight{i}"] for i in range(len(dims) - 1)]
     biases = [arrays[f"bias{i}"] for i in range(len(dims) - 1)]
@@ -121,10 +147,13 @@ def save_gradtail_state(path: str | Path, state: GradTailState, config: GradTail
     write_record(path, "gradtail-state", fields, {"ema_grad": state.ema_grad.values})
 
 
+@_reader
 def load_gradtail_state(path: str | Path) -> tuple[GradTailState, GradTailConfig]:
     kind, fields, arrays = read_record(path)
     if kind != "gradtail-state":
-        raise ValueError(f"{path}: expected a gradtail state snapshot, found {kind!r}")
+        raise RecordFormatError(
+            f"{path}: expected a gradtail state snapshot, found {kind!r}"
+        )
     layout = _selectors_from_text(fields["layout"])
     state = GradTailState(
         ParamVector(arrays["ema_grad"], layout),
@@ -275,11 +304,12 @@ def save_step_log(path: str | Path, log: StepLog) -> None:
             ])
 
 
+@_reader
 def load_step_log(path: str | Path) -> StepLog:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["step", "mean_loss", "mean_weight", "sigma", "ema_norm"]:
-        raise ValueError(f"{path}: not a step log")
+        raise RecordFormatError(f"{path}: not a step log")
     body = rows[1:]
     return StepLog(
         np.array([int(r[0]) for r in body], dtype=np.int64),
@@ -305,6 +335,7 @@ def save_trace(path: str | Path, trace: TraceTable) -> None:
             ])
 
 
+@_reader
 def load_trace(path: str | Path) -> TraceTable:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -351,6 +382,7 @@ def save_dataset(path: str | Path, dataset: Dataset2D) -> None:
             writer.writerow([repr(float(p[0])), repr(float(p[1])), int(lab)])
 
 
+@_reader
 def load_dataset(path: str | Path) -> Dataset2D:
     specs, seed = [], 0
     with open(path, newline="") as fh:

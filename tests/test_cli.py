@@ -302,3 +302,40 @@ def test_dense_demo_median_row(tmp_path):
     lines = (out / "dense.txt").read_text().splitlines()
     assert lines[-1].startswith("median")
     assert len(lines) == 4  # header + 2 seeds + median
+
+
+def test_dense_manifest_regenerates_model(tmp_path):
+    config = write_config(
+        tmp_path,
+        "train.steps: 20\n"
+        "dense.height: 20\ndense.width: 18\ndense.size_min: 5\ndense.size_max: 10\n",
+    )
+    out = tmp_path / "dense"
+    assert main(["dense-demo", "--config", config, "--seeds", "2", "--out", str(out)]) == 0
+    for strategy in ("uniform", "gradtail"):
+        # the second seed's manifest carries the offset data/model/train seeds
+        run = out / f"dense-{strategy}-s001"
+        manifest = parse_manifest((run / "manifest.txt").read_text())
+        assert manifest["data.kind"] == "dense"
+        assert manifest["train.strategy"] == strategy
+        assert manifest["dense.width"] == "18"
+        again = tmp_path / f"again-{strategy}"
+        assert main(["dense-demo", "--config", str(run / "manifest.txt"), "--seeds", "1",
+                     "--out", str(again)]) == 0
+        rerun = again / f"dense-{strategy}-s000"
+        assert (rerun / "model.txt").read_bytes() == (run / "model.txt").read_bytes()
+        assert (rerun / "manifest.txt").read_text() == (run / "manifest.txt").read_text()
+
+
+def test_analyze_corrupt_record_exits_4(trained_runs, tmp_path, capsys):
+    import shutil
+
+    clone = tmp_path / "run-corrupt"
+    shutil.copytree(sorted(trained_runs.iterdir())[0], clone)
+    lines = (clone / "model.txt").read_text().splitlines()
+    lines[2] = "garbage line here"
+    (clone / "model.txt").write_text("\n".join(lines) + "\n")
+    rv = main(["analyze", "--out", str(tmp_path / "analysis"), str(clone)])
+    assert rv == 4
+    err = capsys.readouterr().err
+    assert "record format error" in err and "model.txt" in err

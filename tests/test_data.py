@@ -148,6 +148,21 @@ class TestBoundary:
         weighted = analytic_boundary_side(pts, use_priors=True)
         assert raw[0] == -1.0 and weighted[0] == 1.0
 
+    def test_wide_grid_sides_match_closed_form_circle(self):
+        # far from both means the raw densities underflow together; the side
+        # must still follow the equal-density circle centered at 2*mu with
+        # radius sqrt(2|mu|^2 + 2 ln 2), and no node may fall "on the curve"
+        axis = np.linspace(-8.0, 8.0, 200)
+        xx, yy = np.meshgrid(axis, axis)
+        pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
+        mu = np.array([2.2, 2.2])
+        radius = np.sqrt(2 * mu @ mu + 2 * np.log(2.0))
+        gap = np.linalg.norm(pts - 2 * mu, axis=1) - radius
+        side = analytic_boundary_side(pts)
+        assert np.count_nonzero(side == 0.0) == 0
+        clear = np.abs(gap) > 1e-9
+        np.testing.assert_array_equal(side[clear], np.where(gap[clear] < 0, -1.0, 1.0))
+
     def test_boundary_radius_oracle(self):
         # equal raw densities on the circle centered at 2*mu with radius
         # sqrt(2|mu|^2 + 2 ln 2): walk the circle, difference must vanish

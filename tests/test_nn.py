@@ -326,3 +326,65 @@ class TestGradients:
         m = tiny_model()
         with pytest.raises(ValueError):
             finite_diff_gradient(m, (np.zeros(2), 0), SOFTMAX_XENT, ParamSubset.all_params(m), step=0.0)
+
+
+class TestRegionGradients:
+    """Region-mean rows straight from the backward pass vs the mean of
+    materialised per-example rows (the oracle)."""
+
+    DIMS = (3, 6, 5, 2)
+    # overlapping regions, a singleton, and rows 17-19 that no region covers
+    # (like pixels a validity mask leaves out)
+    REGIONS = [np.arange(0, 9), np.arange(5, 14), np.array([16]), np.arange(12, 17)]
+
+    def batch(self, loss, n=20):
+        rng = np.random.default_rng(41)
+        xs = rng.normal(size=(n, self.DIMS[0]))
+        if loss is SOFTMAX_XENT:
+            return xs, rng.integers(0, self.DIMS[-1], size=n)
+        return xs, rng.normal(size=(n, self.DIMS[-1]))
+
+    @staticmethod
+    def assert_rel(got, want, tol):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    @pytest.mark.parametrize("loss", [SOFTMAX_XENT, L1, SQUARED], ids=lambda l: l.name)
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_matches_mean_of_materialised_rows(self, loss, activation):
+        m = MlpModel.initialize(list(self.DIMS), seed=3, hidden_activation=activation)
+        xs, targets = self.batch(loss)
+        per_example = batch_gradients(m, xs, targets, loss)
+        oracle = np.stack([per_example.grads[sel].mean(axis=0) for sel in self.REGIONS])
+        for serial in (False, True):
+            got = batch_gradients(m, xs, targets, loss, serial=serial, regions=self.REGIONS)
+            self.assert_rel(got.grads, oracle, 1e-12)
+            # losses and outputs stay per example
+            self.assert_rel(got.losses, per_example.losses, 1e-12)
+            self.assert_rel(got.outputs, per_example.outputs, 1e-12)
+
+    def test_subset_columns_follow_layout(self):
+        m = MlpModel.initialize(list(self.DIMS), seed=5)
+        xs, labels = self.batch(SOFTMAX_XENT)
+        sub = ParamSubset.biases_only(m, layers=[0, 2])
+        full = batch_gradients(m, xs, labels, SOFTMAX_XENT, regions=self.REGIONS)
+        got = batch_gradients(m, xs, labels, SOFTMAX_XENT, sub, regions=self.REGIONS)
+        np.testing.assert_array_equal(got.grads, full.grads[:, sub.index_map(m)])
+
+    def test_region_row_matches_finite_differences(self):
+        m = MlpModel.initialize(list(self.DIMS), seed=7)
+        xs, targets = self.batch(SQUARED)
+        sub = ParamSubset.all_params(m)
+        sel = self.REGIONS[3]
+        got = batch_gradients(m, xs, targets, SQUARED, regions=self.REGIONS).grads[3]
+        fd = np.mean(
+            [finite_diff_gradient(m, (xs[i], targets[i]), SQUARED, sub).values for i in sel], axis=0
+        )
+        np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-8)
+
+    def test_rejects_empty_regions(self):
+        m = MlpModel.initialize(list(self.DIMS), seed=0)
+        xs, labels = self.batch(SOFTMAX_XENT)
+        for regions in ([], [np.arange(3), np.array([], dtype=np.intp)]):
+            with pytest.raises(ValueError):
+                batch_gradients(m, xs, labels, SOFTMAX_XENT, regions=regions)

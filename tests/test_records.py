@@ -20,6 +20,7 @@ from gradtail.datasets import GaussianSpec, gen_two_gaussians
 from gradtail.engine import PatchLog, StepLog, TraceTable, TrainConfig
 from gradtail.mlp import MlpModel, ParamSubset, ParamVector
 from gradtail.records import (
+    RecordFormatError,
     _decode_array,
     _encode_array,
     config_from_manifest,
@@ -74,6 +75,26 @@ def test_record_rejects_foreign_file(tmp_path):
     path.write_text("something else\n")
     with pytest.raises(ValueError, match="not a gradtail-record"):
         read_record(path)
+
+
+def test_corrupt_records_raise_record_format_error(tmp_path):
+    save_model(tmp_path / "model.txt", MlpModel.initialize([2, 3, 2], 0))
+    lines = (tmp_path / "model.txt").read_text().splitlines()
+    cases = {
+        "garbage line": lines[:2] + ["garbage line here"] + lines[3:],
+        "missing field": lines[:2] + lines[3:],  # no layer_dims
+        "bad base64": lines[:-1] + [lines[-1].split("|")[0] + "|@@@"],
+    }
+    for name, body in cases.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text("\n".join(body) + "\n")
+        with pytest.raises(RecordFormatError, match=name):  # the path names the file
+            load_model(path)
+    (tmp_path / "trace.csv").write_text("example_id,occurrences\n0,many\n")
+    with pytest.raises(RecordFormatError, match="trace.csv"):
+        load_trace(tmp_path / "trace.csv")
+    with pytest.raises(FileNotFoundError):  # an absent file stays an I/O error
+        load_model(tmp_path / "absent.txt")
 
 
 def test_record_rejects_colon_in_key(tmp_path):

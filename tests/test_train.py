@@ -258,6 +258,23 @@ class TestTrainDense:
         for wa, wb in zip(a.model.weights, b.model.weights):
             np.testing.assert_array_equal(wa, wb)
 
+    @pytest.mark.parametrize("strategy", ["uniform", "gradtail"])
+    def test_region_gradients_match_reference_mode(self, strategy):
+        # reference mode averages serially materialised per-pixel rows per region
+        fast = train_dense(self.grid(), 8, self.cfg(steps=10, strategy=strategy),
+                           size_min=8, size_max=16)
+        ref = train_dense(self.grid(), 8, self.cfg(steps=10, strategy=strategy,
+                                                   reference_mode=True),
+                          size_min=8, size_max=16)
+        for a, b in zip(fast.model.weights + fast.model.biases,
+                        ref.model.weights + ref.model.biases):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+        fa, ra = fast.patch_log.arrays(), ref.patch_log.arrays()
+        np.testing.assert_array_equal(fa["patch_index"], ra["patch_index"])
+        for key in ("alignment", "weight"):
+            np.testing.assert_allclose(fa[key], ra[key], rtol=0.0, atol=1e-12)
+        assert fa["weight"].max() > 1.0 or strategy == "uniform"
+
     def test_warmup_weights_are_ones(self):
         res = train_dense(self.grid(), 5, self.cfg(steps=5), size_min=8, size_max=16)
         rows = res.patch_log.arrays()
