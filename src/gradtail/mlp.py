@@ -7,6 +7,7 @@ batch, so each example's gradient is independent of the rest of the batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -131,7 +132,7 @@ class ParamSubset:
         return shapes
 
     def size(self, model: MlpModel) -> int:
-        return sum(int(np.prod(s)) for s in self.block_shapes(model))
+        return sum(math.prod(s) for s in self.block_shapes(model))
 
     def pack(self, model: MlpModel) -> np.ndarray:
         """Flatten the selected parameters into one float64 vector."""
@@ -239,9 +240,9 @@ def loss_softmax_xent(logits: np.ndarray, label: int) -> float:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
-    z = logits - np.max(logits, axis=-1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def loss_l1(prediction: float, target: float) -> float:
@@ -263,11 +264,11 @@ def _xent_grad(out: np.ndarray, label) -> np.ndarray:
 def _xent_batch_value(out: np.ndarray, labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.intp)
     rows = np.arange(out.shape[0])
-    m = np.max(out, axis=1)
+    m = out.max(axis=1)
     d = out[rows, labels] - m
     rest = np.exp(out - m[:, None])
     rest[rows, labels] = 0.0
-    return np.log1p(np.expm1(d) + np.sum(rest, axis=1)) - d
+    return np.log1p(np.expm1(d) + rest.sum(axis=1)) - d
 
 
 def _xent_batch_grad(out: np.ndarray, labels) -> np.ndarray:

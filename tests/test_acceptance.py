@@ -15,7 +15,11 @@ converged examples wobble around zero instead of spreading into the aligned
 and anti-aligned tails.
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -72,36 +76,97 @@ def _verdict(ok):
 # shared run corpora (session-scoped: trained once, reused across checks)
 # ---------------------------------------------------------------------------
 
+# Weight settings of the sweep corpus, beyond the runs reused from the toy corpus.
+SWEEP_SETTINGS = {
+    "gt5": dict(strategy="gradtail", gradtail=GradTailConfig.from_max_weight(5.0)),
+    "gt25": dict(strategy="gradtail", gradtail=GradTailConfig.from_max_weight(25.0)),
+    "if5": dict(strategy="inverse_frequency", class_weights=(1.0, 5.0)),
+    "if15": dict(strategy="inverse_frequency", class_weights=(1.0, 15.0)),
+    "if25": dict(strategy="inverse_frequency", class_weights=(1.0, 25.0)),
+}
+
+
+def _run_all(fn, tasks):
+    """``[fn(t) for t in tasks]``, spread over at most two worker processes.
+
+    Every run is seeded and independent of the others, so the results equal a
+    serial loop's bit for bit; the pool only shortens the gate's wall time.
+    Each worker gets one BLAS thread: the workers already share the CPUs, and
+    BLAS threads on top of them oversubscribe the cores and slow the dense runs.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    workers = max(1, min(2, cpus, len(tasks)))
+    if workers == 1:
+        return [fn(t) for t in tasks]
+    # spawned workers read the environment when they import numpy
+    one_thread = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    with mock.patch.dict(os.environ, one_thread), ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _toy_run(task):
+    """One toy-corpus run: ("uniform" | "gradtail" | "hard", seed)."""
+    kind, seed = task
+    if kind == "hard":
+        hard = gen_hard_variant(seed)
+        report = experiment_report(train(hard, seed, TrainConfig(strategy="gradtail", seed=seed)), hard)
+        return {
+            "rare_size": report.rare_set.rare_size,
+            "dominance": dominance_holds(hard.specs[0], hard.specs[1]),
+        }
+    dataset = gen_two_gaussians(seed)
+    result = train(dataset, seed, TrainConfig(strategy=kind, seed=seed))
+    report = experiment_report(result, dataset)
+    return {
+        "model": result.model,
+        "balanced": report.balanced_accuracy,
+        "total": report.total_accuracy,
+        "disagree": report.boundary_disagreement,
+        "recall_u": report.per_class_recall[1],
+        "rare_size": report.rare_set.rare_size,
+        "rare_both": all(c > 0 for c in report.rare_set.counts_per_class.values()),
+        "dist_ok": (
+            report.rare_set.mean_distance_rare is not None
+            and report.rare_set.mean_distance_rare < report.rare_set.mean_distance_all
+        ),
+    }
+
+
+def _sweep_run(task):
+    """One sweep-corpus run: (SWEEP_SETTINGS label, seed)."""
+    label, seed = task
+    dataset = gen_two_gaussians(seed)
+    report = experiment_report(
+        train(dataset, seed, TrainConfig(seed=seed, **SWEEP_SETTINGS[label])), dataset
+    )
+    return {"disagree": report.boundary_disagreement, "recall_u": report.per_class_recall[1]}
+
+
+def _dense_run(task):
+    """One dense-corpus run: (strategy, seed)."""
+    strategy, seed = task
+    grid = gen_dense_task(seed, 64, 64, 0.05)
+    result = train_dense(grid, seed, dense_config(strategy, seed=seed))
+    report = dense_band_mre(
+        dense_predictions(result.model, grid), grid.targets, grid.valid_mask, DENSE_BAND_EDGES
+    )
+    return {"rare_mre": report.bands[1].mre, "total_mre": report.total_mre}
+
 
 @pytest.fixture(scope="session")
 def toy_corpus():
     """Seeds 0-19: uniform + weighted runs on the standard mixture, weighted
     runs on the dominated variant (with its grid precondition)."""
-    corpus = {"uniform": [], "gradtail": [], "hard": [], "dominance": []}
-    for seed in TOY_SEEDS:
-        dataset = gen_two_gaussians(seed)
-        for strategy in ("uniform", "gradtail"):
-            result = train(dataset, seed, TrainConfig(strategy=strategy, seed=seed))
-            report = experiment_report(result, dataset)
-            corpus[strategy].append(
-                {
-                    "model": result.model,
-                    "balanced": report.balanced_accuracy,
-                    "total": report.total_accuracy,
-                    "disagree": report.boundary_disagreement,
-                    "recall_u": report.per_class_recall[1],
-                    "rare_size": report.rare_set.rare_size,
-                    "rare_both": all(c > 0 for c in report.rare_set.counts_per_class.values()),
-                    "dist_ok": (
-                        report.rare_set.mean_distance_rare is not None
-                        and report.rare_set.mean_distance_rare < report.rare_set.mean_distance_all
-                    ),
-                }
-            )
-        hard = gen_hard_variant(seed)
-        corpus["dominance"].append(dominance_holds(hard.specs[0], hard.specs[1]))
-        report = experiment_report(train(hard, seed, TrainConfig(strategy="gradtail", seed=seed)), hard)
-        corpus["hard"].append({"rare_size": report.rare_set.rare_size})
+    kinds = ("uniform", "gradtail", "hard")
+    tasks = [(kind, seed) for seed in TOY_SEEDS for kind in kinds]
+    rows = dict(zip(tasks, _run_all(_toy_run, tasks)))
+    corpus = {kind: [rows[kind, seed] for seed in TOY_SEEDS] for kind in kinds}
+    corpus["dominance"] = [row.pop("dominance") for row in corpus["hard"]]
     return corpus
 
 
@@ -113,40 +178,20 @@ def sweep_corpus(toy_corpus):
         "gt15": toy_corpus["gradtail"][: len(SWEEP_SEEDS)],
         "if1": toy_corpus["uniform"][: len(SWEEP_SEEDS)],
     }
-    settings = {
-        "gt5": dict(strategy="gradtail", gradtail=GradTailConfig.from_max_weight(5.0)),
-        "gt25": dict(strategy="gradtail", gradtail=GradTailConfig.from_max_weight(25.0)),
-        "if5": dict(strategy="inverse_frequency", class_weights=(1.0, 5.0)),
-        "if15": dict(strategy="inverse_frequency", class_weights=(1.0, 15.0)),
-        "if25": dict(strategy="inverse_frequency", class_weights=(1.0, 25.0)),
-    }
-    for label, kwargs in settings.items():
-        rows = []
-        for seed in SWEEP_SEEDS:
-            dataset = gen_two_gaussians(seed)
-            report = experiment_report(train(dataset, seed, TrainConfig(seed=seed, **kwargs)), dataset)
-            rows.append(
-                {"disagree": report.boundary_disagreement, "recall_u": report.per_class_recall[1]}
-            )
-        corpus[label] = rows
+    tasks = [(label, seed) for label in SWEEP_SETTINGS for seed in SWEEP_SEEDS]
+    rows = dict(zip(tasks, _run_all(_sweep_run, tasks)))
+    for label in SWEEP_SETTINGS:
+        corpus[label] = [rows[label, seed] for seed in SWEEP_SEEDS]
     return corpus
 
 
 @pytest.fixture(scope="session")
 def dense_corpus():
     """Seeds 0-4 of the dense regression demo, both strategies."""
-    corpus = {}
-    for strategy in ("uniform", "gradtail"):
-        rows = []
-        for seed in DENSE_SEEDS:
-            grid = gen_dense_task(seed, 64, 64, 0.05)
-            result = train_dense(grid, seed, dense_config(strategy, seed=seed))
-            report = dense_band_mre(
-                dense_predictions(result.model, grid), grid.targets, grid.valid_mask, DENSE_BAND_EDGES
-            )
-            rows.append({"rare_mre": report.bands[1].mre, "total_mre": report.total_mre})
-        corpus[strategy] = rows
-    return corpus
+    strategies = ("uniform", "gradtail")
+    tasks = [(strategy, seed) for strategy in strategies for seed in DENSE_SEEDS]
+    rows = dict(zip(tasks, _run_all(_dense_run, tasks)))
+    return {strategy: [rows[strategy, seed] for seed in DENSE_SEEDS] for strategy in strategies}
 
 
 # ---------------------------------------------------------------------------
