@@ -7,10 +7,7 @@ from .algorithm import (
     GradTailConfig,
     GradTailState,
     activation_f,
-    gradtail_step,
-    normalized_dot,
     step_arrays,
-    weighted_loss,
 )
 from .datasets import (
     Dataset2D,
@@ -28,7 +25,7 @@ from .engine import (
     train,
     train_dense,
 )
-from .mlp import MlpModel, ParamSubset, ParamVector, batch_gradients
+from .mlp import MlpModel, ParamSubset, batch_gradients
 
 __all__ = [
     "__version__",
@@ -36,10 +33,7 @@ __all__ = [
     "GradTailConfig",
     "GradTailState",
     "activation_f",
-    "gradtail_step",
-    "normalized_dot",
     "step_arrays",
-    "weighted_loss",
     "Dataset2D",
     "DenseGrid",
     "GaussianSpec",
@@ -54,6 +48,5 @@ __all__ = [
     "train_dense",
     "MlpModel",
     "ParamSubset",
-    "ParamVector",
     "batch_gradients",
 ]

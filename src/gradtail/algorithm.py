@@ -11,11 +11,10 @@ is measured in units of typical alignment spread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .mlp import MlpModel, ParamSubset, ParamVector
+from .mlp import ParamSubset
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,13 @@ class GradTailConfig:
 
 @dataclass
 class GradTailState:
-    """EMA mean gradient, running alignment spread, and the update counter."""
+    """EMA mean gradient, running alignment spread, and the update counter.
 
-    ema_grad: ParamVector
+    ``ema_grad`` is a flat vector over the parameters ``layout`` selects.
+    """
+
+    ema_grad: np.ndarray
+    layout: ParamSubset
     sigma: float = 0.0
     updates_seen: int = 0
 
@@ -74,16 +77,8 @@ class GradTailState:
         if self.updates_seen < 0:
             raise ValueError("updates_seen must be nonnegative")
 
-    @classmethod
-    def fresh(cls, model: MlpModel, subset: ParamSubset) -> "GradTailState":
-        return cls(ema_grad=ParamVector.zeros(model, subset))
-
     def copy(self) -> "GradTailState":
-        return GradTailState(
-            ParamVector(self.ema_grad.values.copy(), self.ema_grad.layout),
-            self.sigma,
-            self.updates_seen,
-        )
+        return GradTailState(self.ema_grad.copy(), self.layout, self.sigma, self.updates_seen)
 
 
 @dataclass(frozen=True)
@@ -106,15 +101,6 @@ class BatchWeighting:
             raise ValueError("warm-up batches must carry unit weights")
 
 
-def normalized_dot(a: ParamVector, b: ParamVector, epsilon_norm: float) -> float | None:
-    """Cosine similarity a.b/(|a||b|); None when either norm < epsilon_norm."""
-    a._check_combinable(b)
-    na, nb = a.norm(), b.norm()
-    if na < epsilon_norm or nb < epsilon_norm:
-        return None
-    return float(np.clip(a.dot(b) / (na * nb), -1.0, 1.0))
-
-
 def activation_f(distance, amplitude: float, slope: float):
     """Weight as a function of pivot distance: 1 + amplitude*logistic(-slope*d).
 
@@ -129,14 +115,9 @@ def activation_f(distance, amplitude: float, slope: float):
 
 
 def ema_update(current, observation, decay: float):
-    """decay*current + (1-decay)*observation, elementwise; works on scalars or vectors."""
+    """decay*current + (1-decay)*observation, elementwise; works on scalars or arrays."""
     if not 0.0 < decay < 1.0:
         raise ValueError("decay must lie in (0,1)")
-    if isinstance(current, ParamVector):
-        if not isinstance(observation, ParamVector):
-            raise ValueError("mixed ParamVector / array EMA update")
-        current._check_combinable(observation)
-        return ParamVector(decay * current.values + (1.0 - decay) * observation.values, current.layout)
     return decay * current + (1.0 - decay) * observation
 
 
@@ -155,7 +136,7 @@ def step_arrays(
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[0] == 0:
         raise ValueError("grads must be a nonempty (batch, n_params) matrix")
-    ema = state.ema_grad.values
+    ema = state.ema_grad
     if grads.shape[1] != ema.shape[0]:
         raise ValueError("gradient layout does not match state")
 
@@ -174,11 +155,7 @@ def step_arrays(
     if np.any(defined):
         sigma = ema_update(sigma, float(np.mean(np.abs(alignments[defined]))), config.decay)
 
-    new_ema = ema_update(
-        state.ema_grad,
-        ParamVector(grads.mean(axis=0), state.ema_grad.layout),
-        config.decay,
-    )
+    new_ema = ema_update(ema, grads.mean(axis=0), config.decay)
 
     warmup = state.updates_seen < config.warmup_batches or not ema_defined
     if warmup:
@@ -189,24 +166,5 @@ def step_arrays(
             np.abs(alignments / scale - config.pivot), config.amplitude, config.slope
         )
 
-    new_state = GradTailState(new_ema, sigma, state.updates_seen + 1)
+    new_state = GradTailState(new_ema, state.layout, sigma, state.updates_seen + 1)
     return BatchWeighting(alignments, weights, warmup, defined), new_state
-
-
-def gradtail_step(
-    state: GradTailState, grads: Sequence[ParamVector], config: GradTailConfig
-) -> tuple[BatchWeighting, GradTailState]:
-    """One batch update from a list of per-example gradient vectors."""
-    if len(grads) == 0:
-        raise ValueError("empty batch")
-    for g in grads:
-        state.ema_grad._check_combinable(g)
-    return step_arrays(state, np.stack([g.values for g in grads]), config)
-
-
-def weighted_loss(losses: np.ndarray, weighting: BatchWeighting) -> float:
-    """Mean over the batch of weight * loss."""
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.shape != weighting.weights.shape:
-        raise ValueError("length mismatch between losses and weights")
-    return float(np.mean(weighting.weights * losses))

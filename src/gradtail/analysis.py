@@ -270,14 +270,6 @@ def rare_set_stats(
     )
 
 
-def rank_examples_by_alignment(trace: TraceTable) -> np.ndarray:
-    """Visited example ids ascending by mean alignment, ties by id."""
-    seen = trace.seen()
-    ids = np.flatnonzero(seen)
-    mean = trace.mean_alignment()[seen]
-    return ids[np.lexsort((ids, mean))]
-
-
 @dataclass(frozen=True)
 class BandMre:
     lower: float

@@ -1,4 +1,4 @@
-"""Comparison weighters: inverse class frequency, focal, and entropy scoring."""
+"""Baseline pieces: the inverse-class-frequency table and entropy scoring."""
 
 from __future__ import annotations
 
@@ -30,33 +30,12 @@ class FrequencyWeights:
         ref = max(counts.values())
         return cls({c: ref / n for c, n in counts.items()})
 
-    @classmethod
-    def uniform(cls, classes) -> "FrequencyWeights":
-        return cls({c: 1.0 for c in classes})
-
-
-def inverse_frequency_weight(label: int, table: FrequencyWeights) -> float:
-    """Constant per-class weight lookup."""
-    if label not in table.table:
-        raise KeyError(f"unknown class {label}")
-    return table.table[label]
-
 
 def _check_probs(probs: np.ndarray) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or np.any(probs < 0.0) or abs(probs.sum() - 1.0) > 1e-6:
         raise ValueError("not a probability vector")
     return probs
-
-
-def focal_weight(probs: np.ndarray, label: int, gamma: float = 2.0) -> float:
-    """(1 - p_true)^gamma: confident-correct examples contribute less."""
-    probs = _check_probs(probs)
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
-    if not 0 <= label < probs.shape[0]:
-        raise ValueError(f"label {label} out of range")
-    return float((1.0 - probs[label]) ** gamma)
 
 
 def entropy_score(probs: np.ndarray) -> float:

@@ -145,16 +145,21 @@ def _median_repr(values: list) -> str:
     return repr(float(np.median(present))) if present else "absent"
 
 
-def _dense_overrides(entries: dict[str, str], base: TrainConfig) -> dict:
-    """Only config keys actually present override the dense-schedule defaults."""
+def _dense_run_config(
+    entries: dict[str, str], base: TrainConfig, strategy: str, k: int
+) -> TrainConfig:
+    """The dense schedule, overridden by every train.* and gradtail.* key the
+    config sets. train.strategy is not: a dense demo runs both strategies."""
     overrides = {}
-    if any(key.startswith("gradtail.") for key in entries):
-        overrides["gradtail"] = base.gradtail
-    if "train.steps" in entries:
-        overrides["steps"] = base.steps
-    if "train.learning_rate" in entries:
-        overrides["learning_rate"] = base.learning_rate
-    return overrides
+    for key in entries:
+        section, _, name = key.partition(".")
+        if section == "gradtail":
+            overrides["gradtail"] = base.gradtail
+        elif section == "train" and name != "strategy":
+            field = "subset_spec" if name == "subset" else name
+            overrides[field] = getattr(base, field)
+    config = dense_config(strategy=strategy, **overrides)
+    return replace(config, seed=base.seed + k, reference_mode=base.reference_mode)
 
 
 def _divergence_snapshot(out: Path, exc: TrainingDiverged) -> Path:
@@ -176,9 +181,7 @@ def _divergence_snapshot(out: Path, exc: TrainingDiverged) -> Path:
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     entries = _load_entries(args.config)
-    config, data_seed, model_seed, kind = config_from_manifest(
-        {k: v for k, v in entries.items() if not k.startswith("dense.")}
-    )
+    config, data_seed, model_seed, kind = config_from_manifest(entries)
     out = Path(args.out)
     datasets = []
     for k in range(args.seeds):
@@ -196,9 +199,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     entries = _load_entries(args.config)
-    config, data_seed, model_seed, kind = config_from_manifest(
-        {k: v for k, v in entries.items() if not k.startswith("dense.")}
-    )
+    config, data_seed, model_seed, kind = config_from_manifest(entries)
     if args.reference_mode:
         config = replace(config, reference_mode=True)
     out = Path(args.out)
@@ -219,16 +220,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _report_for_run(run_dir: Path) -> tuple[ExperimentReport | None, dict, Dataset2D, TrainResult]:
     manifest = parse_manifest((run_dir / "manifest.txt").read_text())
-    config, data_seed, model_seed, kind = config_from_manifest(
-        {k: v for k, v in manifest.items() if not k.startswith("dense.")}
-    )
+    config, data_seed, model_seed, kind = config_from_manifest(manifest)
     dataset = _dataset_for(kind, data_seed)
     model = load_model(run_dir / "model.txt")
     step_log = load_step_log(run_dir / "steps.csv")
     trace_path = run_dir / "trace.csv"
     trace = load_trace(trace_path) if trace_path.exists() else None
     result = TrainResult(model, trace, step_log, None, config, model_seed)
-    if trace is None:
+    seen = 0 if trace is None else int(trace.seen().sum())
+    if seen < 4:  # quartiles need four seen examples
         # degraded report: model-level metrics only, gaps called out
         metrics = class_metrics(model, dataset)
         fields = {
@@ -237,7 +237,7 @@ def _report_for_run(run_dir: Path) -> tuple[ExperimentReport | None, dict, Datas
             "boundary_disagreement": repr(
                 boundary_disagreement(model, dataset.specs[0], dataset.specs[1])
             ),
-            "trace": "absent",
+            "trace": "absent" if trace is None else f"{seen} examples seen",
             "quartile": "absent",
             "rare_set": "absent",
         }
@@ -267,7 +267,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             tail_figure(dataset, labels, fig_dir / "rare.svg", rare_only=True)
             entropy_figure(dataset, result.trace.mean_entropy(), fig_dir / "entropy.svg")
         else:
-            print(f"warning: {run_dir} has no traces; writing a degraded report", file=sys.stderr)
+            print(
+                f"warning: {run_dir} has no usable traces (trace: {fields['trace']});"
+                " writing a degraded report",
+                file=sys.stderr,
+            )
             write_record(fig_dir / "report.txt", "experiment-report", fields, {})
         scatter_figure(dataset, fig_dir / "data.svg")
         prediction_figure(result.model, dataset, fig_dir / "predictions.svg")
@@ -298,9 +302,7 @@ def _sweep_value_config(config: TrainConfig, param: str, value: float) -> TrainC
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     entries = _load_entries(args.config)
-    config, data_seed, model_seed, kind = config_from_manifest(
-        {k: v for k, v in entries.items() if not k.startswith("dense.")}
-    )
+    config, data_seed, model_seed, kind = config_from_manifest(entries)
     if args.param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {args.param!r}")
     if config.strategy != SWEEP_PARAMS[args.param]:
@@ -357,16 +359,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _dense_sweep(entries, config, data_seed, model_seed, values, args, out) -> int:
-    overrides = _dense_overrides(entries, config)
     rows = []
     for value in values:
-        pivot_config = dense_config(strategy="gradtail", **overrides)
-        pivot_config = replace(pivot_config, gradtail=replace(pivot_config.gradtail, pivot=value))
         rare_mre, common_mre, total_mre = [], [], []
         for k in range(args.seeds):
+            run_config = _dense_run_config(entries, config, "gradtail", k)
+            run_config = replace(run_config, gradtail=replace(run_config.gradtail, pivot=value))
             grid, sampler = _dense_grid_for(entries, data_seed + k)
             result = train_dense(
-                grid, model_seed + k, replace(pivot_config, seed=config.seed + k),
+                grid, model_seed + k, run_config,
                 size_min=sampler["size_min"], size_max=sampler["size_max"],
                 patch_count=sampler["patch_count"],
             )
@@ -393,23 +394,17 @@ def _dense_sweep(entries, config, data_seed, model_seed, values, args, out) -> i
 
 def cmd_dense_demo(args: argparse.Namespace) -> int:
     entries = _load_entries(args.config)
-    base, data_seed, model_seed, _ = config_from_manifest(
-        {k: v for k, v in entries.items() if not k.startswith("dense.")}
-    )
+    base, data_seed, model_seed, _ = config_from_manifest(entries)
+    if args.reference_mode:
+        base = replace(base, reference_mode=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    overrides = _dense_overrides(entries, base)
     rows = []
     for k in range(args.seeds):
         grid, sampler = _dense_grid_for(entries, data_seed + k)
         row = {"seed": str(data_seed + k)}
         for strategy in ("uniform", "gradtail"):
-            config = dense_config(
-                strategy=strategy,
-                seed=base.seed + k,
-                reference_mode=args.reference_mode or base.reference_mode,
-                **overrides,
-            )
+            config = _dense_run_config(entries, base, strategy, k)
             result = train_dense(
                 grid, model_seed + k, config,
                 size_min=sampler["size_min"], size_max=sampler["size_max"],

@@ -1,7 +1,8 @@
 """Deterministic minibatch training with pluggable example weighting.
 
 One config type drives both the 2-D classification loop (`train`) and the
-dense per-pixel regression loop (`train_dense`). Every run is a pure function
+dense per-pixel regression loop (`train_dense`), and both run every step
+through the same kernel (`_step`). Every run is a pure function
 of (dataset seed, model seed, config): batches come from a counter-based
 stream, and all reductions have fixed order. ``reference_mode`` additionally
 forces per-example serial gradient computation for bitwise reproducibility
@@ -14,14 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithm import BatchWeighting, GradTailConfig, GradTailState, step_arrays
+from .algorithm import GradTailConfig, GradTailState, step_arrays
 from .baselines import FrequencyWeights, entropy_scores
 from .datasets import Dataset2D, DenseGrid
 from .mlp import (
     LOSSES,
+    Loss,
     MlpModel,
     ParamSubset,
-    ParamVector,
     batch_gradients,
     forward_batch,
     softmax,
@@ -77,6 +78,8 @@ class TrainConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}; pick from {STRATEGIES}")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
+        if self.focal_gamma < 0.0:
+            raise ValueError("focal_gamma must be nonnegative")
         parse_subset_spec(self.subset_spec)  # fail fast on malformed specs
 
 
@@ -121,33 +124,9 @@ def nesterov_update(
     return params + new_velocity, new_velocity
 
 
-@dataclass
-class ExampleTrace:
-    """Aggregated per-example statistics across an entire run."""
-
-    example_id: int
-    occurrences: int
-    theta_sum: float
-    theta_sq_sum: float
-    loss_sum: float
-    entropy_sum: float
-    correct_count: int
-
-    @property
-    def mean_alignment(self) -> float:
-        return self.theta_sum / self.occurrences
-
-    @property
-    def mean_loss(self) -> float:
-        return self.loss_sum / self.occurrences
-
-    @property
-    def mean_entropy(self) -> float:
-        return self.entropy_sum / self.occurrences
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct_count / self.occurrences
+def weighted_mean(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Weighted batch mean sum_b weights[b] * rows[b] / B of (B, P) gradient rows."""
+    return np.einsum("b,bp->p", weights, rows) / rows.shape[0]
 
 
 @dataclass
@@ -189,19 +168,6 @@ class TraceTable:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(self.occurrences > 0, self.correct_count / self.occurrences, np.nan)
 
-    def row(self, i: int) -> ExampleTrace:
-        if self.occurrences[i] < 1:
-            raise ValueError(f"example {i} never occurred; no statistics to read")
-        return ExampleTrace(
-            i,
-            int(self.occurrences[i]),
-            float(self.theta_sum[i]),
-            float(self.theta_sq_sum[i]),
-            float(self.loss_sum[i]),
-            float(self.entropy_sum[i]),
-            int(self.correct_count[i]),
-        )
-
 
 @dataclass
 class StepLog:
@@ -237,37 +203,119 @@ def _batch_stream(config: TrainConfig, model_seed: int) -> np.random.Generator:
     )
 
 
+@dataclass
+class _Run:
+    """Per-run constants and the optimiser state that the step kernel advances."""
+
+    config: TrainConfig
+    model: MlpModel
+    loss_fn: Loss
+    blocks: list[tuple[np.ndarray, slice]]  # each parameter array and its span in `params`
+    subset_idx: np.ndarray  # the weighting subset's columns in a full gradient row
+    class_weights: np.ndarray | None  # inverse-frequency weight per class label
+    params: np.ndarray
+    velocity: np.ndarray
+    state: GradTailState | None
+    log: StepLog
+
+    def load(self, values: np.ndarray) -> None:
+        """Write a flat all_params vector into the model's parameter arrays."""
+        for arr, span in self.blocks:
+            arr[...] = values[span].reshape(arr.shape)
+
+
+def _start_run(config: TrainConfig, model_seed: int, class_weights: np.ndarray | None) -> _Run:
+    """Seeded model, flat parameters and every per-run index map."""
+    model = MlpModel.initialize(
+        list(config.model_dims), model_seed, config.hidden_activation, config.weight_scale
+    )
+    full = ParamSubset.all_params(model)
+    blocks, pos = [], 0
+    for arr in full.arrays(model):
+        blocks.append((arr, slice(pos, pos + arr.size)))
+        pos += arr.size
+    subset = build_subset(model, config.subset_spec)
+    subset_idx = subset.index_map(model)
+    params = full.pack(model)
+    track = config.trace_logging or config.strategy == "gradtail"
+    state = GradTailState(np.zeros(subset_idx.size), subset) if track else None
+    return _Run(
+        config, model, LOSSES[config.loss], blocks, subset_idx, class_weights,
+        params, np.zeros_like(params), state, StepLog.zeros(config.steps),
+    )
+
+
+def _step(run: _Run, step: int, inputs, targets, labels, regions, row_ids, reduce_losses):
+    """One look-ahead momentum step; a gradient row is an example or a region.
+
+    ``labels`` are the rows' classes (read by the label-based strategies),
+    ``regions`` goes to `batch_gradients`, ``row_ids`` name the rows in a
+    divergence snapshot, and ``reduce_losses(losses, regions)`` turns the
+    per-example losses into one loss per row. Returns the batch gradients,
+    the weighting (None when untracked), and the row weights and losses.
+    """
+    cfg = run.config
+    run.load(run.params + cfg.momentum * run.velocity)
+    bg = batch_gradients(
+        run.model, inputs, targets, run.loss_fn, serial=cfg.reference_mode, regions=regions
+    )
+    losses = reduce_losses(bg.losses, regions)
+    bad = ~np.isfinite(losses)
+    if bad.any():
+        raise TrainingDiverged(
+            f"non-finite loss at step {step}",
+            {
+                "step": step,
+                "bad_examples": np.asarray(row_ids)[bad].tolist(),
+                "param_norm": float(np.linalg.norm(run.params)),
+                "velocity_norm": float(np.linalg.norm(run.velocity)),
+            },
+        )
+
+    weighting = None
+    if run.state is not None:
+        weighting, run.state = step_arrays(run.state, bg.grads[:, run.subset_idx], cfg.gradtail)
+    if cfg.strategy == "gradtail":
+        weights = weighting.weights
+    elif cfg.strategy == "uniform":
+        weights = np.ones(bg.grads.shape[0])
+    elif cfg.strategy == "inverse_frequency":
+        weights = run.class_weights[labels]
+    else:  # focal
+        weights = focal_weights(bg.outputs, labels, cfg.focal_gamma)
+
+    run.params, run.velocity = nesterov_update(
+        run.params, run.velocity, weighted_mean(weights, bg.grads),
+        cfg.learning_rate, cfg.momentum,
+    )
+    run.log.mean_loss[step] = losses.mean()
+    run.log.mean_weight[step] = weights.mean()
+    if run.state is not None:
+        run.log.sigma[step] = run.state.sigma
+        run.log.ema_norm[step] = np.linalg.norm(run.state.ema_grad)
+    return bg, weighting, weights, losses
+
+
 def train(dataset: Dataset2D, model_seed: int, config: TrainConfig) -> TrainResult:
     """Classification training on a 2-D point cloud; see module docstring."""
     if config.batch_size > dataset.n:
         raise ValueError("batch_size exceeds dataset size")
     if config.model_dims[0] != dataset.points.shape[1]:
         raise ValueError("model input dim does not match the dataset")
-    model = MlpModel.initialize(
-        list(config.model_dims), model_seed, config.hidden_activation, config.weight_scale
-    )
-    loss_fn = LOSSES[config.loss]
-    full = ParamSubset.all_params(model)
-    subset = build_subset(model, config.subset_spec)
-    subset_idx = subset.index_map(model)
-    params = full.pack(model)
-    velocity = np.zeros_like(params)
-    rng = _batch_stream(config, model_seed)
-
-    track = config.trace_logging or config.strategy == "gradtail"
-    state = GradTailState(ParamVector(np.zeros(subset_idx.size), subset)) if track else None
-    trace = TraceTable.zeros(dataset.n) if config.trace_logging else None
-    log = StepLog.zeros(config.steps)
-
+    points, labels = dataset.points, dataset.labels
+    if int(labels.max()) >= config.model_dims[-1]:
+        raise ValueError("label index exceeds model output dimension")
     if config.class_weights is not None:
         freq = FrequencyWeights(dict(enumerate(config.class_weights)))
     else:
         freq = FrequencyWeights.from_counts(dataset.class_counts())
-    freq_arr = np.array([freq.table.get(c, 1.0) for c in range(int(dataset.labels.max()) + 1)])
+    run = _start_run(
+        config, model_seed,
+        np.array([freq.table.get(c, 1.0) for c in range(int(labels.max()) + 1)]),
+    )
+    rng = _batch_stream(config, model_seed)
+    trace = TraceTable.zeros(dataset.n) if config.trace_logging else None
 
-    points, labels = dataset.points, dataset.labels
-    if int(labels.max()) >= config.model_dims[-1]:
-        raise ValueError("label index exceeds model output dimension")
     # regression-style losses (squared/l1) train against one-hot targets
     if config.loss == "softmax_xent":
         step_targets = labels
@@ -275,44 +323,10 @@ def train(dataset: Dataset2D, model_seed: int, config: TrainConfig) -> TrainResu
         step_targets = np.eye(config.model_dims[-1])[labels]
     for step in range(config.steps):
         idx = rng.integers(0, dataset.n, size=config.batch_size)
-        full.unpack_into(model, params + config.momentum * velocity)
-        bg = batch_gradients(
-            model, points[idx], step_targets[idx], loss_fn, full, serial=config.reference_mode
+        bg, weighting, _, _ = _step(
+            run, step, points[idx], step_targets[idx], labels[idx], None, idx,
+            lambda losses, regions: losses,
         )
-        if not np.all(np.isfinite(bg.losses)):
-            raise TrainingDiverged(
-                f"non-finite loss at step {step}",
-                {
-                    "step": step,
-                    "bad_examples": idx[~np.isfinite(bg.losses)].tolist(),
-                    "param_norm": float(np.linalg.norm(params)),
-                    "velocity_norm": float(np.linalg.norm(velocity)),
-                },
-            )
-
-        weighting = None
-        if track:
-            weighting, state = step_arrays(state, bg.grads[:, subset_idx], config.gradtail)
-
-        if config.strategy == "gradtail":
-            weights = weighting.weights
-        elif config.strategy == "uniform":
-            weights = np.ones(config.batch_size)
-        elif config.strategy == "inverse_frequency":
-            weights = freq_arr[labels[idx]]
-        else:  # focal
-            weights = focal_weights(bg.outputs, labels[idx], config.focal_gamma)
-
-        grad = np.einsum("b,bp->p", weights, bg.grads) / config.batch_size
-        params, velocity = nesterov_update(
-            params, velocity, grad, config.learning_rate, config.momentum
-        )
-
-        log.mean_loss[step] = bg.losses.mean()
-        log.mean_weight[step] = weights.mean()
-        if state is not None:
-            log.sigma[step] = state.sigma
-            log.ema_norm[step] = state.ema_grad.norm()
         if trace is not None:
             probs = softmax(bg.outputs)
             np.add.at(trace.occurrences, idx, 1)
@@ -322,8 +336,8 @@ def train(dataset: Dataset2D, model_seed: int, config: TrainConfig) -> TrainResu
             np.add.at(trace.entropy_sum, idx, entropy_scores(probs))
             np.add.at(trace.correct_count, idx, np.argmax(bg.outputs, axis=1) == labels[idx])
 
-    full.unpack_into(model, params)
-    return TrainResult(model, trace, log, state, config, model_seed)
+    run.load(run.params)
+    return TrainResult(run.model, trace, run.log, run.state, config, model_seed)
 
 
 def focal_weights(outputs: np.ndarray, labels: np.ndarray, gamma: float) -> np.ndarray:
@@ -410,15 +424,7 @@ def train_dense(
         raise ValueError(f"dense training supports uniform/gradtail, not {config.strategy!r}")
     if config.model_dims[0] != grid.inputs.shape[-1] or config.model_dims[-1] != 1:
         raise ValueError("dense model dims must map pixel features to one output")
-    model = MlpModel.initialize(
-        list(config.model_dims), model_seed, config.hidden_activation, config.weight_scale
-    )
-    loss_fn = LOSSES[config.loss]
-    full = ParamSubset.all_params(model)
-    subset = build_subset(model, config.subset_spec)
-    subset_idx = subset.index_map(model)
-    params = full.pack(model)
-    velocity = np.zeros_like(params)
+    run = _start_run(config, model_seed, None)
     rng = _batch_stream(config, model_seed)
 
     n_pix = grid.height * grid.width
@@ -426,11 +432,11 @@ def train_dense(
     targets = grid.targets.reshape(n_pix, 1)
     valid = grid.valid_mask.ravel()
     rare = grid.rare_mask.ravel()
-
-    track = config.trace_logging or config.strategy == "gradtail"
-    state = GradTailState(ParamVector(np.zeros(subset_idx.size), subset)) if track else None
     patch_log = PatchLog.empty()
-    log = StepLog.zeros(config.steps)
+
+    def region_losses(losses, regions):
+        loss_grid = losses.reshape(grid.height, grid.width)
+        return np.array([patch_mean_loss(loss_grid, grid.valid_mask, sel) for sel in regions])
 
     for step in range(config.steps):
         patches = sample_patches(
@@ -442,49 +448,20 @@ def train_dense(
             if sel.size:  # an empty region is dropped: no pixels, no gradient, no cosine
                 kept.append(j)
                 sels.append(sel)
-        full.unpack_into(model, params + config.momentum * velocity)
-        bg = batch_gradients(
-            model, feats, targets, loss_fn, full, serial=config.reference_mode, regions=sels
+        _, weighting, weights, losses = _step(
+            run, step, feats, targets, None, sels, kept, region_losses
         )
-        if not np.all(np.isfinite(bg.losses[valid])):
-            raise TrainingDiverged(
-                f"non-finite pixel loss at step {step}",
-                {"step": step, "param_norm": float(np.linalg.norm(params))},
-            )
-
-        loss_grid = bg.losses.reshape(grid.height, grid.width)
-        patch_losses = np.array([patch_mean_loss(loss_grid, grid.valid_mask, sel) for sel in sels])
-        rare_fracs = [float(rare[sel].mean()) for sel in sels]
-
-        weighting = None
-        if track:
-            weighting, state = step_arrays(state, bg.grads[:, subset_idx], config.gradtail)
-        if config.strategy == "gradtail":
-            weights = weighting.weights
-        else:
-            weights = np.ones(len(sels))
-
-        grad = np.einsum("b,bp->p", weights, bg.grads) / len(sels)
-        params, velocity = nesterov_update(
-            params, velocity, grad, config.learning_rate, config.momentum
-        )
-
-        log.mean_loss[step] = patch_losses.mean()
-        log.mean_weight[step] = weights.mean()
-        if state is not None:
-            log.sigma[step] = state.sigma
-            log.ema_norm[step] = state.ema_grad.norm()
         for k, (j, sel) in enumerate(zip(kept, sels)):
             patch_log.step.append(step)
             patch_log.patch_index.append(j)
             patch_log.pixels.append(int(sel.size))
-            patch_log.rare_fraction.append(rare_fracs[k])
+            patch_log.rare_fraction.append(float(rare[sel].mean()))
             patch_log.alignment.append(float(weighting.alignments[k]) if weighting else 0.0)
             patch_log.weight.append(float(weights[k]))
-            patch_log.loss.append(float(patch_losses[k]))
+            patch_log.loss.append(float(losses[k]))
 
-    full.unpack_into(model, params)
-    return DenseResult(model, patch_log, log, state, config, model_seed)
+    run.load(run.params)
+    return DenseResult(run.model, patch_log, run.log, run.state, config, model_seed)
 
 
 def dense_predictions(model: MlpModel, grid: DenseGrid) -> np.ndarray:

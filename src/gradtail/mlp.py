@@ -7,7 +7,6 @@ batch, so each example's gradient is independent of the rest of the batch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -89,8 +88,8 @@ class ParamSubset:
     """Ordered selection of (layer index, "weight"|"bias") parameter blocks.
 
     Defines the canonical flattening: blocks appear in selector order, each
-    matrix flattened row-major. ParamVector layouts are only comparable when
-    they share the exact same selector tuple.
+    matrix flattened row-major. Flat vectors are only comparable when they
+    come from the exact same selector tuple.
     """
 
     selectors: tuple[tuple[int, str], ...]
@@ -123,82 +122,42 @@ class ParamSubset:
             if layer >= model.n_layers:
                 raise ValueError(f"selector references layer {layer} of a {model.n_layers}-layer model")
 
-    def block_shapes(self, model: MlpModel) -> list[tuple[int, ...]]:
+    def arrays(self, model: MlpModel) -> list[np.ndarray]:
+        """The selected parameter arrays themselves (not copies), in selector order."""
         self.validate(model)
-        shapes = []
-        for layer, kind in self.selectors:
-            arr = model.weights[layer] if kind == "weight" else model.biases[layer]
-            shapes.append(arr.shape)
-        return shapes
+        return [
+            model.weights[layer] if kind == "weight" else model.biases[layer]
+            for layer, kind in self.selectors
+        ]
 
     def size(self, model: MlpModel) -> int:
-        return sum(math.prod(s) for s in self.block_shapes(model))
+        return sum(arr.size for arr in self.arrays(model))
 
     def pack(self, model: MlpModel) -> np.ndarray:
         """Flatten the selected parameters into one float64 vector."""
-        self.validate(model)
-        parts = []
-        for layer, kind in self.selectors:
-            arr = model.weights[layer] if kind == "weight" else model.biases[layer]
-            parts.append(np.asarray(arr, dtype=np.float64).ravel())
+        parts = [np.asarray(arr, dtype=np.float64).ravel() for arr in self.arrays(model)]
         return np.concatenate(parts) if parts else np.zeros(0)
 
     def unpack_into(self, model: MlpModel, values: np.ndarray) -> None:
         """Write a flat vector back into the selected parameter blocks."""
-        if values.shape != (self.size(model),):
+        blocks = self.arrays(model)
+        if values.shape != (sum(arr.size for arr in blocks),):
             raise ValueError("flat vector length does not match subset size")
         pos = 0
-        for layer, kind in self.selectors:
-            arr = model.weights[layer] if kind == "weight" else model.biases[layer]
-            n = arr.size
-            arr[...] = values[pos : pos + n].reshape(arr.shape)
-            pos += n
+        for arr in blocks:
+            arr[...] = values[pos : pos + arr.size].reshape(arr.shape)
+            pos += arr.size
 
     def index_map(self, model: MlpModel) -> np.ndarray:
         """Indices of this subset's coordinates inside the all_params flattening."""
+        self.validate(model)
         full = ParamSubset.all_params(model)
         offsets, pos = {}, 0
-        for layer, kind in full.selectors:
-            arr = model.weights[layer] if kind == "weight" else model.biases[layer]
-            offsets[(layer, kind)] = (pos, pos + arr.size)
+        for sel, arr in zip(full.selectors, full.arrays(model)):
+            offsets[sel] = (pos, pos + arr.size)
             pos += arr.size
         idx = [np.arange(*offsets[sel]) for sel in self.selectors]
         return np.concatenate(idx) if idx else np.zeros(0, dtype=np.intp)
-
-
-@dataclass
-class ParamVector:
-    """Flat float64 vector over a ParamSubset; combinable only with identical layouts."""
-
-    values: np.ndarray
-    layout: ParamSubset
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("ParamVector values must be 1-D")
-
-    def _check_combinable(self, other: "ParamVector") -> None:
-        if self.layout != other.layout or self.values.shape != other.values.shape:
-            raise ValueError("ParamVectors have different layouts")
-
-    def dot(self, other: "ParamVector") -> float:
-        self._check_combinable(other)
-        return float(self.values @ other.values)
-
-    def add(self, other: "ParamVector") -> "ParamVector":
-        self._check_combinable(other)
-        return ParamVector(self.values + other.values, self.layout)
-
-    def scale(self, c: float) -> "ParamVector":
-        return ParamVector(self.values * c, self.layout)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    @classmethod
-    def zeros(cls, model: MlpModel, layout: ParamSubset) -> "ParamVector":
-        return cls(np.zeros(layout.size(model)), layout)
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +167,15 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class Loss:
-    """Loss on a single model output vector, with its gradient w.r.t. that output.
-
-    ``batch_value``/``batch_output_grad`` are vectorized fast paths over
-    (B, K) outputs; when absent the engine falls back to a per-example loop.
+    """A loss in two forms: ``value`` on a single output vector (what the
+    finite-difference oracle differentiates), and ``batch_value`` /
+    ``batch_output_grad`` over (B, K) outputs, which the backward pass uses.
     """
 
     name: str
     value: Callable[[np.ndarray, object], float]
-    output_grad: Callable[[np.ndarray, object], np.ndarray] | None = None
-    batch_value: Callable | None = None
-    batch_output_grad: Callable | None = None
+    batch_value: Callable[[np.ndarray, object], np.ndarray]
+    batch_output_grad: Callable[[np.ndarray, object], np.ndarray]
 
 
 def loss_softmax_xent(logits: np.ndarray, label: int) -> float:
@@ -255,12 +212,6 @@ def _xent_value(out: np.ndarray, label) -> float:
     return loss_softmax_xent(out, int(label))
 
 
-def _xent_grad(out: np.ndarray, label) -> np.ndarray:
-    g = softmax(out)
-    g[int(label)] -= 1.0
-    return g
-
-
 def _xent_batch_value(out: np.ndarray, labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.intp)
     rows = np.arange(out.shape[0])
@@ -278,15 +229,12 @@ def _xent_batch_grad(out: np.ndarray, labels) -> np.ndarray:
     return g
 
 
-SOFTMAX_XENT = Loss(
-    "softmax_xent", _xent_value, _xent_grad, _xent_batch_value, _xent_batch_grad
-)
+SOFTMAX_XENT = Loss("softmax_xent", _xent_value, _xent_batch_value, _xent_batch_grad)
 
 # sign(0) = 0: the standard subgradient choice at the l1 kink
 L1 = Loss(
     "l1",
     lambda out, t: float(np.sum(np.abs(out - t))),
-    lambda out, t: np.sign(out - t),
     lambda out, t: np.sum(np.abs(out - np.atleast_2d(t).reshape(out.shape)), axis=1),
     lambda out, t: np.sign(out - np.atleast_2d(t).reshape(out.shape)),
 )
@@ -294,7 +242,6 @@ L1 = Loss(
 SQUARED = Loss(
     "squared",
     lambda out, t: float(0.5 * np.sum((out - t) ** 2)),
-    lambda out, t: out - t,
     lambda out, t: 0.5 * np.sum((out - np.atleast_2d(t).reshape(out.shape)) ** 2, axis=1),
     lambda out, t: out - np.atleast_2d(t).reshape(out.shape),
 )
@@ -360,12 +307,8 @@ def raw_batch_gradients(
     out = acts[-1]
     bsz = inputs.shape[0]
 
-    if loss_fn.batch_value is not None:
-        losses = np.asarray(loss_fn.batch_value(out, targets), dtype=np.float64)
-        delta = np.asarray(loss_fn.batch_output_grad(out, targets), dtype=np.float64)
-    else:
-        losses = np.array([loss_fn.value(out[i], _target_at(targets, i)) for i in range(bsz)])
-        delta = np.stack([loss_fn.output_grad(out[i], _target_at(targets, i)) for i in range(bsz)])
+    losses = np.asarray(loss_fn.batch_value(out, targets), dtype=np.float64)
+    delta = np.asarray(loss_fn.batch_output_grad(out, targets), dtype=np.float64)
 
     n_layers = len(weights)
     grad_w: list[np.ndarray | None] = [None] * n_layers
@@ -396,21 +339,14 @@ def _region_means(delta: np.ndarray, act: np.ndarray, regions) -> tuple[np.ndarr
     return np.stack(rows_w), np.stack(rows_b)
 
 
-def _target_at(targets, i):
-    if isinstance(targets, np.ndarray):
-        return targets[i]
-    return targets[i]
-
-
 @dataclass
 class BatchGradients:
-    """Per-example (or per-region) gradients on a subset layout plus the
-    per-example forward-pass byproducts."""
+    """Per-example (or per-region) gradients plus the per-example forward-pass
+    byproducts."""
 
-    grads: np.ndarray  # (B, P) on `layout`; (R, P) region means when regions are given
+    grads: np.ndarray  # (B, P) on the subset layout; (R, P) region means with regions
     losses: np.ndarray  # (B,)
     outputs: np.ndarray  # (B, K)
-    layout: ParamSubset
 
 
 def batch_gradients(
@@ -424,6 +360,7 @@ def batch_gradients(
 ) -> BatchGradients:
     """Vectorized per-example gradients; `serial` forces a per-example loop.
 
+    Without ``subset`` the columns are every parameter in all_params order.
     ``regions`` (index arrays into the batch, possibly overlapping) switches
     ``grads`` to one mean-gradient row per region. The serial path computes
     every per-example row and averages it per region: it is the oracle of
@@ -438,15 +375,14 @@ def batch_gradients(
         regions = [np.asarray(sel, dtype=np.intp) for sel in regions]
         if not regions or any(sel.ndim != 1 or sel.size == 0 for sel in regions):
             raise ValueError("regions must be a non-empty list of non-empty 1-D index arrays")
-    subset = subset if subset is not None else ParamSubset.all_params(model)
-    subset.validate(model)
+    idx = None if subset is None else subset.index_map(model)
 
     if serial:
         rows, losses, outs = [], [], []
         for i in range(inputs.shape[0]):
             g, lo, ou = raw_batch_gradients(
                 model.weights, model.biases, model.hidden_activation,
-                inputs[i : i + 1], _slice_targets(targets, i), loss_fn,
+                inputs[i : i + 1], targets[i : i + 1], loss_fn,
             )
             rows.append(g[0])
             losses.append(lo[0])
@@ -461,31 +397,7 @@ def batch_gradients(
             model.weights, model.biases, model.hidden_activation, inputs, targets, loss_fn,
             regions,
         )
-
-    idx = subset.index_map(model)
-    grads = full[:, idx] if len(idx) != full.shape[1] else full
-    return BatchGradients(grads, losses, out, subset)
-
-
-def _slice_targets(targets, i):
-    if isinstance(targets, np.ndarray):
-        return targets[i : i + 1]
-    return [targets[i]]
-
-
-def per_example_gradients(
-    model: MlpModel,
-    batch: Sequence[tuple[np.ndarray, object]],
-    loss_fn: Loss,
-    subset: ParamSubset,
-) -> list[ParamVector]:
-    """One ParamVector per (input, target) pair, computed on the unweighted loss."""
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    inputs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
-    targets = [t for _, t in batch]
-    bg = batch_gradients(model, inputs, targets, loss_fn, subset)
-    return [ParamVector(bg.grads[i].copy(), subset) for i in range(len(batch))]
+    return BatchGradients(full if idx is None else full[:, idx], losses, out)
 
 
 def finite_diff_gradient(
@@ -494,7 +406,7 @@ def finite_diff_gradient(
     loss_fn: Loss,
     subset: ParamSubset,
     step: float = 1e-5,
-) -> ParamVector:
+) -> np.ndarray:
     """Central-difference gradient (L(p+h) - L(p-h)) / 2h per subset coordinate.
 
     Independent of the analytic backward pass; used as its oracle.
@@ -517,4 +429,4 @@ def finite_diff_gradient(
         flat[i] = orig
         grad[i] = (up - down) / (2.0 * step)
     subset.unpack_into(work, flat)
-    return ParamVector(grad, subset)
+    return grad

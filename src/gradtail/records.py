@@ -21,7 +21,7 @@ from . import __version__
 from .algorithm import GradTailConfig, GradTailState
 from .datasets import Dataset2D, GaussianSpec
 from .engine import PatchLog, StepLog, TraceTable, TrainConfig
-from .mlp import MlpModel, ParamSubset, ParamVector
+from .mlp import MlpModel, ParamSubset
 
 FORMAT_LINE = "format: gradtail-record v1"
 
@@ -141,10 +141,10 @@ def save_gradtail_state(path: str | Path, state: GradTailState, config: GradTail
     fields = {
         "sigma": repr(state.sigma),
         "updates_seen": state.updates_seen,
-        "layout": _selectors_to_text(state.ema_grad.layout),
+        "layout": _selectors_to_text(state.layout),
         **{f"config.{k}": repr(v) for k, v in asdict(config).items()},
     }
-    write_record(path, "gradtail-state", fields, {"ema_grad": state.ema_grad.values})
+    write_record(path, "gradtail-state", fields, {"ema_grad": state.ema_grad})
 
 
 @_reader
@@ -154,9 +154,9 @@ def load_gradtail_state(path: str | Path) -> tuple[GradTailState, GradTailConfig
         raise RecordFormatError(
             f"{path}: expected a gradtail state snapshot, found {kind!r}"
         )
-    layout = _selectors_from_text(fields["layout"])
     state = GradTailState(
-        ParamVector(arrays["ema_grad"], layout),
+        arrays["ema_grad"],
+        _selectors_from_text(fields["layout"]),
         float(fields["sigma"]),
         int(fields["updates_seen"]),
     )

@@ -14,7 +14,6 @@ from gradtail.analysis import (
     label_examples,
     metrics_from_predictions,
     quartile_accuracy,
-    rank_examples_by_alignment,
     rare_set_stats,
 )
 from gradtail.datasets import (
@@ -255,23 +254,37 @@ class TestRareSetStats:
 
 
 class TestRanking:
+    """The order quartile_accuracy bins examples in: ascending mean alignment,
+    ties by example id. With four examples every bin holds one example, so a
+    one-hot correctness vector shows where that example landed."""
+
+    @staticmethod
+    def position(means, example):
+        correct = np.zeros(len(means))
+        correct[example] = 1.0
+        return quartile_accuracy(np.asarray(means), correct).accuracies.index(1.0)
+
     def test_order_and_ties(self):
-        t = trace_with_alignments([0.3, -0.2, 0.0])
-        np.testing.assert_array_equal(rank_examples_by_alignment(t), [1, 2, 0])
-        t2 = trace_with_alignments([0.5, 0.5, 0.5])
-        np.testing.assert_array_equal(rank_examples_by_alignment(t2), [0, 1, 2])
+        means = [0.3, -0.2, 0.0, 0.1]
+        assert [self.position(means, i) for i in range(4)] == [3, 0, 1, 2]
+        assert [self.position([0.5] * 4, i) for i in range(4)] == [0, 1, 2, 3]
 
     def test_negation_reverses(self):
         rng = np.random.default_rng(2)
-        means = rng.uniform(-1, 1, size=50)  # distinct with prob 1
-        a = rank_examples_by_alignment(trace_with_alignments(means))
-        b = rank_examples_by_alignment(trace_with_alignments(-means))
-        np.testing.assert_array_equal(a, b[::-1])
+        for _ in range(20):
+            means = rng.uniform(-1, 1, size=4)  # distinct with prob 1
+            for i in range(4):
+                assert self.position(-means, i) == 3 - self.position(means, i)
 
     def test_skips_unvisited(self):
-        t = trace_with_alignments([0.1, 0.2, 0.3])
+        # the report ranks the examples label_examples marks as seen
+        t = trace_with_alignments([0.1, 0.2, 0.3, 0.4, 0.5])
         t.occurrences[1] = 0
-        np.testing.assert_array_equal(rank_examples_by_alignment(t), [0, 2])
+        _, seen, excluded = label_examples(t)
+        assert excluded == 1
+        correct = np.array([0.0, 1.0, 0.0, 0.0, 1.0])
+        q = quartile_accuracy(t.mean_alignment()[seen], correct[seen])
+        assert q.accuracies == (0.0, 0.0, 0.0, 1.0)
 
 
 class TestDenseBandMre:

@@ -202,6 +202,19 @@ def test_analyze_missing_trace_degrades_explicitly(trained_runs, tmp_path, capsy
     assert "balanced_accuracy" in report
 
 
+def test_analyze_zero_step_run_degrades(tmp_path, capsys):
+    config = write_config(tmp_path, "train.steps: 0\n")
+    runs = tmp_path / "runs"
+    assert main(["train", "--config", config, "--out", str(runs)]) == 0
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--out", str(out), str(runs / "run-gradtail-s000")]) == 0
+    err = capsys.readouterr().err
+    assert "degraded" in err and "config error" not in err
+    report = (out / "run-gradtail-s000" / "report.txt").read_text()
+    assert "quartile: absent" in report
+    assert "trace: 0 examples seen" in report
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -302,6 +315,28 @@ def test_dense_demo_median_row(tmp_path):
     lines = (out / "dense.txt").read_text().splitlines()
     assert lines[-1].startswith("median")
     assert len(lines) == 4  # header + 2 seeds + median
+
+
+def test_dense_demo_rejects_misspelt_dense_key(tmp_path, capsys):
+    config = write_config(tmp_path, "train.steps: 1\ndense.hieght: 8\n")
+    assert main(["dense-demo", "--config", config, "--out", str(tmp_path / "dense")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "dense.hieght" in err
+
+
+def test_dense_demo_honours_train_keys(tmp_path):
+    config = write_config(
+        tmp_path,
+        "train.steps: 2\ntrain.momentum: 0.5\ntrain.strategy: focal\n"
+        "dense.height: 12\ndense.width: 12\ndense.size_min: 4\ndense.size_max: 6\n",
+    )
+    out = tmp_path / "dense"
+    assert main(["dense-demo", "--config", config, "--out", str(out)]) == 0
+    for strategy in ("uniform", "gradtail"):
+        manifest = parse_manifest((out / f"dense-{strategy}-s000" / "manifest.txt").read_text())
+        assert manifest["train.momentum"] == "0.5"
+        assert manifest["train.steps"] == "2"
+        assert manifest["train.strategy"] == strategy  # the demo runs both
 
 
 def test_dense_manifest_regenerates_model(tmp_path):

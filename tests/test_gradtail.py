@@ -9,21 +9,31 @@ from gradtail.algorithm import (
     GradTailState,
     activation_f,
     ema_update,
-    gradtail_step,
-    normalized_dot,
     step_arrays,
-    weighted_loss,
 )
-from gradtail.mlp import MlpModel, ParamSubset, ParamVector
+from gradtail.engine import weighted_mean
+from gradtail.mlp import ParamSubset
+
+LAYOUT = ParamSubset(((0, "bias"),))
 
 
 def vec(values):
-    layout = ParamSubset(((0, "bias"),))
-    return ParamVector(np.asarray(values, dtype=float), layout)
+    return np.asarray(values, dtype=float)
+
+
+def rows(*grads):
+    """A (batch, n_params) gradient matrix from per-example rows."""
+    return np.array(grads, dtype=float)
 
 
 def state_with(ema, sigma=0.0, updates_seen=0):
-    return GradTailState(vec(ema), sigma=sigma, updates_seen=updates_seen)
+    return GradTailState(vec(ema), LAYOUT, sigma=sigma, updates_seen=updates_seen)
+
+
+def cosine(ema, grad):
+    """The alignment step_arrays assigns ``grad`` against ``ema``; None if undefined."""
+    w, _ = step_arrays(state_with(ema, updates_seen=10), rows(grad), GradTailConfig())
+    return float(w.alignments[0]) if w.defined[0] else None
 
 
 class TestConfig:
@@ -61,29 +71,29 @@ class TestConfig:
 
 
 class TestNormalizedDot:
+    """The clipped cosine step_arrays takes between a gradient and the EMA."""
+
     def test_parallel(self):
-        assert normalized_dot(vec([1, 0]), vec([1, 0]), 1e-12) == 1.0
+        assert cosine([1, 0], [1, 0]) == 1.0
 
     def test_orthogonal(self):
-        assert normalized_dot(vec([1, 0]), vec([0, 1]), 1e-12) == 0.0
+        assert cosine([1, 0], [0, 1]) == 0.0
 
     def test_antiparallel_scale_invariant(self):
-        assert normalized_dot(vec([2, 0]), vec([-3, 0]), 1e-12) == -1.0
+        assert cosine([2, 0], [-3, 0]) == -1.0
 
     def test_undefined_on_tiny_norm(self):
-        assert normalized_dot(vec([0, 0]), vec([1, 0]), 1e-12) is None
-        assert normalized_dot(vec([1, 0]), vec([1e-13, 0]), 1e-12) is None
+        assert cosine([0, 0], [1, 0]) is None
+        assert cosine([1, 0], [1e-13, 0]) is None
 
     def test_layout_mismatch(self):
-        other = ParamVector(np.zeros(3), ParamSubset(((1, "bias"),)))
         with pytest.raises(ValueError):
-            normalized_dot(vec([1, 0, 0]), other, 1e-12)
+            step_arrays(state_with([1, 0, 0]), np.zeros((1, 2)), GradTailConfig())
 
     def test_range_random(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            a, b = vec(rng.normal(size=4) * 10), vec(rng.normal(size=4) * 10)
-            c = normalized_dot(a, b, 1e-12)
+            c = cosine(rng.normal(size=4) * 10, rng.normal(size=4) * 10)
             assert -1.0 <= c <= 1.0
 
 
@@ -130,8 +140,8 @@ class TestEmaUpdate:
         cur = vec([0.0, 0.0, 0.0])
         for k in range(1, 101):
             cur = ema_update(cur, g, decay)
-            expect = (1.0 - decay**k) * g.values
-            np.testing.assert_allclose(cur.values, expect, rtol=0, atol=1e-12)
+            expect = (1.0 - decay**k) * g
+            np.testing.assert_allclose(cur, expect, rtol=0, atol=1e-12)
 
     def test_scalar_closed_form(self):
         cur, decay = 0.0, 0.9
@@ -142,7 +152,7 @@ class TestEmaUpdate:
     def test_fixed_point(self):
         g = vec([1.0, 2.0])
         out = ema_update(g, g, 0.99)
-        np.testing.assert_allclose(out.values, g.values, rtol=1e-15)
+        np.testing.assert_allclose(out, g, rtol=1e-15)
 
     def test_decay_range(self):
         with pytest.raises(ValueError):
@@ -153,22 +163,22 @@ class TestStep:
     def test_first_call_is_warmup(self):
         state = state_with([0.0, 0.0])
         cfg = GradTailConfig()
-        grads = [vec([1.0, 0.0]), vec([0.0, 3.0])]
-        w, new = gradtail_step(state, grads, cfg)
+        w, new = step_arrays(state, rows([1.0, 0.0], [0.0, 3.0]), cfg)
         assert w.warmup_active
         np.testing.assert_array_equal(w.weights, [1.0, 1.0])
         np.testing.assert_array_equal(w.alignments, [0.0, 0.0])  # undefined, recorded 0
         assert not w.defined.any()
         # EMA picks up (1-decay) * mean(grads)
-        np.testing.assert_allclose(new.ema_grad.values, 0.01 * np.array([0.5, 1.5]), rtol=1e-15)
+        np.testing.assert_allclose(new.ema_grad, 0.01 * np.array([0.5, 1.5]), rtol=1e-15)
         # no defined alignments -> sigma untouched
         assert new.sigma == 0.0
         assert new.updates_seen == 1
+        assert new.layout == LAYOUT
 
     def test_warmup_by_count_still_updates_stats(self):
         state = state_with([1.0, 0.0], sigma=0.2, updates_seen=3)
         cfg = GradTailConfig(warmup_batches=10)
-        w, new = gradtail_step(state, [vec([1.0, 0.0])], cfg)
+        w, new = step_arrays(state, rows([1.0, 0.0]), cfg)
         assert w.warmup_active
         np.testing.assert_array_equal(w.weights, [1.0])
         assert w.alignments[0] == 1.0
@@ -178,7 +188,7 @@ class TestStep:
         # alignment 0 at pivot 0 -> distance 0 -> peak weight
         state = state_with([1.0, 0.0], sigma=0.5, updates_seen=10)
         cfg = GradTailConfig(warmup_batches=10)
-        w, _ = gradtail_step(state, [vec([0.0, 2.0])], cfg)
+        w, _ = step_arrays(state, rows([0.0, 2.0]), cfg)
         assert not w.warmup_active
         assert w.alignments[0] == 0.0 and w.defined[0]
         assert w.weights[0] == cfg.max_weight == 15.0
@@ -187,7 +197,7 @@ class TestStep:
         # alignment 1, sigma stays 1, pivot 0 -> d = 1 -> 1 + 4*logistic(-1)
         state = state_with([1.0, 0.0], sigma=1.0, updates_seen=10)
         cfg = GradTailConfig(amplitude=4.0, slope=1.0, warmup_batches=10)
-        w, new = gradtail_step(state, [vec([5.0, 0.0])], cfg)
+        w, new = step_arrays(state, rows([5.0, 0.0]), cfg)
         assert w.alignments[0] == 1.0
         assert new.sigma == pytest.approx(1.0, rel=1e-15)  # 0.99*1 + 0.01*1
         assert w.weights[0] == pytest.approx(2.0757656854799804, rel=1e-14)
@@ -198,7 +208,7 @@ class TestStep:
         # (floored to 1e-3, d = 1000) would give logistic(-10) instead.
         state = state_with([1.0, 0.0], sigma=0.0, updates_seen=10)
         cfg = GradTailConfig(amplitude=4.0, slope=0.01, warmup_batches=10)
-        w, new = gradtail_step(state, [vec([2.0, 0.0])], cfg)
+        w, new = step_arrays(state, rows([2.0, 0.0]), cfg)
         assert new.sigma == pytest.approx(0.01, rel=1e-12)
         assert w.weights[0] == pytest.approx(2.0757656854799804, rel=1e-12)
 
@@ -206,14 +216,14 @@ class TestStep:
         # grad orthogonal to the pre-update EMA must read alignment 0 even
         # though the post-update EMA tilts toward it
         state = state_with([1.0, 0.0], sigma=0.5, updates_seen=10)
-        w, new = gradtail_step(state, [vec([0.0, 1.0])], GradTailConfig())
+        w, new = step_arrays(state, rows([0.0, 1.0]), GradTailConfig())
         assert w.alignments[0] == 0.0
-        assert new.ema_grad.values[1] > 0.0
+        assert new.ema_grad[1] > 0.0
 
     def test_zero_grad_excluded_from_sigma(self):
         state = state_with([1.0, 0.0], sigma=0.5, updates_seen=10)
         cfg = GradTailConfig(warmup_batches=10)
-        w, new = gradtail_step(state, [vec([1.0, 0.0]), vec([0.0, 0.0])], cfg)
+        w, new = step_arrays(state, rows([1.0, 0.0], [0.0, 0.0]), cfg)
         assert not w.warmup_active  # EMA norm is fine
         assert w.defined.tolist() == [True, False]
         assert w.alignments[1] == 0.0
@@ -222,9 +232,8 @@ class TestStep:
 
     def test_ema_mean_is_unnormalized(self):
         state = state_with([0.0, 0.0])
-        grads = [vec([10.0, 0.0]), vec([30.0, 0.0])]
-        _, new = gradtail_step(state, grads, GradTailConfig())
-        np.testing.assert_allclose(new.ema_grad.values, [0.01 * 20.0, 0.0], rtol=1e-15)
+        _, new = step_arrays(state, rows([10.0, 0.0], [30.0, 0.0]), GradTailConfig())
+        np.testing.assert_allclose(new.ema_grad, [0.01 * 20.0, 0.0], rtol=1e-15)
 
     def test_single_step_scale_invariance_bitwise(self):
         # scaling one example's grad by a power of two changes nothing that step
@@ -252,7 +261,7 @@ class TestStep:
         rng = np.random.default_rng(7)
         grads = rng.normal(size=(5, 4))
         s1 = state_with(rng.normal(size=4), sigma=0.3, updates_seen=10)
-        s2 = GradTailState(s1.ema_grad.scale(8.0), s1.sigma, s1.updates_seen)
+        s2 = GradTailState(8.0 * s1.ema_grad, LAYOUT, s1.sigma, s1.updates_seen)
         w1, _ = step_arrays(s1, grads, GradTailConfig())
         w2, _ = step_arrays(s2, grads, GradTailConfig())
         np.testing.assert_array_equal(w1.alignments, w2.alignments)
@@ -269,8 +278,7 @@ class TestStep:
     def test_bounds_and_ranges_random_walk(self):
         rng = np.random.default_rng(42)
         cfg = GradTailConfig(amplitude=28.0, warmup_batches=5)
-        layout = ParamSubset(((0, "bias"),))
-        state = GradTailState(ParamVector(np.zeros(8), layout))
+        state = GradTailState(np.zeros(8), LAYOUT)
         for step in range(200):
             grads = rng.normal(size=(16, 8)) * rng.uniform(0.1, 5.0)
             w, state = step_arrays(state, grads, cfg)
@@ -288,8 +296,7 @@ class TestStep:
         rng = np.random.default_rng(99)
         cfg = GradTailConfig(amplitude=4.0, decay=0.9, warmup_batches=2, pivot=0.5)
         dim, bsz = 6, 8
-        layout = ParamSubset(((0, "bias"),))
-        state = GradTailState(ParamVector(np.zeros(dim), layout))
+        state = GradTailState(np.zeros(dim), LAYOUT)
         ema, sigma, seen = np.zeros(dim), 0.0, 0
         for _ in range(30):
             grads = rng.normal(size=(bsz, dim))
@@ -320,36 +327,40 @@ class TestStep:
 
             np.testing.assert_allclose(w.alignments, thetas, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(w.weights, expect_w, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(state.ema_grad.values, ema, rtol=1e-12, atol=1e-16)
+            np.testing.assert_allclose(state.ema_grad, ema, rtol=1e-12, atol=1e-16)
             assert state.sigma == pytest.approx(sigma, rel=1e-12, abs=1e-16)
 
     def test_errors(self):
         state = state_with([0.0, 0.0])
         with pytest.raises(ValueError):
-            gradtail_step(state, [], GradTailConfig())
-        bad = ParamVector(np.zeros(3), ParamSubset(((1, "bias"),)))
+            step_arrays(state, np.zeros((1, 3)), GradTailConfig())
         with pytest.raises(ValueError):
-            gradtail_step(state, [bad], GradTailConfig())
+            step_arrays(state, np.zeros(2), GradTailConfig())
         with pytest.raises(ValueError):
             step_arrays(state, np.zeros((0, 2)), GradTailConfig())
 
 
 class TestWeightedLoss:
+    """The kernel's weighted reduction: sum_b w_b * row_b / B, here on
+    one-column rows, so it reads as the weighted mean loss."""
+
     def test_unit_weights_reduce_to_mean(self):
         rng = np.random.default_rng(3)
         losses = rng.uniform(0, 5, size=9)
         w = BatchWeighting(np.zeros(9), np.ones(9), True, np.zeros(9, dtype=bool))
-        assert weighted_loss(losses, w) == pytest.approx(losses.mean(), rel=1e-15)
+        got = weighted_mean(w.weights, losses[:, None])
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(losses.mean(), rel=1e-15)
 
     def test_hand_value(self):
         w = BatchWeighting(np.zeros(2), np.array([1.0, 3.0]), False, np.ones(2, dtype=bool))
-        assert weighted_loss(np.array([2.0, 4.0]), w) == 7.0
+        assert weighted_mean(w.weights, np.array([[2.0], [4.0]]))[0] == 7.0
 
     def test_zero_losses(self):
         w = BatchWeighting(np.zeros(3), np.array([1.0, 5.0, 15.0]), False, np.ones(3, dtype=bool))
-        assert weighted_loss(np.zeros(3), w) == 0.0
+        assert weighted_mean(w.weights, np.zeros((3, 1)))[0] == 0.0
 
     def test_length_mismatch(self):
         w = BatchWeighting(np.zeros(2), np.ones(2), True, np.zeros(2, dtype=bool))
         with pytest.raises(ValueError):
-            weighted_loss(np.zeros(3), w)
+            weighted_mean(w.weights, np.zeros((3, 1)))

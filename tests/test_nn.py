@@ -11,20 +11,24 @@ from gradtail.mlp import (
     Loss,
     MlpModel,
     ParamSubset,
-    ParamVector,
     batch_gradients,
     finite_diff_gradient,
     forward,
     forward_batch,
     loss_l1,
     loss_softmax_xent,
-    per_example_gradients,
     softmax,
 )
 
 
 def tiny_model(seed=0, dims=(2, 5, 2)):
     return MlpModel.initialize(list(dims), seed=seed)
+
+
+def example_gradient(model, x, target, loss, subset):
+    """One example's gradient row, through the batch path."""
+    inputs = np.asarray(x, dtype=float)[None, :]
+    return batch_gradients(model, inputs, [target], loss, subset).grads[0]
 
 
 class TestForward:
@@ -117,7 +121,7 @@ class TestLosses:
 
     def test_xent_grad_is_softmax_minus_onehot(self):
         logits = np.array([1.0, -2.0, 0.5])
-        g = SOFTMAX_XENT.output_grad(logits, 1)
+        g = SOFTMAX_XENT.batch_output_grad(logits[None, :], [1])[0]
         expect = softmax(logits).copy()
         expect[1] -= 1.0
         np.testing.assert_allclose(g, expect, rtol=1e-15)
@@ -129,25 +133,32 @@ class TestLosses:
             loss_l1(np.inf, 0.0)
 
     def test_l1_grad_sign_and_kink(self):
-        g = L1.output_grad(np.array([2.0, -3.0, 1.0]), np.array([1.0, 0.0, 1.0]))
+        g = L1.batch_output_grad(np.array([[2.0, -3.0, 1.0]]), np.array([[1.0, 0.0, 1.0]]))[0]
         np.testing.assert_array_equal(g, [1.0, -1.0, 0.0])
 
     def test_squared_value_and_grad(self):
         out, t = np.array([2.0, 0.0]), np.array([0.0, 1.0])
         assert SQUARED.value(out, t) == pytest.approx(0.5 * (4.0 + 1.0))
-        np.testing.assert_array_equal(SQUARED.output_grad(out, t), [2.0, -1.0])
+        g = SQUARED.batch_output_grad(out[None, :], t[None, :])[0]
+        np.testing.assert_array_equal(g, [2.0, -1.0])
 
     def test_batch_paths_match_scalar(self):
+        # batch values against the scalar form, batch output gradients against
+        # central differences of the scalar form (no sample sits at the l1 kink)
         rng = np.random.default_rng(7)
         out = rng.normal(size=(9, 3))
         labels = rng.integers(0, 3, size=9)
         targets = rng.normal(size=(9, 3))
+        h = 1e-6
         for loss, tgt in ((SOFTMAX_XENT, labels), (L1, targets), (SQUARED, targets)):
             bv = loss.batch_value(out, tgt)
             bg = loss.batch_output_grad(out, tgt)
             for i in range(9):
                 assert bv[i] == pytest.approx(loss.value(out[i], tgt[i]), rel=1e-13, abs=1e-15)
-                np.testing.assert_allclose(bg[i], loss.output_grad(out[i], tgt[i]), rtol=1e-13, atol=1e-15)
+                step = h * np.eye(3)
+                fd = [(loss.value(out[i] + e, tgt[i]) - loss.value(out[i] - e, tgt[i])) / (2 * h)
+                      for e in step]
+                np.testing.assert_allclose(bg[i], fd, rtol=1e-7, atol=1e-8)
 
     def test_registry(self):
         assert set(LOSSES) == {"softmax_xent", "l1", "squared"}
@@ -194,27 +205,8 @@ class TestParamSubset:
         m = tiny_model()
         with pytest.raises(ValueError):
             ParamSubset(((7, "bias"),)).validate(m)
-
-
-class TestParamVector:
-    def test_ops(self):
-        m = tiny_model()
-        sub = ParamSubset.biases_only(m)
-        a = ParamVector(np.array([1.0] * sub.size(m)), sub)
-        b = ParamVector(np.arange(sub.size(m), dtype=float), sub)
-        assert a.dot(b) == pytest.approx(np.arange(sub.size(m)).sum())
-        np.testing.assert_array_equal(a.add(b).values, a.values + b.values)
-        np.testing.assert_array_equal(a.scale(-2.0).values, -2.0 * a.values)
-        assert a.norm() == pytest.approx(np.sqrt(sub.size(m)))
-
-    def test_layout_mismatch_rejected(self):
-        m = tiny_model()
-        a = ParamVector.zeros(m, ParamSubset.biases_only(m))
-        b = ParamVector.zeros(m, ParamSubset.all_params(m))
         with pytest.raises(ValueError):
-            a.dot(b)
-        with pytest.raises(ValueError):
-            a.add(b)
+            ParamSubset(((7, "bias"),)).index_map(m)
 
 
 class TestGradients:
@@ -222,14 +214,14 @@ class TestGradients:
         # 1-D linear model, squared loss: L = (wx - t)^2 / 2, dL/dw = (wx - t) x
         m = MlpModel([1, 1], [np.array([[3.0]])], [np.array([0.0])])
         sub = ParamSubset.all_params(m)
-        (g,) = per_example_gradients(m, [(np.array([2.0]), np.array([1.0]))], SQUARED, sub)
-        np.testing.assert_allclose(g.values, [(3.0 * 2.0 - 1.0) * 2.0, 3.0 * 2.0 - 1.0], rtol=1e-15)
+        g = example_gradient(m, [2.0], np.array([1.0]), SQUARED, sub)
+        np.testing.assert_allclose(g, [(3.0 * 2.0 - 1.0) * 2.0, 3.0 * 2.0 - 1.0], rtol=1e-15)
 
     def test_zero_gradient_at_exact_fit(self):
         m = MlpModel([1, 1], [np.array([[2.0]])], [np.array([1.0])])
         sub = ParamSubset.all_params(m)
-        (g,) = per_example_gradients(m, [(np.array([3.0]), np.array([7.0]))], SQUARED, sub)
-        np.testing.assert_array_equal(g.values, np.zeros(2))
+        g = example_gradient(m, [3.0], np.array([7.0]), SQUARED, sub)
+        np.testing.assert_array_equal(g, np.zeros(2))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(123)
@@ -238,48 +230,59 @@ class TestGradients:
         for _ in range(5):
             x = rng.normal(size=2) * 2
             label = int(rng.integers(0, 2))
-            (analytic,) = per_example_gradients(m, [(x, label)], SOFTMAX_XENT, sub)
+            analytic = example_gradient(m, x, label, SOFTMAX_XENT, sub)
             fd = finite_diff_gradient(m, (x, label), SOFTMAX_XENT, sub)
-            np.testing.assert_allclose(analytic.values, fd.values, rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8)
 
     def test_finite_diff_on_subset_only(self):
         m = tiny_model(seed=6)
         sub = ParamSubset.biases_only(m)
-        (analytic,) = per_example_gradients(m, [(np.array([0.4, -0.9]), 1)], SOFTMAX_XENT, sub)
+        analytic = example_gradient(m, [0.4, -0.9], 1, SOFTMAX_XENT, sub)
         fd = finite_diff_gradient(m, (np.array([0.4, -0.9]), 1), SOFTMAX_XENT, sub)
-        assert analytic.values.shape == (7,)
-        np.testing.assert_allclose(analytic.values, fd.values, rtol=1e-5, atol=1e-8)
+        assert analytic.shape == fd.shape == (7,)
+        np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8)
 
     def test_custom_scalar_loss_quadratic(self):
         # L(out) = out^2 on a model that outputs its single weight at x=1
         m = MlpModel([1, 1], [np.array([[3.0]])], [np.array([0.0])])
         sub = ParamSubset(((0, "weight"),))
-        quad = Loss("quad", lambda out, t: float(out[0] ** 2), lambda out, t: np.array([2.0 * out[0]]))
-        (g,) = per_example_gradients(m, [(np.array([1.0]), None)], quad, sub)
-        assert g.values[0] == pytest.approx(6.0, abs=1e-8)
+        quad = Loss(
+            "quad",
+            lambda out, t: float(out[0] ** 2),
+            lambda out, t: out[:, 0] ** 2,
+            lambda out, t: 2.0 * out,
+        )
+        g = example_gradient(m, [1.0], None, quad, sub)
+        assert g[0] == pytest.approx(6.0, abs=1e-8)
         fd = finite_diff_gradient(m, (np.array([1.0]), None), quad, sub)
-        assert fd.values[0] == pytest.approx(6.0, abs=1e-6)
+        assert fd[0] == pytest.approx(6.0, abs=1e-6)
 
     def test_constant_loss_zero_gradient(self):
         m = tiny_model(seed=2)
         sub = ParamSubset.all_params(m)
-        const = Loss("const", lambda out, t: 1.0, lambda out, t: np.zeros_like(out))
-        (g,) = per_example_gradients(m, [(np.array([1.0, 1.0]), None)], const, sub)
-        np.testing.assert_array_equal(g.values, np.zeros(sub.size(m)))
+        const = Loss(
+            "const",
+            lambda out, t: 1.0,
+            lambda out, t: np.ones(out.shape[0]),
+            lambda out, t: np.zeros_like(out),
+        )
+        g = example_gradient(m, [1.0, 1.0], None, const, sub)
+        np.testing.assert_array_equal(g, np.zeros(sub.size(m)))
 
     def test_gradient_linearity_in_loss(self):
         # grad(a*L1 + b*L2) == a*grad(L1) + b*grad(L2), exercised via scaled losses
         m = tiny_model(seed=13)
         sub = ParamSubset.all_params(m)
         x, label = np.array([0.7, 0.1]), 0
-        (g1,) = per_example_gradients(m, [(x, label)], SOFTMAX_XENT, sub)
+        g1 = example_gradient(m, x, label, SOFTMAX_XENT, sub)
         scaled = Loss(
             "sx3",
             lambda out, t: 3.0 * SOFTMAX_XENT.value(out, t),
-            lambda out, t: 3.0 * SOFTMAX_XENT.output_grad(out, t),
+            lambda out, t: 3.0 * SOFTMAX_XENT.batch_value(out, t),
+            lambda out, t: 3.0 * SOFTMAX_XENT.batch_output_grad(out, t),
         )
-        (g3,) = per_example_gradients(m, [(x, label)], scaled, sub)
-        np.testing.assert_allclose(g3.values, 3.0 * g1.values, rtol=1e-12)
+        g3 = example_gradient(m, x, label, scaled, sub)
+        np.testing.assert_allclose(g3, 3.0 * g1, rtol=1e-12)
 
     def test_per_example_rows_independent_of_batch(self):
         m = tiny_model(seed=21)
@@ -287,17 +290,16 @@ class TestGradients:
         rng = np.random.default_rng(77)
         xs = rng.normal(size=(6, 2))
         labels = rng.integers(0, 2, size=6)
-        batch = [(xs[i], int(labels[i])) for i in range(6)]
-        grads = per_example_gradients(m, batch, SOFTMAX_XENT, sub)
+        grads = batch_gradients(m, xs, labels, SOFTMAX_XENT, sub).grads
         # each row must match the singleton-batch gradient (up to BLAS rounding)
         for i in range(6):
-            (solo,) = per_example_gradients(m, [batch[i]], SOFTMAX_XENT, sub)
-            np.testing.assert_allclose(grads[i].values, solo.values, rtol=1e-12, atol=1e-15)
+            solo = example_gradient(m, xs[i], labels[i], SOFTMAX_XENT, sub)
+            np.testing.assert_allclose(grads[i], solo, rtol=1e-12, atol=1e-15)
         # and permuting the batch only permutes the rows
         perm = [3, 0, 5, 1, 4, 2]
-        shuffled = per_example_gradients(m, [batch[i] for i in perm], SOFTMAX_XENT, sub)
+        shuffled = batch_gradients(m, xs[perm], labels[perm], SOFTMAX_XENT, sub).grads
         for j, i in enumerate(perm):
-            np.testing.assert_allclose(shuffled[j].values, grads[i].values, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(shuffled[j], grads[i], rtol=1e-12, atol=1e-15)
 
     def test_serial_path_matches_vectorized(self):
         m = tiny_model(seed=30)
@@ -310,6 +312,17 @@ class TestGradients:
         np.testing.assert_allclose(fast.grads, slow.grads, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(fast.losses, slow.losses, rtol=1e-12, atol=1e-15)
 
+    def test_full_size_subset_keeps_its_column_order(self):
+        # a subset covering every parameter in another order still reorders columns
+        m = tiny_model(seed=14)
+        xs = np.random.default_rng(2).normal(size=(5, 2))
+        labels = np.array([0, 1, 1, 0, 1])
+        sub = ParamSubset(((1, "bias"), (1, "weight"), (0, "bias"), (0, "weight")))
+        full = batch_gradients(m, xs, labels, SOFTMAX_XENT)
+        got = batch_gradients(m, xs, labels, SOFTMAX_XENT, sub)
+        np.testing.assert_array_equal(got.grads, full.grads[:, sub.index_map(m)])
+        assert not np.array_equal(got.grads, full.grads)
+
     def test_batch_gradients_repeatable(self):
         m = tiny_model(seed=12)
         xs = np.random.default_rng(1).normal(size=(4, 2))
@@ -320,7 +333,7 @@ class TestGradients:
     def test_empty_batch_rejected(self):
         m = tiny_model()
         with pytest.raises(ValueError):
-            per_example_gradients(m, [], SOFTMAX_XENT, ParamSubset.all_params(m))
+            batch_gradients(m, np.zeros((0, 2)), [], SOFTMAX_XENT, ParamSubset.all_params(m))
 
     def test_finite_diff_rejects_bad_step(self):
         m = tiny_model()
@@ -378,7 +391,7 @@ class TestRegionGradients:
         sel = self.REGIONS[3]
         got = batch_gradients(m, xs, targets, SQUARED, regions=self.REGIONS).grads[3]
         fd = np.mean(
-            [finite_diff_gradient(m, (xs[i], targets[i]), SQUARED, sub).values for i in sel], axis=0
+            [finite_diff_gradient(m, (xs[i], targets[i]), SQUARED, sub) for i in sel], axis=0
         )
         np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-8)
 

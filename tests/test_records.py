@@ -18,7 +18,7 @@ from gradtail.analysis import (
 )
 from gradtail.datasets import GaussianSpec, gen_two_gaussians
 from gradtail.engine import PatchLog, StepLog, TraceTable, TrainConfig
-from gradtail.mlp import MlpModel, ParamSubset, ParamVector
+from gradtail.mlp import MlpModel, ParamSubset
 from gradtail.records import (
     RecordFormatError,
     _decode_array,
@@ -141,18 +141,17 @@ def test_state_snapshot_resumes_bit_exactly(tmp_path):
     rng = np.random.default_rng(3)
     grads_seq = [rng.standard_normal((4, 6)) for _ in range(12)]
 
-    ema = ParamVector(np.zeros(6), layout)
-    state = _run_steps(GradTailState(ema, 0.0, 0), config, grads_seq[:5])
+    state = _run_steps(GradTailState(np.zeros(6), layout, 0.0, 0), config, grads_seq[:5])
     save_gradtail_state(tmp_path / "state.txt", state, config)
     loaded_state, loaded_config = load_gradtail_state(tmp_path / "state.txt")
 
     assert loaded_config == config
-    assert loaded_state.ema_grad.layout == layout
+    assert loaded_state.layout == layout
     final_mem = _run_steps(state, config, grads_seq[5:])
     final_disk = _run_steps(loaded_state, loaded_config, grads_seq[5:])
     assert final_disk.sigma == final_mem.sigma
     assert final_disk.updates_seen == final_mem.updates_seen
-    assert final_disk.ema_grad.values.tobytes() == final_mem.ema_grad.values.tobytes()
+    assert final_disk.ema_grad.tobytes() == final_mem.ema_grad.tobytes()
 
 
 def test_manifest_round_trip():

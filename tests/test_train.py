@@ -96,6 +96,8 @@ class TestConfig:
             TrainConfig(subset_spec="weights:0")
         with pytest.raises(ValueError):
             TrainConfig(momentum=1.0)
+        with pytest.raises(ValueError):
+            TrainConfig(focal_gamma=-1.0)
 
     def test_subset_specs(self):
         assert parse_subset_spec("all") == ("all", None)
@@ -178,16 +180,14 @@ class TestTrain:
         assert np.all(acc >= 0.0) and np.all(acc <= 1.0)
         assert np.all(res.trace.mean_entropy()[seen] >= 0.0)
         assert np.all(res.trace.mean_entropy()[seen] <= np.log(2.0) + 1e-12)
-        row = res.trace.row(int(np.flatnonzero(seen)[0]))
-        assert row.occurrences >= 1
-        assert -1.0 <= row.mean_alignment <= 1.0
+        assert np.all(res.trace.occurrences[seen] >= 1)
 
-    def test_unseen_example_row_errors(self):
+    def test_unseen_example_reads_nan(self):
         ds = small_dataset()
         res = train(ds, 9, quick_config(steps=1, batch_size=4))
         unseen = int(np.flatnonzero(res.trace.occurrences == 0)[0])
-        with pytest.raises(ValueError):
-            res.trace.row(unseen)
+        for stat in (res.trace.mean_alignment(), res.trace.mean_entropy(), res.trace.accuracy()):
+            assert np.isnan(stat[unseen])
 
     def test_loss_decreases_on_average(self):
         ds = small_dataset()
@@ -202,6 +202,10 @@ class TestTrain:
         with pytest.raises(TrainingDiverged) as err:
             train(ds, 11, cfg)
         assert "step" in err.value.snapshot
+
+    def test_subset_outside_the_model_is_a_config_error(self):
+        with pytest.raises(ValueError):
+            train(small_dataset(), 0, quick_config(subset_spec="biases:5"))
 
     def test_focal_runs_and_weights_bounded(self):
         ds = small_dataset()
@@ -289,6 +293,15 @@ class TestTrainDense:
         g = self.grid()
         res = train_dense(g, 7, self.cfg(steps=5), size_min=8, size_max=16)
         assert dense_predictions(res.model, g).shape == (32, 32)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_divergence_names_the_bad_patches(self):
+        cfg = self.cfg(steps=200, learning_rate=1e6, loss="squared")
+        with pytest.raises(TrainingDiverged) as err:
+            train_dense(self.grid(), 9, cfg, size_min=8, size_max=16)
+        snap = err.value.snapshot
+        assert "non-finite loss" in str(err.value)
+        assert snap["bad_examples"] and set(snap["bad_examples"]) <= set(range(7))
 
     def test_rejects_classification_strategies(self):
         with pytest.raises(ValueError):
