@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .datasets import Dataset2D, GaussianSpec, log_density
+from .datasets import Dataset2D, GaussianSpec
 from .engine import TraceTable, TrainResult
 from .mlp import MlpModel, forward_batch
 
@@ -142,97 +143,28 @@ def boundary_disagreement(
     return float(((oracle != 0.0) & (model_side != oracle)).mean())
 
 
-def density_difference_grad(
-    x: np.ndarray, common: GaussianSpec, uncommon: GaussianSpec
-) -> np.ndarray:
-    """Analytic gradient of phi_common - phi_uncommon at points (..., 2)."""
-    x = np.asarray(x, dtype=np.float64)
-    pc = np.exp(log_density(x, common))[..., None]
-    pu = np.exp(log_density(x, uncommon))[..., None]
-    gc = -(x - np.asarray(common.mean)) / common.cov_scale
-    gu = -(x - np.asarray(uncommon.mean)) / uncommon.cov_scale
-    return pc * gc - pu * gu
-
-
-def _log_density_diff(x: np.ndarray, common: GaussianSpec, uncommon: GaussianSpec) -> np.ndarray:
-    return log_density(x, common) - log_density(x, uncommon)
-
-
-def _log_density_diff_grad(
-    x: np.ndarray, common: GaussianSpec, uncommon: GaussianSpec
-) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return (x - np.asarray(uncommon.mean)) / uncommon.cov_scale - (
-        x - np.asarray(common.mean)
-    ) / common.cov_scale
-
-
 def boundary_distance(
-    points: np.ndarray,
-    common: GaussianSpec,
-    uncommon: GaussianSpec,
-    march_step: float = 0.05,
-    max_dist: float = 20.0,
-    tol: float = 1e-4,
+    points: np.ndarray, common: GaussianSpec, uncommon: GaussianSpec
 ) -> np.ndarray:
-    """Distance from each point to the equal-density curve.
+    """Euclidean distance from each point to the equal-density curve.
 
-    Marches both ways along the local gradient of the log-density difference
-    until the sign flips, then bisects the bracket to ``tol``. That gradient
-    shares the raw difference's zero set but stays radial to it in the far
-    field, where the raw densities underflow and their gradient turns away
-    from the curve; for isotropic component pairs the ray hit is exactly the
-    nearest boundary point. Points with no flip within max_dist report
-    max_dist."""
+    Both components are isotropic, so with a = 1/s_common, b = 1/s_uncommon
+    equal log-density reads a|x - m_c|^2 - b|x - m_u|^2 = 2 log(s_u / s_c):
+    an Apollonius circle with centre (a m_c - b m_u)/(a - b), or a line
+    when the scales match."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    n = pts.shape[0]
-    f0 = _log_density_diff(pts, common, uncommon)
-    s0 = np.sign(f0)
-
-    grad = _log_density_diff_grad(pts, common, uncommon)
-    norms = np.linalg.norm(grad, axis=1, keepdims=True)
-    unit = np.divide(grad, norms, out=np.tile(np.array([[1.0, 0.0]]), (n, 1)),
-                     where=norms > 1e-300)
-
-    # bracket the first sign flip along +unit and -unit
-    t_lo = np.zeros((n, 2))
-    t_hi = np.full((n, 2), np.nan)
-    found = np.zeros((n, 2), dtype=bool)
-    steps = np.arange(march_step, max_dist + march_step, march_step)
-    for t in steps:
-        if found.all():
-            break
-        for k, sgn in enumerate((1.0, -1.0)):
-            todo = ~found[:, k]
-            if not todo.any():
-                continue
-            probe = pts[todo] + sgn * t * unit[todo]
-            flipped = np.sign(_log_density_diff(probe, common, uncommon)) != s0[todo]
-            idx = np.flatnonzero(todo)[flipped]
-            t_hi[idx, k] = t
-            found[idx, k] = True
-            keep = np.flatnonzero(todo)[~flipped]
-            t_lo[keep, k] = t
-
-    # bisect each bracket down to tol
-    for k, sgn in enumerate((1.0, -1.0)):
-        have = found[:, k]
-        if not have.any():
-            continue
-        lo, hi = t_lo[have, k].copy(), t_hi[have, k].copy()
-        sub_pts, sub_unit, sub_s0 = pts[have], unit[have], s0[have]
-        while np.any(hi - lo > tol):
-            mid = 0.5 * (lo + hi)
-            probe = sub_pts + sgn * mid[:, None] * sub_unit
-            flip = np.sign(_log_density_diff(probe, common, uncommon)) != sub_s0
-            hi = np.where(flip, mid, hi)
-            lo = np.where(flip, lo, mid)
-        t_hi[have, k] = 0.5 * (lo + hi)
-
-    dist = np.where(found, t_hi, max_dist)
-    out = np.min(dist, axis=1)
-    out[s0 == 0.0] = 0.0
-    return out
+    mc, mu = np.asarray(common.mean, dtype=float), np.asarray(uncommon.mean, dtype=float)
+    a, b = 1.0 / common.cov_scale, 1.0 / uncommon.cov_scale
+    k = 2.0 * math.log(uncommon.cov_scale / common.cov_scale)
+    if a == b:
+        normal = 2.0 * a * (mu - mc)
+        if not normal.any():  # identical components: every point is on the curve
+            return np.zeros(pts.shape[0])
+        offset = a * (mc @ mc) - b * (mu @ mu)
+        return np.abs(pts @ normal + offset) / np.linalg.norm(normal)
+    centre = (a * mc - b * mu) / (a - b)
+    radius = math.sqrt(centre @ centre - (a * (mc @ mc) - b * (mu @ mu) - k) / (a - b))
+    return np.abs(np.linalg.norm(pts - centre, axis=1) - radius)
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,9 @@ DENSE_DEFAULTS = {
     "dense.patch_count": "6",
 }
 
+# the keys format_manifest writes for every run (train.class_weights only when set)
+RUN_MANIFEST_KEYS = frozenset(parse_manifest(format_manifest(TrainConfig(), 0, 0)))
+
 SWEEP_PARAMS = {
     "pivot": "gradtail",
     "max_weight": "gradtail",
@@ -218,14 +221,54 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_for_run(run_dir: Path) -> tuple[ExperimentReport | None, dict, Dataset2D, TrainResult]:
-    manifest = parse_manifest((run_dir / "manifest.txt").read_text())
-    config, data_seed, model_seed, kind = config_from_manifest(manifest)
-    dataset = _dataset_for(kind, data_seed)
+def _read_run_manifest(run_dir: Path) -> tuple[TrainConfig, int, Dataset2D | DenseGrid]:
+    """(config, model seed, regenerated data) from a run dir's manifest.
+
+    The manifest must hold every key its writer always writes, each once, and
+    must regenerate the data; anything less is a corrupt record, not a config
+    error."""
+    path = run_dir / "manifest.txt"
+    try:
+        entries = parse_manifest(path.read_text())
+        config, data_seed, model_seed, kind = config_from_manifest(entries)
+        required = RUN_MANIFEST_KEYS.union(DENSE_DEFAULTS if kind == "dense" else ())
+        missing = sorted(required - entries.keys())
+        if missing:
+            raise ValueError(f"missing keys {missing}")
+        if kind == "dense":
+            data = _dense_grid_for(entries, data_seed)[0]
+        else:
+            data = _dataset_for(kind, data_seed)
+    except ValueError as exc:
+        raise RecordFormatError(f"{path}: {exc}") from exc
+    return config, model_seed, data
+
+
+def _dense_mre(model, grid: DenseGrid) -> tuple[str, str]:
+    """Rare-band and total mean relative error of a dense model, as report
+    values; the rare band is absent when it holds no pixels."""
+    bands = dense_band_mre(
+        dense_predictions(model, grid), grid.targets, grid.valid_mask, DENSE_BAND_EDGES
+    )
+    rare = bands.bands[1].mre
+    return ("absent" if rare is None else repr(rare)), repr(bands.total_mre)
+
+
+def _report_for_run(
+    run_dir: Path,
+) -> tuple[ExperimentReport | None, dict, Dataset2D | None, TrainResult | None]:
+    """The report of one run dir. A dense run reports its band errors only,
+    with no dataset or result for the toy figures."""
+    config, model_seed, dataset = _read_run_manifest(run_dir)
     model = load_model(run_dir / "model.txt")
+    if isinstance(dataset, DenseGrid):
+        rare, total = _dense_mre(model, dataset)
+        return None, {"rare_mre": rare, "total_mre": total}, None, None
     step_log = load_step_log(run_dir / "steps.csv")
     trace_path = run_dir / "trace.csv"
     trace = load_trace(trace_path) if trace_path.exists() else None
+    if trace is not None and trace.n != dataset.n:
+        raise RecordFormatError(f"{trace_path}: {trace.n} rows for {dataset.n} examples")
     result = TrainResult(model, trace, step_log, None, config, model_seed)
     seen = 0 if trace is None else int(trace.seen().sum())
     if seen < 4:  # quartiles need four seen examples
@@ -267,18 +310,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             tail_figure(dataset, labels, fig_dir / "rare.svg", rare_only=True)
             entropy_figure(dataset, result.trace.mean_entropy(), fig_dir / "entropy.svg")
         else:
-            print(
-                f"warning: {run_dir} has no usable traces (trace: {fields['trace']});"
-                " writing a degraded report",
-                file=sys.stderr,
-            )
+            if "trace" in fields:
+                print(
+                    f"warning: {run_dir} has no usable traces (trace: {fields['trace']});"
+                    " writing a degraded report",
+                    file=sys.stderr,
+                )
             write_record(fig_dir / "report.txt", "experiment-report", fields, {})
-        scatter_figure(dataset, fig_dir / "data.svg")
-        prediction_figure(result.model, dataset, fig_dir / "predictions.svg")
+        if dataset is not None:
+            scatter_figure(dataset, fig_dir / "data.svg")
+            prediction_figure(result.model, dataset, fig_dir / "predictions.svg")
         rows.append({"run": run_dir.name, **{k: str(v) for k, v in fields.items()}})
         print(f"analyzed {run_dir} -> {fig_dir}")
 
     columns = ["run", "total_accuracy", "balanced_accuracy", "boundary_disagreement", "rare.size"]
+    if any("total_mre" in row for row in rows):
+        columns += ["rare_mre", "total_mre"]
     if len(rows) > 1:
         median_row = {"run": "median"}
         for col in columns[1:]:
@@ -421,13 +468,9 @@ def cmd_dense_demo(args: argparse.Namespace) -> int:
             save_patch_log(run_dir / "patches.csv", result.patch_log)
             if result.gradtail_state is not None:
                 save_gradtail_state(run_dir / "state.txt", result.gradtail_state, config.gradtail)
-            bands = dense_band_mre(
-                dense_predictions(result.model, grid), grid.targets, grid.valid_mask,
-                DENSE_BAND_EDGES,
+            row[f"{strategy}_rare_mre"], row[f"{strategy}_total_mre"] = _dense_mre(
+                result.model, grid
             )
-            rare = bands.bands[1].mre
-            row[f"{strategy}_rare_mre"] = "absent" if rare is None else repr(rare)
-            row[f"{strategy}_total_mre"] = repr(bands.total_mre)
         rows.append(row)
     columns = ["seed", "uniform_rare_mre", "gradtail_rare_mre",
                "uniform_total_mre", "gradtail_total_mre"]

@@ -89,28 +89,39 @@ class SvgCanvas:
             f' font-size="11" text-anchor="{anchor}"{weight}>{s}</text>'
         )
 
+    def _columns(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pixel x and y columns of world points, in the same operations as px."""
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        lo, hi = self.bounds
+        scale = self.size / (hi - lo)
+        return (
+            (self.origin[0] + self.margin) + (pts[:, 0] - lo) * scale,
+            (self.origin[1] + self.margin) + (hi - pts[:, 1]) * scale,
+        )
+
+    @staticmethod
+    def _fmt_column(values: np.ndarray) -> list[str]:
+        return [f"{v:.2f}".rstrip("0").rstrip(".") for v in values.tolist()]
+
     def crosses(self, points: np.ndarray, color: str, arm: float = 2.5) -> None:
         """All crosses of one color batched into a single path element."""
         if len(points) == 0:
             return
-        parts = []
-        for x, y in points:
-            px, py = self.px(x, y)
-            parts.append(
-                f"M{self._fmt(px - arm)} {self._fmt(py)}L{self._fmt(px + arm)} {self._fmt(py)}"
-                f"M{self._fmt(px)} {self._fmt(py - arm)}L{self._fmt(px)} {self._fmt(py + arm)}"
-            )
-        self.elements.append(
-            f'<path d="{"".join(parts)}" stroke="{color}" stroke-width="1" fill="none"/>'
+        x, y = self._columns(points)
+        cols = [self._fmt_column(c) for c in (x - arm, y, x + arm, x, y - arm, y + arm)]
+        path = "".join(
+            f"M{left} {mid}L{right} {mid}M{centre} {top}L{centre} {bottom}"
+            for left, mid, right, centre, top, bottom in zip(*cols)
         )
+        self.elements.append(f'<path d="{path}" stroke="{color}" stroke-width="1" fill="none"/>')
 
     def circles(self, points: np.ndarray, color: str, radius: float = 2.5) -> None:
-        for x, y in points:
-            px, py = self.px(x, y)
-            self.elements.append(
-                f'<circle cx="{self._fmt(px)}" cy="{self._fmt(py)}" r="{radius}"'
-                f' stroke="{color}" fill="none" stroke-width="1"/>'
-            )
+        x, y = self._columns(points)
+        self.elements.extend(
+            f'<circle cx="{cx}" cy="{cy}" r="{radius}"'
+            f' stroke="{color}" fill="none" stroke-width="1"/>'
+            for cx, cy in zip(self._fmt_column(x), self._fmt_column(y))
+        )
 
     def segments(self, segs: list, color: str, dashed: bool = False, width: float = 1.5) -> None:
         """World-coordinate line segments batched into one path."""

@@ -225,7 +225,10 @@ def parse_manifest(text: str) -> dict[str, str]:
         key, sep, value = line.partition(":")
         if not sep:
             raise ValueError(f"malformed manifest line {raw!r}")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"duplicated manifest key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -320,13 +323,16 @@ def load_step_log(path: str | Path) -> StepLog:
     )
 
 
+TRACE_COLUMNS = [
+    "example_id", "occurrences", "alignment_sum", "alignment_sq_sum",
+    "loss_sum", "entropy_sum", "correct_count",
+]
+
+
 def save_trace(path: str | Path, trace: TraceTable) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([
-            "example_id", "occurrences", "alignment_sum", "alignment_sq_sum",
-            "loss_sum", "entropy_sum", "correct_count",
-        ])
+        writer.writerow(TRACE_COLUMNS)
         for i in range(trace.n):
             writer.writerow([
                 i, int(trace.occurrences[i]), repr(float(trace.theta_sum[i])),
@@ -337,20 +343,22 @@ def save_trace(path: str | Path, trace: TraceTable) -> None:
 
 @_reader
 def load_trace(path: str | Path) -> TraceTable:
+    """The trace save_trace wrote: one row per example, ids 0..n-1 in order."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows or rows[0] != TRACE_COLUMNS:
+        raise RecordFormatError(f"{path}: not a trace")
     body = rows[1:]
-    n = len(body)
-    trace = TraceTable.zeros(n)
-    for r in body:
-        i = int(r[0])
-        trace.occurrences[i] = int(r[1])
-        trace.theta_sum[i] = float(r[2])
-        trace.theta_sq_sum[i] = float(r[3])
-        trace.loss_sum[i] = float(r[4])
-        trace.entropy_sum[i] = float(r[5])
-        trace.correct_count[i] = int(r[6])
-    return trace
+    if [int(r[0]) for r in body] != list(range(len(body))):
+        raise RecordFormatError(f"{path}: example_id column is not 0..{len(body) - 1} in order")
+
+    def column(k: int, kind: type) -> np.ndarray:
+        return np.array([kind(r[k]) for r in body], dtype=kind)
+
+    return TraceTable(
+        column(1, int), column(2, float), column(3, float), column(4, float), column(5, float),
+        column(6, int),
+    )
 
 
 def save_patch_log(path: str | Path, log: PatchLog) -> None:

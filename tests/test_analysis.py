@@ -9,7 +9,6 @@ from gradtail.analysis import (
     boundary_distance,
     class_metrics,
     dense_band_mre,
-    density_difference_grad,
     experiment_report,
     label_examples,
     metrics_from_predictions,
@@ -20,8 +19,8 @@ from gradtail.datasets import (
     DEFAULT_COMMON,
     DEFAULT_UNCOMMON,
     GaussianSpec,
-    density_difference,
     gen_two_gaussians,
+    log_density,
 )
 from gradtail.engine import TraceTable
 from gradtail.mlp import MlpModel
@@ -189,20 +188,6 @@ class TestBoundaryDistance:
         d = boundary_distance(pts, DEFAULT_COMMON, DEFAULT_UNCOMMON)
         assert np.all(d <= 2e-4)
 
-    def test_gradient_matches_finite_difference(self):
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(-3, 4, size=(20, 2))
-        g = density_difference_grad(pts, DEFAULT_COMMON, DEFAULT_UNCOMMON)
-        h = 1e-6
-        for axis in range(2):
-            e = np.zeros(2)
-            e[axis] = h
-            fd = (
-                density_difference(pts + e, DEFAULT_COMMON, DEFAULT_UNCOMMON)
-                - density_difference(pts - e, DEFAULT_COMMON, DEFAULT_UNCOMMON)
-            ) / (2 * h)
-            np.testing.assert_allclose(g[:, axis], fd, rtol=1e-5, atol=1e-12)
-
     def test_matches_true_euclidean_distance_to_circle(self):
         # the equal-density set for the defaults is the circle centered at
         # 2*mu with radius sqrt(2|mu|^2 + 2 ln 2); the marched distance must
@@ -232,6 +217,88 @@ class TestBoundaryDistance:
         pts = center + (radius + offs)[:, None] * direction
         d = boundary_distance(pts, DEFAULT_COMMON, DEFAULT_UNCOMMON)
         assert np.all(np.diff(d) > 0)
+
+
+def brute_force_distance(points, curve, lo, hi, rounds=4, samples=1025):
+    """Minimum distance from each point to the curve(t), t in [lo, hi].
+
+    A grid over t, then finer grids around the nearest sample: each round
+    shrinks the spacing about 250-fold, so four rounds resolve well below 1e-6
+    on curves of unimodal point distance (a circle, a line)."""
+    out = []
+    for p in np.asarray(points, dtype=float):
+        a, b = lo, hi
+        for _ in range(rounds):
+            t = np.linspace(a, b, samples)
+            d = np.linalg.norm(curve(t) - p, axis=1)
+            i = int(np.argmin(d))
+            step = t[1] - t[0]
+            a, b = t[i] - 2 * step, t[i] + 2 * step
+        out.append(d[i])
+    return np.array(out)
+
+
+def equal_density_curve(common, uncommon):
+    """(curve, lo, hi) of the equal-density set, checked on its own samples."""
+    mc, mu = np.array(common.mean), np.array(uncommon.mean)
+    a, b = 1.0 / common.cov_scale, 1.0 / uncommon.cov_scale
+    if a == b:
+        normal = (mu - mc) / np.linalg.norm(mu - mc)
+        foot = 0.5 * (mc + mu)
+        curve = lambda t: foot + t[:, None] * np.array([-normal[1], normal[0]])
+        lo, hi = -100.0, 100.0
+    else:
+        centre = (a * mc - b * mu) / (a - b)
+        # a|x - mc|^2 - b|x - mu|^2 = 2 log(s_u / s_c) on the circle
+        k = 2.0 * np.log(uncommon.cov_scale / common.cov_scale)
+        radius = np.sqrt(centre @ centre - (a * mc @ mc - b * mu @ mu - k) / (a - b))
+        curve = lambda t: centre + radius * np.stack([np.cos(t), np.sin(t)], axis=1)
+        lo, hi = -np.pi, np.pi
+    on_curve = curve(np.linspace(lo, hi, 97))
+    gap = log_density(on_curve, common) - log_density(on_curve, uncommon)
+    assert np.abs(gap).max() < 1e-9
+    return curve, lo, hi
+
+
+class TestBoundaryDistanceOracle:
+    """boundary_distance against a brute-force minimum over the sampled curve."""
+
+    CASES = {
+        "apollonius": (DEFAULT_COMMON, DEFAULT_UNCOMMON),
+        "apollonius_wide_common": (
+            GaussianSpec((1.0, -0.5), 2.0, 10, 0), GaussianSpec((-2.0, 1.5), 0.7, 5, 1)
+        ),
+        "equal_scale": (
+            GaussianSpec((0.5, -1.0), 1.3, 10, 0), GaussianSpec((2.0, 1.5), 1.3, 5, 1)
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_brute_force_minimum(self, case):
+        common, uncommon = self.CASES[case]
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-4, 5, size=(40, 2))
+        got = boundary_distance(pts, common, uncommon)
+        want = brute_force_distance(pts, *equal_density_curve(common, uncommon))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_far_points_report_their_true_distance(self, case):
+        # the distance is not capped: points 25 and 40 away report 25 and 40
+        common, uncommon = self.CASES[case]
+        curve, lo, hi = equal_density_curve(common, uncommon)
+        near = curve(np.array([0.3 * lo + 0.7 * hi]))[0]
+        a, b = 1.0 / common.cov_scale, 1.0 / uncommon.cov_scale
+        # the curve's normal at `near` is the gradient of a|x - m_c|^2 - b|x - m_u|^2;
+        # on a circle it points away from the centre when a > b
+        normal = a * (near - np.array(common.mean)) - b * (near - np.array(uncommon.mean))
+        outward = np.sign(a - b or 1.0) * normal / np.linalg.norm(normal)
+        pts = near + np.array([25.0, 40.0])[:, None] * outward
+        d = boundary_distance(pts, common, uncommon)
+        np.testing.assert_allclose(d, [25.0, 40.0], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            d, brute_force_distance(pts, curve, lo, hi), rtol=0, atol=1e-6
+        )
 
 
 class TestRareSetStats:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gradtail.cli import main
-from gradtail.records import load_model, parse_manifest
+from gradtail.records import load_model, parse_manifest, read_record
 
 QUICK_TRAIN = """\
 # short schedule for tests
@@ -27,6 +27,12 @@ def write_config(tmp_path, text, name="config.txt"):
 def dataset_rows(path):
     lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
     return lines[1:]  # drop the header
+
+
+def read_table(path):
+    """Rows of an aligned summary table as dicts keyed by its header."""
+    header, *rows = [line.split() for line in path.read_text().splitlines()]
+    return [dict(zip(header, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -374,3 +380,82 @@ def test_analyze_corrupt_record_exits_4(trained_runs, tmp_path, capsys):
     assert rv == 4
     err = capsys.readouterr().err
     assert "record format error" in err and "model.txt" in err
+
+
+def clone_run(trained_runs, tmp_path, name):
+    import shutil
+
+    clone = tmp_path / name
+    shutil.copytree(sorted(trained_runs.iterdir())[0], clone)
+    return clone
+
+
+@pytest.mark.parametrize("edit", ["duplicate", "drop_last", "swap"])
+def test_analyze_bad_trace_rows_exit_4(trained_runs, tmp_path, capsys, edit):
+    clone = clone_run(trained_runs, tmp_path, "run-trace")
+    lines = (clone / "trace.csv").read_text().splitlines()
+    if edit == "duplicate":  # 10 401 rows for 10 400 examples
+        lines.insert(101, lines[100])
+    elif edit == "drop_last":  # ids stay 0..n-1 but one example is missing
+        lines.pop()
+    else:
+        lines[1], lines[2] = lines[2], lines[1]
+    (clone / "trace.csv").write_text("\n".join(lines) + "\n")
+    rv = main(["analyze", "--out", str(tmp_path / "analysis"), str(clone)])
+    assert rv == 4
+    err = capsys.readouterr().err
+    assert "record format error" in err and "trace.csv" in err
+
+
+@pytest.mark.parametrize("edit", ["duplicate", "drop", "garbage", "kind"])
+def test_analyze_corrupt_manifest_exits_4(trained_runs, tmp_path, capsys, edit):
+    clone = clone_run(trained_runs, tmp_path, "run-manifest")
+    lines = (clone / "manifest.txt").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("train.steps:"))
+    if edit == "duplicate":
+        lines.insert(at, "train.steps: 7")
+    elif edit == "drop":
+        del lines[at]
+    elif edit == "garbage":
+        lines[at] = "train.steps: forty"
+    else:
+        lines = [l.replace("data.kind: standard", "data.kind: stbndard") for l in lines]
+    (clone / "manifest.txt").write_text("\n".join(lines) + "\n")
+    rv = main(["analyze", "--out", str(tmp_path / "analysis"), str(clone)])
+    assert rv == 4
+    err = capsys.readouterr().err
+    assert "record format error" in err and "manifest.txt" in err
+
+
+def test_duplicated_config_key_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, "train.steps: 5\ntrain.steps: 6\n")
+    rv = main(["gen-data", "--config", config, "--out", str(tmp_path / "d")])
+    assert rv == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "duplicated" in err
+
+
+def test_analyze_dense_run_dir(trained_runs, tmp_path):
+    config = write_config(tmp_path, "train.steps: 10\ndense.height: 16\ndense.width: 16\n")
+    dense = tmp_path / "dense"
+    assert main(["dense-demo", "--config", config, "--out", str(dense)]) == 0
+    demo = read_table(dense / "dense.txt")[0]
+    toy = sorted(trained_runs.iterdir())[0]
+    out = tmp_path / "analysis"
+    run_dirs = [dense / "dense-uniform-s000", dense / "dense-gradtail-s000", toy]
+    assert main(["analyze", "--out", str(out), *map(str, run_dirs)]) == 0
+    for strategy in ("uniform", "gradtail"):
+        kind, fields, _ = read_record(out / f"dense-{strategy}-s000" / "report.txt")
+        assert kind == "experiment-report"
+        assert fields == {
+            "rare_mre": demo[f"{strategy}_rare_mre"],
+            "total_mre": demo[f"{strategy}_total_mre"],
+        }
+    summary = read_table(out / "summary.txt")
+    assert [row["run"] for row in summary] == [
+        "dense-uniform-s000", "dense-gradtail-s000", toy.name, "median"
+    ]
+    assert summary[0]["total_accuracy"] == summary[0]["rare.size"] == "absent"
+    assert summary[0]["total_mre"] == demo["uniform_total_mre"]
+    assert summary[2]["total_mre"] == "absent"
+    assert summary[2]["total_accuracy"] != "absent"

@@ -74,6 +74,70 @@ def test_origin_offsets_panels():
     assert b.px(0.0, 1.0)[0] - a.px(0.0, 1.0)[0] == 200.0
 
 
+# world points whose pixels round at .xx5 (15.125, 16.005, 10.124999...), land
+# on -0.004 and -8.9e-15 (printed "-0"), or are negative
+GLYPH_POINTS = np.array([
+    [0.0, 1.0], [0.00125, 0.99875], [0.01005, 0.5], [-0.3, 1.2],
+    [-0.15004, 1.1], [-0.1501, 0.33333], [0.123456, -0.25],
+])
+
+
+def glyph_canvas():
+    return SvgCanvas(bounds=(0.0, 1.0), size=100, margin=10, origin=(5, 0))
+
+
+def fmt_reference(v):
+    return f"{float(v):.2f}".rstrip("0").rstrip(".")
+
+
+def test_crosses_match_per_point_reference():
+    for arm in (2.5, 1.8):
+        canvas = glyph_canvas()
+        want = ""
+        for x, y in GLYPH_POINTS:
+            px, py = canvas.px(x, y)
+            f = fmt_reference
+            want += f"M{f(px - arm)} {f(py)}L{f(px + arm)} {f(py)}"
+            want += f"M{f(px)} {f(py - arm)}L{f(px)} {f(py + arm)}"
+        canvas.crosses(GLYPH_POINTS, "#123456", arm=arm)
+        assert canvas.elements == [
+            f'<path d="{want}" stroke="#123456" stroke-width="1" fill="none"/>'
+        ]
+    canvas = glyph_canvas()
+    canvas.crosses(GLYPH_POINTS[1:5], "#123456")
+    assert canvas.elements[0].startswith(
+        '<path d="M12.62 10.12L17.62 10.12M15.12 7.62L15.12 12.62'
+        "M13.5 60L18.5 60M16 57.5L16 62.5M-17.5 -10L-12.5 -10M-15 -12.5L-15 -7.5"
+        'M-2.5 -0L2.5 -0M-0 -2.5L-0 2.5"'
+    )
+
+
+def test_circles_match_per_point_reference():
+    canvas = glyph_canvas()
+    canvas.circles(GLYPH_POINTS, "#654321", radius=1.8)
+    want = []
+    for x, y in GLYPH_POINTS:
+        px, py = canvas.px(x, y)
+        want.append(
+            f'<circle cx="{fmt_reference(px)}" cy="{fmt_reference(py)}" r="1.8"'
+            ' stroke="#654321" fill="none" stroke-width="1"/>'
+        )
+    assert canvas.elements == want
+    centres = [(el.split('"')[1], el.split('"')[3]) for el in canvas.elements]
+    assert centres == [
+        ("15", "10"), ("15.12", "10.12"), ("16", "60"), ("-15", "-10"), ("-0", "-0"),
+        ("-0.01", "76.67"), ("27.35", "135"),
+    ]
+
+
+def test_glyphs_accept_empty_input():
+    canvas = glyph_canvas()
+    canvas.crosses(np.zeros((0, 2)), "#123456")
+    canvas.circles(np.zeros((0, 2)), "#123456")
+    canvas.circles([], "#123456")
+    assert canvas.elements == []
+
+
 # ---------------------------------------------------------------------------
 # marching squares
 # ---------------------------------------------------------------------------

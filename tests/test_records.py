@@ -193,6 +193,11 @@ def test_manifest_rejects_malformed_line():
         parse_manifest("no separator here\n")
 
 
+def test_manifest_rejects_duplicated_key():
+    with pytest.raises(ValueError, match="duplicated manifest key 'train.steps'"):
+        parse_manifest("train.steps: 5\n# note\ntrain.steps: 5\n")
+
+
 def test_step_log_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     log = StepLog(
@@ -231,6 +236,26 @@ def test_trace_round_trip(tmp_path):
     assert back.loss_sum.tolist() == trace.loss_sum.tolist()
     assert back.entropy_sum.tolist() == trace.entropy_sum.tolist()
     assert back.correct_count.tolist() == trace.correct_count.tolist()
+    assert back.occurrences.dtype == back.correct_count.dtype == np.int64
+
+
+def test_trace_ids_must_count_from_zero(tmp_path):
+    save_trace(tmp_path / "trace.csv", TraceTable.zeros(4))
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    cases = {
+        "duplicate": lines + [lines[-1]],
+        "swap": [lines[0], lines[2], lines[1]] + lines[3:],
+        "gap": lines[:2] + lines[3:],
+    }
+    for name, body in cases.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(body) + "\n")
+        with pytest.raises(RecordFormatError, match="example_id column"):
+            load_trace(path)
+    path = tmp_path / "header.csv"
+    path.write_text("\n".join(lines[1:]) + "\n")
+    with pytest.raises(RecordFormatError, match="not a trace"):
+        load_trace(path)
 
 
 def test_patch_log_columns(tmp_path):
