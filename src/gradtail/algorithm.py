@@ -10,6 +10,7 @@ is measured in units of typical alignment spread.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,14 +111,24 @@ def activation_f(distance, amplitude: float, slope: float):
     d = np.asarray(distance, dtype=np.float64)
     if np.any(d < 0.0):
         raise ValueError("distance must be nonnegative")
-    out = 1.0 + amplitude / (1.0 + np.exp(slope * d))
+    out = _activation(d, amplitude, slope)
     return float(out) if np.isscalar(distance) else out
+
+
+def _activation(d: np.ndarray, amplitude: float, slope: float) -> np.ndarray:
+    """activation_f's formula on an array already known to be nonnegative."""
+    return 1.0 + amplitude / (1.0 + np.exp(slope * d))
 
 
 def ema_update(current, observation, decay: float):
     """decay*current + (1-decay)*observation, elementwise; works on scalars or arrays."""
     if not 0.0 < decay < 1.0:
         raise ValueError("decay must lie in (0,1)")
+    return _ema(current, observation, decay)
+
+
+def _ema(current, observation, decay: float):
+    """ema_update's formula for a decay that GradTailConfig has already checked."""
     return decay * current + (1.0 - decay) * observation
 
 
@@ -133,36 +144,41 @@ def step_arrays(
     ``warmup_batches`` updates, or an EMA gradient still too small to define a
     cosine) every weight is 1 while the statistics keep updating.
     """
-    grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[0] == 0:
         raise ValueError("grads must be a nonempty (batch, n_params) matrix")
     ema = state.ema_grad
     if grads.shape[1] != ema.shape[0]:
         raise ValueError("gradient layout does not match state")
 
-    ema_norm = float(np.linalg.norm(ema))
-    grad_norms = np.linalg.norm(grads, axis=1)
+    # np.linalg.norm's formulas without its dispatch, so the same bits
+    ema_norm = math.sqrt(ema.dot(ema))
+    grad_norms = np.sqrt(np.add.reduce(grads * grads, axis=1))
     ema_defined = ema_norm >= config.epsilon_norm
     defined = (grad_norms >= config.epsilon_norm) & ema_defined
 
-    alignments = np.zeros(grads.shape[0])
-    if ema_defined:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cos = (grads @ ema) / (grad_norms * ema_norm)
-        alignments[defined] = np.clip(cos[defined], -1.0, 1.0)
-
+    # means are written sum / count: what ndarray.mean computes, minus its dispatch
     sigma = state.sigma
-    if np.any(defined):
-        sigma = ema_update(sigma, float(np.mean(np.abs(alignments[defined]))), config.decay)
+    if defined.all():  # the common case: no masks to gather through
+        alignments = np.minimum(np.maximum((grads @ ema) / (grad_norms * ema_norm), -1.0), 1.0)
+        sigma = _ema(sigma, float(np.abs(alignments).sum() / alignments.size), config.decay)
+    else:
+        alignments = np.zeros(grads.shape[0])
+        if ema_defined:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                cos = (grads @ ema) / (grad_norms * ema_norm)
+            alignments[defined] = np.minimum(np.maximum(cos[defined], -1.0), 1.0)
+        if defined.any():
+            magnitudes = np.abs(alignments[defined])
+            sigma = _ema(sigma, float(magnitudes.sum() / magnitudes.size), config.decay)
 
-    new_ema = ema_update(ema, grads.mean(axis=0), config.decay)
+    new_ema = _ema(ema, grads.sum(axis=0) / grads.shape[0], config.decay)
 
     warmup = state.updates_seen < config.warmup_batches or not ema_defined
     if warmup:
         weights = np.ones(grads.shape[0])
     else:
         scale = max(sigma, config.sigma_floor)
-        weights = activation_f(
+        weights = _activation(
             np.abs(alignments / scale - config.pivot), config.amplitude, config.slope
         )
 

@@ -265,6 +265,10 @@ def _report_for_run(
         rare, total = _dense_mre(model, dataset)
         return None, {"rare_mre": rare, "total_mre": total}, None, None
     step_log = load_step_log(run_dir / "steps.csv")
+    if step_log.step.shape[0] != config.steps:
+        raise RecordFormatError(
+            f"{run_dir / 'steps.csv'}: {step_log.step.shape[0]} rows for {config.steps} steps"
+        )
     trace_path = run_dir / "trace.csv"
     trace = load_trace(trace_path) if trace_path.exists() else None
     if trace is not None and trace.n != dataset.n:

@@ -11,6 +11,7 @@ arguments that do not depend on BLAS batching.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,7 +211,7 @@ class _Run:
     config: TrainConfig
     model: MlpModel
     loss_fn: Loss
-    blocks: list[tuple[np.ndarray, slice]]  # each parameter array and its span in `params`
+    flat: np.ndarray  # the model's weight and bias arrays are views of this vector
     subset_idx: np.ndarray  # the weighting subset's columns in a full gradient row
     class_weights: np.ndarray | None  # inverse-frequency weight per class label
     params: np.ndarray
@@ -220,27 +221,29 @@ class _Run:
 
     def load(self, values: np.ndarray) -> None:
         """Write a flat all_params vector into the model's parameter arrays."""
-        for arr, span in self.blocks:
-            arr[...] = values[span].reshape(arr.shape)
+        self.flat[...] = values
 
 
 def _start_run(config: TrainConfig, model_seed: int, class_weights: np.ndarray | None) -> _Run:
-    """Seeded model, flat parameters and every per-run index map."""
+    """Seeded model on one flat parameter vector, and every per-run index map."""
     model = MlpModel.initialize(
         list(config.model_dims), model_seed, config.hidden_activation, config.weight_scale
     )
     full = ParamSubset.all_params(model)
-    blocks, pos = [], 0
-    for arr in full.arrays(model):
-        blocks.append((arr, slice(pos, pos + arr.size)))
-        pos += arr.size
+    flat = full.pack(model)
+    pos = 0
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        model.weights[i] = flat[pos : pos + w.size].reshape(w.shape)
+        pos += w.size
+        model.biases[i] = flat[pos : pos + b.size]
+        pos += b.size
     subset = build_subset(model, config.subset_spec)
     subset_idx = subset.index_map(model)
-    params = full.pack(model)
+    params = flat.copy()
     track = config.trace_logging or config.strategy == "gradtail"
     state = GradTailState(np.zeros(subset_idx.size), subset) if track else None
     return _Run(
-        config, model, LOSSES[config.loss], blocks, subset_idx, class_weights,
+        config, model, LOSSES[config.loss], flat, subset_idx, class_weights,
         params, np.zeros_like(params), state, StepLog.zeros(config.steps),
     )
 
@@ -260,13 +263,12 @@ def _step(run: _Run, step: int, inputs, targets, labels, regions, row_ids, reduc
         run.model, inputs, targets, run.loss_fn, serial=cfg.reference_mode, regions=regions
     )
     losses = reduce_losses(bg.losses, regions)
-    bad = ~np.isfinite(losses)
-    if bad.any():
+    if not np.isfinite(losses).all():
         raise TrainingDiverged(
             f"non-finite loss at step {step}",
             {
                 "step": step,
-                "bad_examples": np.asarray(row_ids)[bad].tolist(),
+                "bad_examples": np.asarray(row_ids)[~np.isfinite(losses)].tolist(),
                 "param_norm": float(np.linalg.norm(run.params)),
                 "velocity_norm": float(np.linalg.norm(run.velocity)),
             },
@@ -288,12 +290,66 @@ def _step(run: _Run, step: int, inputs, targets, labels, regions, row_ids, reduc
         run.params, run.velocity, weighted_mean(weights, bg.grads),
         cfg.learning_rate, cfg.momentum,
     )
-    run.log.mean_loss[step] = losses.mean()
-    run.log.mean_weight[step] = weights.mean()
+    run.log.mean_loss[step] = losses.sum() / losses.size  # .mean() without its dispatch
+    run.log.mean_weight[step] = weights.sum() / weights.size
     if run.state is not None:
+        ema = run.state.ema_grad
         run.log.sigma[step] = run.state.sigma
-        run.log.ema_norm[step] = np.linalg.norm(run.state.ema_grad)
+        run.log.ema_norm[step] = math.sqrt(ema.dot(ema))  # np.linalg.norm's formula
     return bg, weighting, weights, losses
+
+
+TRACE_FLUSH = 32  # steps of per-example trace inputs held between two TraceTable updates
+
+
+class _TraceBuffer:
+    """The per-example trace inputs of up to TRACE_FLUSH steps.
+
+    A flush adds them to the TraceTable with one ``np.add.at`` per float
+    column over the stacked steps, which adds every example's values in the
+    same order as one call per step would, so the sums keep their bits.
+    Softmax, entropy and argmax work row by row, so stacking does not change
+    them either.
+    """
+
+    def __init__(self, trace: TraceTable, labels: np.ndarray, batch_size: int, classes: int):
+        self.trace, self.labels = trace, labels
+        self.idx = np.empty((TRACE_FLUSH, batch_size), dtype=np.int64)
+        self.alignments = np.empty((TRACE_FLUSH, batch_size))
+        self.losses = np.empty((TRACE_FLUSH, batch_size))
+        self.outputs = np.empty((TRACE_FLUSH, batch_size, classes))
+        self.filled = 0
+
+    def add(self, idx, alignments, losses, outputs) -> None:
+        k = self.filled
+        self.idx[k] = idx
+        self.alignments[k] = alignments
+        self.losses[k] = losses
+        self.outputs[k] = outputs
+        self.filled = k + 1
+        if self.filled == TRACE_FLUSH:
+            self.flush()
+
+    def flush(self) -> None:
+        k, trace = self.filled, self.trace
+        if k == 0:
+            return
+        idx = self.idx[:k].ravel()
+        alignments = self.alignments[:k].ravel()
+        outputs = self.outputs[:k].reshape(idx.size, -1)
+        trace.occurrences += np.bincount(idx, minlength=trace.n)
+        np.add.at(trace.theta_sum, idx, alignments)
+        np.add.at(trace.theta_sq_sum, idx, alignments**2)
+        np.add.at(trace.loss_sum, idx, self.losses[:k].ravel())
+        np.add.at(trace.entropy_sum, idx, entropy_scores(softmax(outputs)))
+        correct = np.argmax(outputs, axis=1) == self.labels[idx]
+        trace.correct_count += np.bincount(idx[correct], minlength=trace.n)
+        self.filled = 0
+
+
+def _example_losses(losses, regions):
+    """The toy loop's ``reduce_losses``: each row is one example already."""
+    return losses
 
 
 def train(dataset: Dataset2D, model_seed: int, config: TrainConfig) -> TrainResult:
@@ -314,27 +370,24 @@ def train(dataset: Dataset2D, model_seed: int, config: TrainConfig) -> TrainResu
         np.array([freq.table.get(c, 1.0) for c in range(int(labels.max()) + 1)]),
     )
     rng = _batch_stream(config, model_seed)
-    trace = TraceTable.zeros(dataset.n) if config.trace_logging else None
+    trace = buffer = None
+    if config.trace_logging:
+        trace = TraceTable.zeros(dataset.n)
+        buffer = _TraceBuffer(trace, labels, config.batch_size, config.model_dims[-1])
 
     # regression-style losses (squared/l1) train against one-hot targets
-    if config.loss == "softmax_xent":
-        step_targets = labels
-    else:
-        step_targets = np.eye(config.model_dims[-1])[labels]
+    one_hot = None if config.loss == "softmax_xent" else np.eye(config.model_dims[-1])[labels]
     for step in range(config.steps):
         idx = rng.integers(0, dataset.n, size=config.batch_size)
+        batch_labels = labels[idx]
+        targets = batch_labels if one_hot is None else one_hot[idx]
         bg, weighting, _, _ = _step(
-            run, step, points[idx], step_targets[idx], labels[idx], None, idx,
-            lambda losses, regions: losses,
+            run, step, points[idx], targets, batch_labels, None, idx, _example_losses
         )
-        if trace is not None:
-            probs = softmax(bg.outputs)
-            np.add.at(trace.occurrences, idx, 1)
-            np.add.at(trace.theta_sum, idx, weighting.alignments)
-            np.add.at(trace.theta_sq_sum, idx, weighting.alignments**2)
-            np.add.at(trace.loss_sum, idx, bg.losses)
-            np.add.at(trace.entropy_sum, idx, entropy_scores(probs))
-            np.add.at(trace.correct_count, idx, np.argmax(bg.outputs, axis=1) == labels[idx])
+        if buffer is not None:
+            buffer.add(idx, weighting.alignments, bg.losses, bg.outputs)
+    if buffer is not None:
+        buffer.flush()
 
     run.load(run.params)
     return TrainResult(run.model, trace, run.log, run.state, config, model_seed)

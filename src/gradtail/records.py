@@ -79,13 +79,16 @@ def read_record(path: str | Path) -> tuple[str, dict[str, str], dict[str, np.nda
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != FORMAT_LINE:
         raise RecordFormatError(f"{path}: not a gradtail-record v1 file")
-    kind, fields, arrays = "", {}, {}
+    kind, fields, arrays, seen = "", {}, {}, set()
     for line in lines[1:]:
         if not line.strip():
             continue
         key, _, value = line.partition(": ")
         if not _:
             raise RecordFormatError(f"{path}: malformed line {line!r}")
+        if key in seen:
+            raise RecordFormatError(f"{path}: duplicated field {key!r}")
+        seen.add(key)
         if key == "kind":
             kind = value
         elif key.startswith("array:"):
@@ -295,27 +298,46 @@ def config_from_manifest(entries: dict[str, str]) -> tuple[TrainConfig, int, int
 # ---------------------------------------------------------------------------
 
 
-def save_step_log(path: str | Path, log: StepLog) -> None:
+CHUNK_ROWS = 1024  # rows formatted and written per write call
+
+
+def _write_columns(path: str | Path, header: list[str], columns: list) -> None:
+    """The bytes csv.writer writes for ``header`` and one row per entry of the
+    equally long ``columns``: ints as ``str``, floats as ``repr``, CRLF line
+    ends. Rows are formatted and written CHUNK_ROWS at a time, so the whole
+    file is never held in memory."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "mean_loss", "mean_weight", "sigma", "ema_norm"])
-        for i in range(log.step.shape[0]):
-            writer.writerow([
-                int(log.step[i]), repr(float(log.mean_loss[i])),
-                repr(float(log.mean_weight[i])), repr(float(log.sigma[i])),
-                repr(float(log.ema_norm[i])),
-            ])
+        fh.write(",".join(header) + "\r\n")
+        n = len(columns[0])
+        for lo in range(0, n, CHUNK_ROWS):
+            cells = [
+                map(str if col.dtype.kind in "iu" else repr, col[lo : lo + CHUNK_ROWS].tolist())
+                for col in columns
+            ]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
+
+
+STEP_COLUMNS = ["step", "mean_loss", "mean_weight", "sigma", "ema_norm"]
+
+
+def save_step_log(path: str | Path, log: StepLog) -> None:
+    _write_columns(
+        path, STEP_COLUMNS, [log.step, log.mean_loss, log.mean_weight, log.sigma, log.ema_norm]
+    )
 
 
 @_reader
 def load_step_log(path: str | Path) -> StepLog:
+    """The step log save_step_log wrote: one row per step, steps 0..n-1 in order."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["step", "mean_loss", "mean_weight", "sigma", "ema_norm"]:
+    if not rows or rows[0] != STEP_COLUMNS:
         raise RecordFormatError(f"{path}: not a step log")
     body = rows[1:]
+    if [int(r[0]) for r in body] != list(range(len(body))):
+        raise RecordFormatError(f"{path}: step column is not 0..{len(body) - 1} in order")
     return StepLog(
-        np.array([int(r[0]) for r in body], dtype=np.int64),
+        np.arange(len(body), dtype=np.int64),
         np.array([float(r[1]) for r in body]),
         np.array([float(r[2]) for r in body]),
         np.array([float(r[3]) for r in body]),
@@ -330,15 +352,10 @@ TRACE_COLUMNS = [
 
 
 def save_trace(path: str | Path, trace: TraceTable) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for i in range(trace.n):
-            writer.writerow([
-                i, int(trace.occurrences[i]), repr(float(trace.theta_sum[i])),
-                repr(float(trace.theta_sq_sum[i])), repr(float(trace.loss_sum[i])),
-                repr(float(trace.entropy_sum[i])), int(trace.correct_count[i]),
-            ])
+    _write_columns(path, TRACE_COLUMNS, [
+        np.arange(trace.n), trace.occurrences, trace.theta_sum, trace.theta_sq_sum,
+        trace.loss_sum, trace.entropy_sum, trace.correct_count,
+    ])
 
 
 @_reader
@@ -363,16 +380,7 @@ def load_trace(path: str | Path) -> TraceTable:
 
 def save_patch_log(path: str | Path, log: PatchLog) -> None:
     arrays = log.arrays()
-    names = list(arrays)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(arrays["step"].shape[0]):
-            writer.writerow([
-                arrays[name][i] if name in ("step", "patch_index", "pixels")
-                else repr(float(arrays[name][i]))
-                for name in names
-            ])
+    _write_columns(path, list(arrays), list(arrays.values()))
 
 
 def save_dataset(path: str | Path, dataset: Dataset2D) -> None:

@@ -407,6 +407,35 @@ def test_analyze_bad_trace_rows_exit_4(trained_runs, tmp_path, capsys, edit):
     assert "record format error" in err and "trace.csv" in err
 
 
+@pytest.mark.parametrize("edit", ["drop", "duplicate", "swap"])
+def test_analyze_bad_step_rows_exit_4(trained_runs, tmp_path, capsys, edit):
+    clone = clone_run(trained_runs, tmp_path, "run-steps")
+    lines = (clone / "steps.csv").read_text().splitlines()
+    if edit == "drop":  # the steps left still count 0..n-1, one short of train.steps
+        lines.pop()
+    elif edit == "duplicate":
+        lines.insert(4, lines[3])
+    else:
+        lines[3], lines[4] = lines[4], lines[3]
+    (clone / "steps.csv").write_text("\n".join(lines) + "\n")
+    rv = main(["analyze", "--out", str(tmp_path / "analysis"), str(clone)])
+    assert rv == 4
+    err = capsys.readouterr().err
+    assert "record format error" in err and "steps.csv" in err
+
+
+def test_analyze_duplicated_model_line_exits_4(trained_runs, tmp_path, capsys):
+    clone = clone_run(trained_runs, tmp_path, "run-model")
+    lines = (clone / "model.txt").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("hidden_activation:"))
+    lines.insert(at, "hidden_activation: relu")
+    (clone / "model.txt").write_text("\n".join(lines) + "\n")
+    rv = main(["analyze", "--out", str(tmp_path / "analysis"), str(clone)])
+    assert rv == 4
+    err = capsys.readouterr().err
+    assert "record format error" in err and "model.txt" in err and "duplicated" in err
+
+
 @pytest.mark.parametrize("edit", ["duplicate", "drop", "garbage", "kind"])
 def test_analyze_corrupt_manifest_exits_4(trained_runs, tmp_path, capsys, edit):
     clone = clone_run(trained_runs, tmp_path, "run-manifest")

@@ -5,6 +5,8 @@ manifests must rebuild the exact TrainConfig; logs and datasets must
 round-trip through their CSV forms with full float precision.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from gradtail.datasets import GaussianSpec, gen_two_gaussians
 from gradtail.engine import PatchLog, StepLog, TraceTable, TrainConfig
 from gradtail.mlp import MlpModel, ParamSubset
 from gradtail.records import (
+    CHUNK_ROWS,
     RecordFormatError,
     _decode_array,
     _encode_array,
@@ -265,6 +268,104 @@ def test_patch_log_columns(tmp_path):
     assert lines[0] == "step,patch_index,pixels,rare_fraction,alignment,weight,loss"
     assert lines[1].startswith("0,0,16,")
     assert len(lines) == 3
+
+
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e308, float("nan"), float("inf")]
+ROW_COUNTS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
+
+
+def csv_writer_bytes(path, header, rows):
+    """What the writers wrote row by row with csv.writer: ints, float reprs."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+    return path.read_bytes()
+
+
+def float_columns(n, count, seed):
+    """``count`` float columns of length n, with every special value near the top."""
+    cols = np.random.default_rng(seed).standard_normal((count, n)) * 1e3
+    for c in range(count):
+        special = np.roll(SPECIAL_FLOATS, c)[: min(n, len(SPECIAL_FLOATS))]
+        cols[c, : special.size] = special
+    return cols
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)  # n = 0 is the log of a `steps: 0` run
+def test_step_log_bytes_match_csv_writer(tmp_path, n):
+    log = StepLog(np.arange(n, dtype=np.int64), *float_columns(n, 4, n))
+    save_step_log(tmp_path / "steps.csv", log)
+    rows = [
+        [int(log.step[i]), repr(float(log.mean_loss[i])), repr(float(log.mean_weight[i])),
+         repr(float(log.sigma[i])), repr(float(log.ema_norm[i]))]
+        for i in range(n)
+    ]
+    header = ["step", "mean_loss", "mean_weight", "sigma", "ema_norm"]
+    assert (tmp_path / "steps.csv").read_bytes() == csv_writer_bytes(
+        tmp_path / "ref.csv", header, rows
+    )
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_trace_bytes_match_csv_writer(tmp_path, n):
+    rng = np.random.default_rng(100 + n)
+    trace = TraceTable(
+        rng.integers(0, 50, n), *float_columns(n, 4, 200 + n), rng.integers(0, 50, n)
+    )
+    save_trace(tmp_path / "trace.csv", trace)
+    rows = [
+        [i, int(trace.occurrences[i]), repr(float(trace.theta_sum[i])),
+         repr(float(trace.theta_sq_sum[i])), repr(float(trace.loss_sum[i])),
+         repr(float(trace.entropy_sum[i])), int(trace.correct_count[i])]
+        for i in range(n)
+    ]
+    header = ["example_id", "occurrences", "alignment_sum", "alignment_sq_sum",
+              "loss_sum", "entropy_sum", "correct_count"]
+    assert (tmp_path / "trace.csv").read_bytes() == csv_writer_bytes(
+        tmp_path / "ref.csv", header, rows
+    )
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_patch_log_bytes_match_csv_writer(tmp_path, n):
+    ints = np.random.default_rng(300 + n).integers(0, 100, (3, n))
+    floats = float_columns(n, 4, 400 + n)
+    log = PatchLog(*(col.tolist() for col in ints), *(col.tolist() for col in floats))
+    save_patch_log(tmp_path / "patches.csv", log)
+    rows = [
+        [*(int(col[i]) for col in ints), *(repr(float(col[i])) for col in floats)]
+        for i in range(n)
+    ]
+    header = ["step", "patch_index", "pixels", "rare_fraction", "alignment", "weight", "loss"]
+    assert (tmp_path / "patches.csv").read_bytes() == csv_writer_bytes(
+        tmp_path / "ref.csv", header, rows
+    )
+
+
+@pytest.mark.parametrize("edit", ["duplicate", "drop", "swap"])
+def test_step_log_steps_must_count_from_zero(tmp_path, edit):
+    save_step_log(tmp_path / "steps.csv", StepLog.zeros(4))
+    lines = (tmp_path / "steps.csv").read_text().splitlines()
+    if edit == "duplicate":
+        lines.insert(2, lines[1])
+    elif edit == "drop":
+        del lines[2]
+    else:
+        lines[1], lines[2] = lines[2], lines[1]
+    (tmp_path / "steps.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(RecordFormatError, match="step column"):
+        load_step_log(tmp_path / "steps.csv")
+
+
+@pytest.mark.parametrize("line", ["hidden_activation: tanh", "array:bias0: 1|AAAAAAAAAAA="])
+def test_record_rejects_duplicated_key(tmp_path, line):
+    save_model(tmp_path / "model.txt", MlpModel.initialize([2, 3, 2], 0))
+    lines = (tmp_path / "model.txt").read_text().splitlines()
+    (tmp_path / "model.txt").write_text("\n".join(lines + [line]) + "\n")
+    with pytest.raises(RecordFormatError, match="duplicated field"):
+        load_model(tmp_path / "model.txt")
 
 
 def test_dataset_round_trip(tmp_path):

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from gradtail import engine
 from gradtail.algorithm import GradTailConfig
+from gradtail.baselines import entropy_scores
 from gradtail.datasets import gen_dense_task, gen_two_gaussians
 from gradtail.engine import (
+    TRACE_FLUSH,
+    TraceTable,
     TrainConfig,
     TrainingDiverged,
     build_subset,
@@ -16,7 +20,7 @@ from gradtail.engine import (
     train,
     train_dense,
 )
-from gradtail.mlp import MlpModel, ParamSubset
+from gradtail.mlp import MlpModel, ParamSubset, softmax
 
 
 def small_dataset(seed=0):
@@ -223,6 +227,47 @@ class TestTrain:
         res = train(ds, 13, quick_config(strategy="gradtail", steps=50))
         assert np.all(res.step_log.sigma >= 0.0) and np.all(res.step_log.sigma <= 1.0)
         assert res.gradtail_state.updates_seen == 50
+
+
+class TestTraceBuffer:
+    """The buffered trace against one np.add.at per step, driven here through
+    the same step kernel and batch stream as train."""
+
+    COLUMNS = ("occurrences", "theta_sum", "theta_sq_sum", "loss_sum", "entropy_sum",
+               "correct_count")
+
+    @staticmethod
+    def per_step_trace(dataset, model_seed, config):
+        labels = dataset.labels
+        run = engine._start_run(config, model_seed, None)
+        rng = engine._batch_stream(config, model_seed)
+        trace = TraceTable.zeros(dataset.n)
+        for step in range(config.steps):
+            idx = rng.integers(0, dataset.n, size=config.batch_size)
+            bg, weighting, _, _ = engine._step(
+                run, step, dataset.points[idx], labels[idx], labels[idx], None, idx,
+                lambda losses, regions: losses,
+            )
+            np.add.at(trace.occurrences, idx, 1)
+            np.add.at(trace.theta_sum, idx, weighting.alignments)
+            np.add.at(trace.theta_sq_sum, idx, weighting.alignments**2)
+            np.add.at(trace.loss_sum, idx, bg.losses)
+            np.add.at(trace.entropy_sum, idx, entropy_scores(softmax(bg.outputs)))
+            np.add.at(trace.correct_count, idx, np.argmax(bg.outputs, axis=1) == labels[idx])
+        return trace
+
+    @pytest.mark.parametrize("strategy", ["gradtail", "uniform", "focal"])
+    @pytest.mark.parametrize(
+        "steps", [1, TRACE_FLUSH - 1, TRACE_FLUSH, TRACE_FLUSH + 1, 2 * TRACE_FLUSH + 3]
+    )
+    def test_matches_per_step_add_at(self, strategy, steps):
+        ds = small_dataset()  # 540 examples: most recur within and across flushes
+        cfg = quick_config(strategy=strategy, steps=steps)
+        got = train(ds, 14, cfg).trace
+        want = self.per_step_trace(ds, 14, cfg)
+        for name in self.COLUMNS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestTrainDense:
