@@ -257,7 +257,6 @@ class ExperimentReport:
     rare_set: RareSetReport
     tail_counts: dict[str, int]
     excluded_examples: int
-    band_mre: BandMreReport | None = None
 
 
 def experiment_report(

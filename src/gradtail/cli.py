@@ -127,25 +127,33 @@ def _dense_grid_for(entries: dict[str, str], seed: int) -> tuple[DenseGrid, dict
 
 
 def _write_run_dir(
-    out: Path, run_name: str, dataset_kind: str, data_seed: int, result: TrainResult
+    run_dir: Path, kind: str, data_seed: int, result: TrainResult, extra_manifest: dict[str, str]
 ) -> Path:
-    run_dir = out / run_name
+    """A run dir of either loop: manifest (plus ``extra_manifest`` lines), model,
+    step log, the toy trace or dense patch log, and any weighting state."""
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "manifest.txt").write_text(
-        format_manifest(result.config, data_seed, result.model_seed, dataset_kind)
+        format_manifest(result.config, data_seed, result.model_seed, kind)
+        + "".join(f"{key}: {value}\n" for key, value in extra_manifest.items())
     )
     save_model(run_dir / "model.txt", result.model)
     save_step_log(run_dir / "steps.csv", result.step_log)
     if result.trace is not None:
         save_trace(run_dir / "trace.csv", result.trace)
+    if result.patch_log is not None:
+        save_patch_log(run_dir / "patches.csv", result.patch_log)
     if result.gradtail_state is not None:
         save_gradtail_state(run_dir / "state.txt", result.gradtail_state, result.config.gradtail)
     return run_dir
 
 
-def _median_repr(values: list) -> str:
+def _value_repr(value: float | None) -> str:
+    return "absent" if value is None else repr(value)
+
+
+def _median_repr(values) -> str:
     present = [v for v in values if v is not None]
-    return repr(float(np.median(present))) if present else "absent"
+    return _value_repr(float(np.median(present)) if present else None)
 
 
 def _dense_run_config(
@@ -165,16 +173,24 @@ def _dense_run_config(
     return replace(config, seed=base.seed + k, reference_mode=base.reference_mode)
 
 
-def _divergence_snapshot(out: Path, exc: TrainingDiverged) -> Path:
-    out.mkdir(parents=True, exist_ok=True)
+def _divergence_exit(out: Path, exc: TrainingDiverged) -> int:
+    """Report a numerical abort and leave its snapshot in ``out`` as
+    divergence.txt: exit 3, or 4 when the snapshot cannot be written."""
     path = out / "divergence.txt"
     fields = {
         k: ",".join(str(i) for i in v) if isinstance(v, list) else v
         for k, v in exc.snapshot.items()
     }
     fields["message"] = str(exc)
-    write_record(path, "divergence-snapshot", fields, {})
-    return path
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write_record(path, "divergence-snapshot", fields, {})
+    except OSError as err:
+        print(f"numerical abort: {exc}", file=sys.stderr)
+        print(f"I/O error: cannot write the divergence snapshot: {err}", file=sys.stderr)
+        return 4
+    print(f"numerical abort: {exc} (snapshot: {path})", file=sys.stderr)
+    return 3
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +224,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = Path(args.out)
     for k in range(args.seeds):
         dataset = _dataset_for(kind, data_seed + k)
-        run_config = replace(config, seed=config.seed + k)
-        try:
-            result = train(dataset, model_seed + k, run_config)
-        except TrainingDiverged as exc:
-            path = _divergence_snapshot(out, exc)
-            raise TrainingDiverged(f"{exc} (snapshot: {path})", exc.snapshot) from exc
+        result = train(dataset, model_seed + k, replace(config, seed=config.seed + k))
         run_dir = _write_run_dir(
-            out, f"run-{config.strategy}-s{k:03d}", kind, data_seed + k, result
+            out / f"run-{config.strategy}-s{k:03d}", kind, data_seed + k, result, {}
         )
         print(f"run {k}: {run_dir}")
     return 0
@@ -244,14 +255,13 @@ def _read_run_manifest(run_dir: Path) -> tuple[TrainConfig, int, Dataset2D | Den
     return config, model_seed, data
 
 
-def _dense_mre(model, grid: DenseGrid) -> tuple[str, str]:
-    """Rare-band and total mean relative error of a dense model, as report
-    values; the rare band is absent when it holds no pixels."""
+def _dense_mre(model, grid: DenseGrid) -> tuple[float | None, float | None, float]:
+    """Common-band, rare-band and total mean relative error of a dense model;
+    a band that holds no pixels has None."""
     bands = dense_band_mre(
         dense_predictions(model, grid), grid.targets, grid.valid_mask, DENSE_BAND_EDGES
     )
-    rare = bands.bands[1].mre
-    return ("absent" if rare is None else repr(rare)), repr(bands.total_mre)
+    return bands.bands[0].mre, bands.bands[1].mre, bands.total_mre
 
 
 def _report_for_run(
@@ -261,14 +271,14 @@ def _report_for_run(
     with no dataset or result for the toy figures."""
     config, model_seed, dataset = _read_run_manifest(run_dir)
     model = load_model(run_dir / "model.txt")
-    if isinstance(dataset, DenseGrid):
-        rare, total = _dense_mre(model, dataset)
-        return None, {"rare_mre": rare, "total_mre": total}, None, None
     step_log = load_step_log(run_dir / "steps.csv")
     if step_log.step.shape[0] != config.steps:
         raise RecordFormatError(
             f"{run_dir / 'steps.csv'}: {step_log.step.shape[0]} rows for {config.steps} steps"
         )
+    if isinstance(dataset, DenseGrid):
+        _, rare, total = _dense_mre(model, dataset)
+        return None, {"rare_mre": _value_repr(rare), "total_mre": repr(total)}, None, None
     trace_path = run_dir / "trace.csv"
     trace = load_trace(trace_path) if trace_path.exists() else None
     if trace is not None and trace.n != dataset.n:
@@ -412,23 +422,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _dense_sweep(entries, config, data_seed, model_seed, values, args, out) -> int:
     rows = []
     for value in values:
-        rare_mre, common_mre, total_mre = [], [], []
+        mres = []
         for k in range(args.seeds):
             run_config = _dense_run_config(entries, config, "gradtail", k)
             run_config = replace(run_config, gradtail=replace(run_config.gradtail, pivot=value))
             grid, sampler = _dense_grid_for(entries, data_seed + k)
-            result = train_dense(
-                grid, model_seed + k, run_config,
-                size_min=sampler["size_min"], size_max=sampler["size_max"],
-                patch_count=sampler["patch_count"],
-            )
-            bands = dense_band_mre(
-                dense_predictions(result.model, grid), grid.targets, grid.valid_mask,
-                DENSE_BAND_EDGES,
-            )
-            common_mre.append(bands.bands[0].mre)
-            rare_mre.append(bands.bands[1].mre)
-            total_mre.append(bands.total_mre)
+            result = train_dense(grid, model_seed + k, run_config, **sampler)
+            mres.append(_dense_mre(result.model, grid))
+        common_mre, rare_mre, total_mre = zip(*mres)
         rows.append({
             "pivot": repr(value),
             "median_common_mre": _median_repr(common_mre),
@@ -456,25 +457,14 @@ def cmd_dense_demo(args: argparse.Namespace) -> int:
         row = {"seed": str(data_seed + k)}
         for strategy in ("uniform", "gradtail"):
             config = _dense_run_config(entries, base, strategy, k)
-            result = train_dense(
-                grid, model_seed + k, config,
-                size_min=sampler["size_min"], size_max=sampler["size_max"],
-                patch_count=sampler["patch_count"],
+            result = train_dense(grid, model_seed + k, config, **sampler)
+            _write_run_dir(
+                out / f"dense-{strategy}-s{k:03d}", "dense", data_seed + k, result,
+                _dense_settings(entries),
             )
-            run_dir = out / f"dense-{strategy}-s{k:03d}"
-            run_dir.mkdir(parents=True, exist_ok=True)
-            (run_dir / "manifest.txt").write_text(
-                format_manifest(config, data_seed + k, model_seed + k, "dense")
-                + "".join(f"{key}: {value}\n" for key, value in _dense_settings(entries).items())
-            )
-            save_model(run_dir / "model.txt", result.model)
-            save_step_log(run_dir / "steps.csv", result.step_log)
-            save_patch_log(run_dir / "patches.csv", result.patch_log)
-            if result.gradtail_state is not None:
-                save_gradtail_state(run_dir / "state.txt", result.gradtail_state, config.gradtail)
-            row[f"{strategy}_rare_mre"], row[f"{strategy}_total_mre"] = _dense_mre(
-                result.model, grid
-            )
+            _, rare, total = _dense_mre(result.model, grid)
+            row[f"{strategy}_rare_mre"] = _value_repr(rare)
+            row[f"{strategy}_total_mre"] = repr(total)
         rows.append(row)
     columns = ["seed", "uniform_rare_mre", "gradtail_rare_mre",
                "uniform_total_mre", "gradtail_total_mre"]
@@ -540,8 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except TrainingDiverged as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return 3
+        return _divergence_exit(Path(args.out), exc)
     except RecordFormatError as exc:
         print(f"record format error: {exc}", file=sys.stderr)
         return 4

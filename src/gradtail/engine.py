@@ -190,12 +190,16 @@ class StepLog:
 
 @dataclass
 class TrainResult:
+    """A finished run of either loop: `train` fills ``trace`` (None when
+    trace logging is off), `train_dense` fills ``patch_log`` instead."""
+
     model: MlpModel
     trace: TraceTable | None
     step_log: StepLog
     gradtail_state: GradTailState | None
     config: TrainConfig
     model_seed: int
+    patch_log: PatchLog | None = None
 
 
 def _batch_stream(config: TrainConfig, model_seed: int) -> np.random.Generator:
@@ -432,16 +436,6 @@ class PatchLog:
         }
 
 
-@dataclass
-class DenseResult:
-    model: MlpModel
-    patch_log: PatchLog
-    step_log: StepLog
-    gradtail_state: GradTailState | None
-    config: TrainConfig
-    model_seed: int
-
-
 DENSE_DIMS = (2, 16, 16, 1)
 DENSE_SUBSET = "biases:0,1"
 
@@ -469,7 +463,7 @@ def train_dense(
     size_min: int = 20,
     size_max: int = 100,
     patch_count: int = 6,
-) -> DenseResult:
+) -> TrainResult:
     """Patch-weighted dense regression: each step treats the sampled patches
     (plus the leftover-pixel region) as the weighting batch, with per-patch
     mean losses and gradients."""
@@ -514,7 +508,7 @@ def train_dense(
             patch_log.loss.append(float(losses[k]))
 
     run.load(run.params)
-    return DenseResult(run.model, patch_log, run.log, run.state, config, model_seed)
+    return TrainResult(run.model, None, run.log, run.state, config, model_seed, patch_log)
 
 
 def dense_predictions(model: MlpModel, grid: DenseGrid) -> np.ndarray:

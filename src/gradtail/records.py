@@ -456,13 +456,6 @@ def report_fields(report) -> dict[str, str]:
         "absent" if rare.mean_distance_rare is None else repr(rare.mean_distance_rare)
     )
     fields["rare.mean_distance_all"] = repr(rare.mean_distance_all)
-    if report.band_mre is not None:
-        fields["band.total_mre"] = repr(report.band_mre.total_mre)
-        fields["band.total_pixels"] = report.band_mre.total_pixels
-        for i, band in enumerate(report.band_mre.bands):
-            fields[f"band{i}.range"] = f"{band.lower!r}..{band.upper!r}"
-            fields[f"band{i}.pixels"] = band.pixels
-            fields[f"band{i}.mre"] = "absent" if band.mre is None else repr(band.mre)
     return fields
 
 

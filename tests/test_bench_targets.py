@@ -42,3 +42,22 @@ def test_traced_train_records_every_step_layer(tmp_path):
         assert calls[name] == 70, name
     for name in ("mlp.softmax", "baselines.entropy_scores"):
         assert calls[name] >= 1, name
+    assert calls["records.save_trace"] == 1
+
+
+def test_traced_dense_demo_records_every_writer(tmp_path):
+    """The run-dir writer calls the records layer through the rebound names,
+    and the dense result still carries the step log the step counter reads."""
+    config = tmp_path / "config.txt"
+    config.write_text("train.steps: 5\ndense.height: 16\ndense.width: 16\n")
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert main(["dense-demo", "--config", str(config), "--out", str(tmp_path / "dense")]) == 0
+    finally:
+        tracer.uninstall()
+    _, _, calls = tracer.layer_times()
+    for name in ("records.save_model", "records.save_step_log", "records.save_patch_log"):
+        assert calls[name] == 2, name  # one uniform and one gradtail run dir
+    assert calls["records.save_gradtail_state"] >= 1
+    assert tracer.counts["engine.train_dense"]["steps"] == 10

@@ -4,6 +4,9 @@ Runs use shortened schedules via config files; the full default schedule
 lives in the acceptance suite.
 """
 
+import random
+import shutil
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,9 @@ train.steps: 40
 train.batch_size: 64
 train.strategy: gradtail
 """
+
+# a schedule whose loss turns non-finite within a few dozen steps
+BLOW_UP = "train.learning_rate: 1e6\ntrain.loss: squared\ntrain.momentum: 0.95\n"
 
 
 def write_config(tmp_path, text, name="config.txt"):
@@ -141,16 +147,34 @@ def test_train_reference_mode_reruns_identically(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up is the point
 def test_train_divergence_exits_3_with_snapshot(tmp_path, capsys):
-    config = write_config(
+    toy = write_config(tmp_path, "train.steps: 400\n" + BLOW_UP)
+    dense = write_config(
         tmp_path,
-        "train.steps: 400\ntrain.learning_rate: 1e6\ntrain.loss: squared\n"
-        "train.momentum: 0.95\n",
+        "data.kind: dense\ntrain.steps: 200\ndense.height: 12\ndense.width: 12\n" + BLOW_UP,
+        "dense.txt",
     )
+    commands = {
+        "train": ["train", "--config", toy],
+        "sweep": ["sweep", "--config", toy, "--param", "max_weight", "--values", "5"],
+        "dense-sweep": ["sweep", "--config", dense, "--param", "pivot", "--values", "0"],
+        "dense-demo": ["dense-demo", "--config", dense],
+    }
+    for name, argv in commands.items():
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 3, name
+        err = capsys.readouterr().err
+        assert "numerical abort" in err and "divergence.txt" in err, name
+        assert (out / "divergence.txt").exists(), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unwritable_divergence_snapshot_exits_4(tmp_path, capsys):
+    config = write_config(tmp_path, "train.steps: 400\n" + BLOW_UP)
     out = tmp_path / "runs"
-    assert main(["train", "--config", config, "--out", str(out)]) == 3
+    out.write_text("a file where the run dir should go\n")
+    assert main(["train", "--config", config, "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert "numerical abort" in err and "divergence.txt" in err
-    assert (out / "divergence.txt").exists()
+    assert "numerical abort" in err and "I/O error" in err
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +189,16 @@ def trained_runs(tmp_path_factory):
     config.write_text(QUICK_TRAIN)
     out = tmp_path / "runs"
     assert main(["train", "--config", str(config), "--seeds", "2", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def dense_runs(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("cli-dense")
+    config = tmp_path / "config.txt"
+    config.write_text("train.steps: 20\ndense.height: 16\ndense.width: 16\n")
+    out = tmp_path / "dense"
+    assert main(["dense-demo", "--config", str(config), "--out", str(out)]) == 0
     return out
 
 
@@ -195,8 +229,6 @@ def test_analyze_missing_run_dir_exits_4(tmp_path, capsys):
 
 
 def test_analyze_missing_trace_degrades_explicitly(trained_runs, tmp_path, capsys):
-    import shutil
-
     clone = tmp_path / "run-clone"
     shutil.copytree(sorted(trained_runs.iterdir())[0], clone)
     (clone / "trace.csv").unlink()
@@ -369,8 +401,6 @@ def test_dense_manifest_regenerates_model(tmp_path):
 
 
 def test_analyze_corrupt_record_exits_4(trained_runs, tmp_path, capsys):
-    import shutil
-
     clone = tmp_path / "run-corrupt"
     shutil.copytree(sorted(trained_runs.iterdir())[0], clone)
     lines = (clone / "model.txt").read_text().splitlines()
@@ -382,11 +412,10 @@ def test_analyze_corrupt_record_exits_4(trained_runs, tmp_path, capsys):
     assert "record format error" in err and "model.txt" in err
 
 
-def clone_run(trained_runs, tmp_path, name):
-    import shutil
-
+def clone_run(runs, tmp_path, name):
+    """A copy of the first run dir under ``runs`` (a toy or dense output dir)."""
     clone = tmp_path / name
-    shutil.copytree(sorted(trained_runs.iterdir())[0], clone)
+    shutil.copytree(sorted(p for p in runs.iterdir() if p.is_dir())[0], clone)
     return clone
 
 
@@ -408,20 +437,21 @@ def test_analyze_bad_trace_rows_exit_4(trained_runs, tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize("edit", ["drop", "duplicate", "swap"])
-def test_analyze_bad_step_rows_exit_4(trained_runs, tmp_path, capsys, edit):
-    clone = clone_run(trained_runs, tmp_path, "run-steps")
-    lines = (clone / "steps.csv").read_text().splitlines()
-    if edit == "drop":  # the steps left still count 0..n-1, one short of train.steps
-        lines.pop()
-    elif edit == "duplicate":
-        lines.insert(4, lines[3])
-    else:
-        lines[3], lines[4] = lines[4], lines[3]
-    (clone / "steps.csv").write_text("\n".join(lines) + "\n")
-    rv = main(["analyze", "--out", str(tmp_path / "analysis"), str(clone)])
-    assert rv == 4
-    err = capsys.readouterr().err
-    assert "record format error" in err and "steps.csv" in err
+def test_analyze_bad_step_rows_exit_4(trained_runs, dense_runs, tmp_path, capsys, edit):
+    for runs, name in ((trained_runs, "run-steps"), (dense_runs, "dense-steps")):
+        clone = clone_run(runs, tmp_path, name)
+        lines = (clone / "steps.csv").read_text().splitlines()
+        if edit == "drop":  # the steps left still count 0..n-1, one short of train.steps
+            lines.pop()
+        elif edit == "duplicate":
+            lines.insert(4, lines[3])
+        else:
+            lines[3], lines[4] = lines[4], lines[3]
+        (clone / "steps.csv").write_text("\n".join(lines) + "\n")
+        rv = main(["analyze", "--out", str(tmp_path / "analysis"), str(clone)])
+        assert rv == 4, name
+        err = capsys.readouterr().err
+        assert "record format error" in err and "steps.csv" in err, name
 
 
 def test_analyze_duplicated_model_line_exits_4(trained_runs, tmp_path, capsys):
@@ -488,3 +518,47 @@ def test_analyze_dense_run_dir(trained_runs, tmp_path):
     assert summary[0]["total_mre"] == demo["uniform_total_mre"]
     assert summary[2]["total_mre"] == "absent"
     assert summary[2]["total_accuracy"] != "absent"
+
+
+FUZZ_FILES = [
+    ("toy", "manifest.txt"), ("toy", "model.txt"), ("toy", "steps.csv"), ("toy", "trace.csv"),
+    ("dense", "manifest.txt"), ("dense", "model.txt"), ("dense", "steps.csv"),
+]
+FUZZ_EDITS = ["truncate", "bit_flip", "drop_line", "duplicate_line"]
+
+
+def corrupt(data: bytes, edit: str, rng: random.Random) -> bytes:
+    """One seeded edit of a file's bytes."""
+    if edit == "truncate":
+        return data[: rng.randrange(len(data))]
+    if edit == "bit_flip":
+        at = rng.randrange(len(data))
+        return data[:at] + bytes([data[at] ^ (1 << rng.randrange(8))]) + data[at + 1 :]
+    lines = data.splitlines(keepends=True)
+    at = rng.randrange(len(lines))
+    if edit == "drop_line":
+        del lines[at]
+    else:
+        lines.insert(at, lines[at])
+    return b"".join(lines)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a flipped bit can blow up a weight
+def test_analyze_survives_seeded_corruption(trained_runs, dense_runs, tmp_path, capsys):
+    """Every file analyze reads, each edit kind on each: the run is analyzed
+    (exit 0: a flipped digit still parses) or refused as a corrupt record
+    (exit 4), never a traceback. A dropped or duplicated CSV line always
+    breaks the row checks."""
+    sources = {"toy": trained_runs, "dense": dense_runs}
+    rng = random.Random(0)
+    for i in range(40):
+        kind, name = FUZZ_FILES[i % len(FUZZ_FILES)]
+        edit = FUZZ_EDITS[i % len(FUZZ_EDITS)]
+        clone = clone_run(sources[kind], tmp_path, f"fuzz-{i:02d}")
+        path = clone / name
+        path.write_bytes(corrupt(path.read_bytes(), edit, rng))
+        rv = main(["analyze", "--out", str(tmp_path / "analysis"), str(clone)])
+        case = (kind, name, edit, capsys.readouterr().err)
+        assert rv in (0, 4), case
+        if name.endswith(".csv") and edit.endswith("_line"):
+            assert rv == 4, case

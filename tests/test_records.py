@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 
 from gradtail.algorithm import GradTailConfig, GradTailState, step_arrays
-from gradtail.analysis import (
-    BandMre,
-    BandMreReport,
-    ExperimentReport,
-    QuartileReport,
-    RareSetReport,
-)
+from gradtail.analysis import ExperimentReport, QuartileReport, RareSetReport
 from gradtail.datasets import GaussianSpec, gen_two_gaussians
 from gradtail.engine import PatchLog, StepLog, TraceTable, TrainConfig
 from gradtail.mlp import MlpModel, ParamSubset
@@ -396,7 +390,7 @@ def test_dataset_file_regenerates_itself(tmp_path):
     assert regen.labels.tolist() == back.labels.tolist()
 
 
-def _toy_report(band_mre=None):
+def _toy_report():
     return ExperimentReport(
         total_accuracy=0.9617,
         balanced_accuracy=0.766,
@@ -406,7 +400,6 @@ def _toy_report(band_mre=None):
         rare_set=RareSetReport({0: 3, 1: 5}, 1.25, 2.5, False, 8),
         tail_counts={"common": 10000, "rare": 350, "hard": 50},
         excluded_examples=0,
-        band_mre=band_mre,
     )
 
 
@@ -415,21 +408,14 @@ def test_report_fields_mark_absent_metrics():
     assert fields["quartile.point_biserial"] == "absent"
     assert fields["quartile.correlation"] == repr(0.8)
     assert fields["rare.class1"] == 5
-    assert "band.total_mre" not in fields
 
 
 def test_report_record_and_table(tmp_path):
-    bands = BandMreReport(
-        (BandMre(-np.inf, 5.0, 100, 0.05), BandMre(5.0, np.inf, 0, None)),
-        0.05,
-        100,
-    )
-    report = _toy_report(band_mre=bands)
+    report = _toy_report()
     save_report(tmp_path / "report.txt", report)
     kind, fields, _ = read_record(tmp_path / "report.txt")
     assert kind == "experiment-report"
-    assert fields["band1.mre"] == "absent"
-    assert fields["band0.pixels"] == "100"
+    assert fields["rare.mean_distance"] == repr(1.25)
 
     table = report_table(report)
     lines = table.splitlines()
