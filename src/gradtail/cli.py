@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .algorithm import GradTailConfig
 from .analysis import (
     DENSE_BAND_EDGES,
     ExperimentReport,
@@ -52,13 +53,17 @@ from .figures import (
     tail_figure,
 )
 from .records import (
+    DENSE_DEFAULTS,
     RecordFormatError,
     config_from_manifest,
     format_manifest,
+    format_value,
     load_model,
     load_step_log,
     load_trace,
+    override_config,
     parse_manifest,
+    read_settings,
     report_fields,
     report_table,
     save_dataset,
@@ -72,16 +77,7 @@ from .records import (
     write_record,
 )
 
-DENSE_DEFAULTS = {
-    "dense.height": "64",
-    "dense.width": "64",
-    "dense.rare_fraction": "0.05",
-    "dense.size_min": "20",
-    "dense.size_max": "100",
-    "dense.patch_count": "6",
-}
-
-# the keys format_manifest writes for every run (train.class_weights only when set)
+# the keys format_manifest writes for every run (class weights only when set)
 RUN_MANIFEST_KEYS = frozenset(parse_manifest(format_manifest(TrainConfig(), 0, 0)))
 
 SWEEP_PARAMS = {
@@ -105,36 +101,28 @@ def _dataset_for(kind: str, seed: int) -> Dataset2D:
     raise ValueError(f"unknown dataset kind {kind!r} (expected standard or hard)")
 
 
-def _dense_settings(entries: dict[str, str]) -> dict[str, str]:
-    """Every dense grid and sampler key: the config's value, else the default."""
-    return {key: entries.get(key, default) for key, default in DENSE_DEFAULTS.items()}
-
-
 def _dense_grid_for(entries: dict[str, str], seed: int) -> tuple[DenseGrid, dict[str, int]]:
-    merged = _dense_settings(entries)
+    dense = read_settings(entries, DENSE_DEFAULTS)
     grid = gen_dense_task(
-        seed,
-        int(merged["dense.height"]),
-        int(merged["dense.width"]),
-        float(merged["dense.rare_fraction"]),
+        seed, dense["dense.height"], dense["dense.width"], dense["dense.rare_fraction"]
     )
     sampler = {
-        "size_min": int(merged["dense.size_min"]),
-        "size_max": int(merged["dense.size_max"]),
-        "patch_count": int(merged["dense.patch_count"]),
+        "size_min": dense["dense.size_min"],
+        "size_max": dense["dense.size_max"],
+        "patch_count": dense["dense.patch_count"],
     }
     return grid, sampler
 
 
 def _write_run_dir(
-    run_dir: Path, kind: str, data_seed: int, result: TrainResult, extra_manifest: dict[str, str]
+    run_dir: Path, kind: str, data_seed: int, result: TrainResult, extra_manifest: dict
 ) -> Path:
     """A run dir of either loop: manifest (plus ``extra_manifest`` lines), model,
     step log, the toy trace or dense patch log, and any weighting state."""
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "manifest.txt").write_text(
         format_manifest(result.config, data_seed, result.model_seed, kind)
-        + "".join(f"{key}: {value}\n" for key, value in extra_manifest.items())
+        + "".join(f"{key}: {format_value(value)}\n" for key, value in extra_manifest.items())
     )
     save_model(run_dir / "model.txt", result.model)
     save_step_log(run_dir / "steps.csv", result.step_log)
@@ -160,17 +148,11 @@ def _dense_run_config(
     entries: dict[str, str], base: TrainConfig, strategy: str, k: int
 ) -> TrainConfig:
     """The dense schedule, overridden by every train.* and gradtail.* key the
-    config sets. train.strategy is not: a dense demo runs both strategies."""
-    overrides = {}
-    for key in entries:
-        section, _, name = key.partition(".")
-        if section == "gradtail":
-            overrides["gradtail"] = base.gradtail
-        elif section == "train" and name != "strategy":
-            field = "subset_spec" if name == "subset" else name
-            overrides[field] = getattr(base, field)
-    config = dense_config(strategy=strategy, **overrides)
-    return replace(config, seed=base.seed + k, reference_mode=base.reference_mode)
+    config sets. The strategy is not: a dense demo runs both strategies."""
+    return replace(
+        override_config(dense_config(), entries),
+        strategy=strategy, seed=base.seed + k, reference_mode=base.reference_mode,
+    )
 
 
 def _divergence_exit(out: Path, exc: TrainingDiverged) -> int:
@@ -271,6 +253,12 @@ def _report_for_run(
     with no dataset or result for the toy figures."""
     config, model_seed, dataset = _read_run_manifest(run_dir)
     model = load_model(run_dir / "model.txt")
+    shape = (tuple(model.layer_dims), model.hidden_activation)
+    if shape != (config.model_dims, config.hidden_activation):
+        raise RecordFormatError(
+            f"{run_dir / 'model.txt'}: model {shape} does not match its manifest's"
+            f" {(config.model_dims, config.hidden_activation)}"
+        )
     step_log = load_step_log(run_dir / "steps.csv")
     if step_log.step.shape[0] != config.steps:
         raise RecordFormatError(
@@ -354,9 +342,8 @@ def _sweep_value_config(config: TrainConfig, param: str, value: float) -> TrainC
     if param == "pivot":
         return replace(config, gradtail=replace(config.gradtail, pivot=value))
     if param == "max_weight":
-        if value < 1.0:
-            raise ValueError(f"max_weight must be >= 1, got {value}")
-        return replace(config, gradtail=replace(config.gradtail, amplitude=2.0 * (value - 1.0)))
+        amplitude = GradTailConfig.from_max_weight(value).amplitude
+        return replace(config, gradtail=replace(config.gradtail, amplitude=amplitude))
     # inverse_frequency_w: weight on the uncommon class, common stays at 1
     return replace(config, class_weights=(1.0, float(value)))
 
@@ -460,7 +447,7 @@ def cmd_dense_demo(args: argparse.Namespace) -> int:
             result = train_dense(grid, model_seed + k, config, **sampler)
             _write_run_dir(
                 out / f"dense-{strategy}-s{k:03d}", "dense", data_seed + k, result,
-                _dense_settings(entries),
+                read_settings(entries, DENSE_DEFAULTS),
             )
             _, rare, total = _dense_mre(result.model, grid)
             row[f"{strategy}_rare_mre"] = _value_repr(rare)

@@ -12,7 +12,7 @@ import base64
 import csv
 import functools
 import io
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +145,7 @@ def save_gradtail_state(path: str | Path, state: GradTailState, config: GradTail
         "sigma": repr(state.sigma),
         "updates_seen": state.updates_seen,
         "layout": _selectors_to_text(state.layout),
-        **{f"config.{k}": repr(v) for k, v in asdict(config).items()},
+        **{f"config.{k}": format_value(v) for k, v in asdict(config).items()},
     }
     write_record(path, "gradtail-state", fields, {"ema_grad": state.ema_grad})
 
@@ -163,15 +163,10 @@ def load_gradtail_state(path: str | Path) -> tuple[GradTailState, GradTailConfig
         float(fields["sigma"]),
         int(fields["updates_seen"]),
     )
-    cfg = GradTailConfig(
-        pivot=float(fields["config.pivot"]),
-        decay=float(fields["config.decay"]),
-        amplitude=float(fields["config.amplitude"]),
-        slope=float(fields["config.slope"]),
-        sigma_floor=float(fields["config.sigma_floor"]),
-        warmup_batches=int(fields["config.warmup_batches"]),
-        epsilon_norm=float(fields["config.epsilon_norm"]),
-    )
+    cfg = GradTailConfig(**{
+        name: parse_value(name, fields[f"config.{name}"], default)
+        for name, default in asdict(GradTailConfig()).items()
+    })
     return state, cfg
 
 
@@ -180,43 +175,98 @@ def load_gradtail_state(path: str | Path) -> tuple[GradTailState, GradTailConfig
 # ---------------------------------------------------------------------------
 
 
+# manifest key -> TrainConfig field, in the order format_manifest writes them;
+# a field left at None is not written
+TRAIN_KEYS = {
+    "train.steps": "steps",
+    "train.learning_rate": "learning_rate",
+    "train.momentum": "momentum",
+    "train.batch_size": "batch_size",
+    "train.seed": "seed",
+    "train.strategy": "strategy",
+    "train.subset": "subset_spec",
+    "train.focal_gamma": "focal_gamma",
+    "train.loss": "loss",
+    "train.model_dims": "model_dims",
+    "train.hidden_activation": "hidden_activation",
+    "train.weight_scale": "weight_scale",
+    "train.trace_logging": "trace_logging",
+    "train.reference_mode": "reference_mode",
+    **{f"gradtail.{f.name}": f"gradtail.{f.name}" for f in fields(GradTailConfig)},
+    "train.class_weights": "class_weights",
+}
+
+# the other keys a manifest or config may set, in manifest order, with their defaults
+RUN_DEFAULTS = {"data.kind": "standard", "data.seed": 0, "model.seed": 0}
+DENSE_DEFAULTS = {
+    "dense.height": 64,
+    "dense.width": 64,
+    "dense.rare_fraction": 0.05,
+    "dense.size_min": 20,
+    "dense.size_max": 100,
+    "dense.patch_count": 6,
+}
+
+
+def format_value(value) -> str:
+    """The manifest text of a config value: floats by ``repr``, booleans as
+    true/false, tuples comma-joined."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(map(format_value, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def parse_value(key: str, text: str, default):
+    """``text`` read back as a value of ``default``'s type. A boolean must be
+    exactly true or false; a None default (class weights) reads as floats."""
+    if isinstance(default, bool):
+        if text not in ("true", "false"):
+            raise ValueError(f"{key} must be true or false, got {text!r}")
+        return text == "true"
+    try:
+        if default is None or isinstance(default, tuple):
+            kind = float if default is None else type(default[0])
+            return tuple(kind(tok) for tok in text.split(","))
+        return type(default)(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def read_settings(entries: dict[str, str], defaults: dict) -> dict:
+    """Each key of ``defaults``: the value ``entries`` sets for it, else the default."""
+    return {
+        key: parse_value(key, entries[key], default) if key in entries else default
+        for key, default in defaults.items()
+    }
+
+
+def _field(config: TrainConfig, path: str):
+    return functools.reduce(getattr, path.split("."), config)
+
+
+def override_config(base: TrainConfig, entries: dict[str, str]) -> TrainConfig:
+    """``base`` with every train.* and gradtail.* key that ``entries`` sets,
+    one field at a time, each read as the type of its TrainConfig default."""
+    defaults, changes = TrainConfig(), {"": {}, "gradtail": {}}
+    for key, path in TRAIN_KEYS.items():
+        if key in entries:
+            owner, _, name = path.rpartition(".")
+            changes[owner][name] = parse_value(key, entries[key], _field(defaults, path))
+    return replace(base, gradtail=replace(base.gradtail, **changes["gradtail"]), **changes[""])
+
+
 def format_manifest(
     config: TrainConfig, data_seed: int, model_seed: int, dataset: str = "standard"
 ) -> str:
     """Flat commented key-value text capturing everything a run needs."""
-    lines = [
-        "# gradtail run manifest",
-        f"code.version: {__version__}",
-        f"data.kind: {dataset}",
-        f"data.seed: {data_seed}",
-        f"model.seed: {model_seed}",
-        f"train.steps: {config.steps}",
-        f"train.learning_rate: {config.learning_rate!r}",
-        f"train.momentum: {config.momentum!r}",
-        f"train.batch_size: {config.batch_size}",
-        f"train.seed: {config.seed}",
-        f"train.strategy: {config.strategy}",
-        f"train.subset: {config.subset_spec}",
-        f"train.focal_gamma: {config.focal_gamma!r}",
-        f"train.loss: {config.loss}",
-        f"train.model_dims: {','.join(str(d) for d in config.model_dims)}",
-        f"train.hidden_activation: {config.hidden_activation}",
-        f"train.weight_scale: {config.weight_scale!r}",
-        f"train.trace_logging: {str(config.trace_logging).lower()}",
-        f"train.reference_mode: {str(config.reference_mode).lower()}",
-        f"gradtail.pivot: {config.gradtail.pivot!r}",
-        f"gradtail.decay: {config.gradtail.decay!r}",
-        f"gradtail.amplitude: {config.gradtail.amplitude!r}",
-        f"gradtail.slope: {config.gradtail.slope!r}",
-        f"gradtail.sigma_floor: {config.gradtail.sigma_floor!r}",
-        f"gradtail.warmup_batches: {config.gradtail.warmup_batches}",
-        f"gradtail.epsilon_norm: {config.gradtail.epsilon_norm!r}",
-    ]
-    if config.class_weights is not None:
-        lines.append(
-            f"train.class_weights: {','.join(repr(w) for w in config.class_weights)}"
-        )
-    return "\n".join(lines) + "\n"
+    values = {"code.version": __version__}
+    values.update(zip(RUN_DEFAULTS, (dataset, data_seed, model_seed)))
+    values.update((key, _field(config, path)) for key, path in TRAIN_KEYS.items())
+    return "# gradtail run manifest\n" + "".join(
+        f"{key}: {format_value(value)}\n" for key, value in values.items() if value is not None
+    )
 
 
 def parse_manifest(text: str) -> dict[str, str]:
@@ -241,56 +291,11 @@ def config_from_manifest(entries: dict[str, str]) -> tuple[TrainConfig, int, int
     Unknown keys raise: a typo in a manifest must not silently fall back to a
     default.
     """
-    known = {
-        "code.version",
-        "data.kind", "data.seed", "model.seed", "train.steps", "train.learning_rate",
-        "train.momentum", "train.batch_size", "train.seed", "train.strategy",
-        "train.subset", "train.focal_gamma", "train.loss", "train.model_dims",
-        "train.hidden_activation", "train.weight_scale", "train.trace_logging",
-        "train.reference_mode", "train.class_weights", "gradtail.pivot",
-        "gradtail.decay", "gradtail.amplitude", "gradtail.slope",
-        "gradtail.sigma_floor", "gradtail.warmup_batches", "gradtail.epsilon_norm",
-        "dense.height", "dense.width", "dense.rare_fraction", "dense.size_min",
-        "dense.size_max", "dense.patch_count",
-    }
-    unknown = set(entries) - known
+    unknown = set(entries) - {"code.version", *RUN_DEFAULTS, *TRAIN_KEYS, *DENSE_DEFAULTS}
     if unknown:
         raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
-
-    def get(key: str, default: str) -> str:
-        return entries.get(key, default)
-
-    gradtail = GradTailConfig(
-        pivot=float(get("gradtail.pivot", "0.0")),
-        decay=float(get("gradtail.decay", "0.99")),
-        amplitude=float(get("gradtail.amplitude", "28.0")),
-        slope=float(get("gradtail.slope", "0.75")),
-        sigma_floor=float(get("gradtail.sigma_floor", "1e-3")),
-        warmup_batches=int(get("gradtail.warmup_batches", "10")),
-        epsilon_norm=float(get("gradtail.epsilon_norm", "1e-12")),
-    )
-    class_weights = None
-    if "train.class_weights" in entries:
-        class_weights = tuple(float(tok) for tok in entries["train.class_weights"].split(","))
-    config = TrainConfig(
-        steps=int(get("train.steps", "10000")),
-        learning_rate=float(get("train.learning_rate", "1e-4")),
-        momentum=float(get("train.momentum", "0.9")),
-        batch_size=int(get("train.batch_size", "128")),
-        seed=int(get("train.seed", "0")),
-        strategy=get("train.strategy", "gradtail"),
-        gradtail=gradtail,
-        subset_spec=get("train.subset", "all"),
-        focal_gamma=float(get("train.focal_gamma", "2.0")),
-        class_weights=class_weights,
-        model_dims=tuple(int(d) for d in get("train.model_dims", "2,5,2").split(",")),
-        hidden_activation=get("train.hidden_activation", "tanh"),
-        weight_scale=float(get("train.weight_scale", "1.0")),
-        loss=get("train.loss", "softmax_xent"),
-        trace_logging=get("train.trace_logging", "true") == "true",
-        reference_mode=get("train.reference_mode", "false") == "true",
-    )
-    return config, int(get("data.seed", "0")), int(get("model.seed", "0")), get("data.kind", "standard")
+    kind, data_seed, model_seed = read_settings(entries, RUN_DEFAULTS).values()
+    return override_config(TrainConfig(), entries), data_seed, model_seed, kind
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +322,25 @@ def _write_columns(path: str | Path, header: list[str], columns: list) -> None:
             fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
 
 
+def _read_columns(path: str | Path, header: list[str], kinds: list, name: str) -> list:
+    """The columns _write_columns wrote under ``header``, one array per entry
+    of ``kinds`` (int or float). The first column must count 0..n-1 in order,
+    and the file must end in a line end, as every written row does: a file cut
+    inside its last number would otherwise still parse."""
+    with open(path, newline="") as fh:
+        text = fh.read()
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or rows[0] != header:
+        raise RecordFormatError(f"{path}: not a {name}")
+    if not text.endswith("\n"):
+        raise RecordFormatError(f"{path}: cut short inside its last row")
+    body = rows[1:]
+    columns = [np.array([kind(r[k]) for r in body], dtype=kind) for k, kind in enumerate(kinds)]
+    if columns[0].tolist() != list(range(len(body))):
+        raise RecordFormatError(f"{path}: {header[0]} column is not 0..{len(body) - 1} in order")
+    return columns
+
+
 STEP_COLUMNS = ["step", "mean_loss", "mean_weight", "sigma", "ema_norm"]
 
 
@@ -329,20 +353,7 @@ def save_step_log(path: str | Path, log: StepLog) -> None:
 @_reader
 def load_step_log(path: str | Path) -> StepLog:
     """The step log save_step_log wrote: one row per step, steps 0..n-1 in order."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != STEP_COLUMNS:
-        raise RecordFormatError(f"{path}: not a step log")
-    body = rows[1:]
-    if [int(r[0]) for r in body] != list(range(len(body))):
-        raise RecordFormatError(f"{path}: step column is not 0..{len(body) - 1} in order")
-    return StepLog(
-        np.arange(len(body), dtype=np.int64),
-        np.array([float(r[1]) for r in body]),
-        np.array([float(r[2]) for r in body]),
-        np.array([float(r[3]) for r in body]),
-        np.array([float(r[4]) for r in body]),
-    )
+    return StepLog(*_read_columns(path, STEP_COLUMNS, [int] + [float] * 4, "step log"))
 
 
 TRACE_COLUMNS = [
@@ -361,21 +372,8 @@ def save_trace(path: str | Path, trace: TraceTable) -> None:
 @_reader
 def load_trace(path: str | Path) -> TraceTable:
     """The trace save_trace wrote: one row per example, ids 0..n-1 in order."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != TRACE_COLUMNS:
-        raise RecordFormatError(f"{path}: not a trace")
-    body = rows[1:]
-    if [int(r[0]) for r in body] != list(range(len(body))):
-        raise RecordFormatError(f"{path}: example_id column is not 0..{len(body) - 1} in order")
-
-    def column(k: int, kind: type) -> np.ndarray:
-        return np.array([kind(r[k]) for r in body], dtype=kind)
-
-    return TraceTable(
-        column(1, int), column(2, float), column(3, float), column(4, float), column(5, float),
-        column(6, int),
-    )
+    kinds = [int, int, float, float, float, float, int]
+    return TraceTable(*_read_columns(path, TRACE_COLUMNS, kinds, "trace")[1:])
 
 
 def save_patch_log(path: str | Path, log: PatchLog) -> None:

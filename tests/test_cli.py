@@ -65,6 +65,16 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["train.trace_logging: True", "train.reference_mode: yes"])
+def test_boolean_other_than_true_or_false_is_config_error(tmp_path, capsys, line):
+    config = write_config(tmp_path, "train.steps: 5\n" + line + "\n")
+    out = tmp_path / "runs"
+    assert main(["train", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "true or false" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 # ---------------------------------------------------------------------------
@@ -362,19 +372,33 @@ def test_dense_demo_rejects_misspelt_dense_key(tmp_path, capsys):
     assert "config error" in err and "dense.hieght" in err
 
 
+DENSE_OVERRIDES = [
+    (
+        "train.momentum: 0.5\ntrain.strategy: focal\n",
+        {"train.momentum": "0.5", "train.steps": "2"},
+    ),
+    (  # one gradtail key overrides one field; the rest keep the dense schedule's values
+        "gradtail.decay: 0.9\ndense.rare_fraction: .05\n",
+        {"gradtail.decay": "0.9", "gradtail.pivot": "-0.5", "train.learning_rate": "0.003",
+         "dense.rare_fraction": "0.05"},
+    ),
+]
+
+
 def test_dense_demo_honours_train_keys(tmp_path):
-    config = write_config(
-        tmp_path,
-        "train.steps: 2\ntrain.momentum: 0.5\ntrain.strategy: focal\n"
-        "dense.height: 12\ndense.width: 12\ndense.size_min: 4\ndense.size_max: 6\n",
-    )
-    out = tmp_path / "dense"
-    assert main(["dense-demo", "--config", config, "--out", str(out)]) == 0
-    for strategy in ("uniform", "gradtail"):
-        manifest = parse_manifest((out / f"dense-{strategy}-s000" / "manifest.txt").read_text())
-        assert manifest["train.momentum"] == "0.5"
-        assert manifest["train.steps"] == "2"
-        assert manifest["train.strategy"] == strategy  # the demo runs both
+    for i, (keys, expected) in enumerate(DENSE_OVERRIDES):
+        config = write_config(
+            tmp_path,
+            "train.steps: 2\n" + keys
+            + "dense.height: 12\ndense.width: 12\ndense.size_min: 4\ndense.size_max: 6\n",
+        )
+        out = tmp_path / f"dense-{i}"
+        assert main(["dense-demo", "--config", config, "--out", str(out)]) == 0
+        for strategy in ("uniform", "gradtail"):
+            run = out / f"dense-{strategy}-s000"
+            manifest = parse_manifest((run / "manifest.txt").read_text())
+            assert {key: manifest[key] for key in expected} == expected
+            assert manifest["train.strategy"] == strategy  # the demo runs both
 
 
 def test_dense_manifest_regenerates_model(tmp_path):
@@ -436,22 +460,44 @@ def test_analyze_bad_trace_rows_exit_4(trained_runs, tmp_path, capsys, edit):
     assert "record format error" in err and "trace.csv" in err
 
 
-@pytest.mark.parametrize("edit", ["drop", "duplicate", "swap"])
+@pytest.mark.parametrize("edit", ["drop", "duplicate", "swap", "cut"])
 def test_analyze_bad_step_rows_exit_4(trained_runs, dense_runs, tmp_path, capsys, edit):
     for runs, name in ((trained_runs, "run-steps"), (dense_runs, "dense-steps")):
         clone = clone_run(runs, tmp_path, name)
-        lines = (clone / "steps.csv").read_text().splitlines()
+        path = clone / "steps.csv"
+        lines = path.read_text().splitlines()
         if edit == "drop":  # the steps left still count 0..n-1, one short of train.steps
             lines.pop()
         elif edit == "duplicate":
             lines.insert(4, lines[3])
-        else:
+        elif edit == "swap":
             lines[3], lines[4] = lines[4], lines[3]
-        (clone / "steps.csv").write_text("\n".join(lines) + "\n")
+        if edit == "cut":  # the last row loses its line end and two digits, and still parses
+            path.write_bytes(path.read_bytes()[:-4])
+        else:
+            path.write_text("\n".join(lines) + "\n")
         rv = main(["analyze", "--out", str(tmp_path / "analysis"), str(clone)])
         assert rv == 4, name
         err = capsys.readouterr().err
         assert "record format error" in err and "steps.csv" in err, name
+
+
+@pytest.mark.parametrize("edit", ["dense_model", "activation"])
+def test_analyze_model_unlike_manifest_exits_4(
+    trained_runs, dense_runs, tmp_path, capsys, edit
+):
+    clone = clone_run(trained_runs, tmp_path, "run-shape")
+    if edit == "dense_model":
+        shutil.copy(clone_run(dense_runs, tmp_path, "dense-shape") / "model.txt", clone)
+    else:
+        text = (clone / "model.txt").read_text().replace(": tanh", ": relu")
+        (clone / "model.txt").write_text(text)
+    out = tmp_path / "analysis"
+    rv = main(["analyze", "--out", str(out), str(clone)])
+    assert rv == 4
+    err = capsys.readouterr().err
+    assert "record format error" in err and "model.txt" in err and "manifest" in err
+    assert not (out / "run-shape").exists()  # refused before any report or figure
 
 
 def test_analyze_duplicated_model_line_exits_4(trained_runs, tmp_path, capsys):

@@ -6,6 +6,7 @@ round-trip through their CSV forms with full float precision.
 """
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gradtail.engine import PatchLog, StepLog, TraceTable, TrainConfig
 from gradtail.mlp import MlpModel, ParamSubset
 from gradtail.records import (
     CHUNK_ROWS,
+    TRAIN_KEYS,
     RecordFormatError,
     _decode_array,
     _encode_array,
@@ -173,6 +175,18 @@ def test_manifest_defaults_round_trip():
     back, _, _, kind = config_from_manifest(parse_manifest(text))
     assert back == config
     assert kind == "standard"
+
+
+def test_every_config_field_has_one_manifest_key():
+    """A new TrainConfig or GradTailConfig field cannot skip the manifest."""
+    assert sorted(TRAIN_KEYS.values()) == sorted(
+        [f.name for f in fields(TrainConfig) if f.name != "gradtail"]
+        + [f"gradtail.{f.name}" for f in fields(GradTailConfig)]
+    )
+    written = parse_manifest(format_manifest(TrainConfig(class_weights=(1.0, 2.0)), 0, 0))
+    assert [key for key in written if key in TRAIN_KEYS] == list(TRAIN_KEYS)
+    others = {"code.version", "data.kind", "data.seed", "model.seed"}
+    assert set(written) - set(TRAIN_KEYS) == others
 
 
 def test_manifest_skips_comments_and_blank_lines():
