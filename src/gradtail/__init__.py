@@ -25,7 +25,7 @@ from .engine import (
     train,
     train_dense,
 )
-from .mlp import MlpModel, ParamSubset, batch_gradients
+from .mlp import MlpModel, batch_gradients
 
 __all__ = [
     "__version__",
@@ -47,6 +47,5 @@ __all__ = [
     "train",
     "train_dense",
     "MlpModel",
-    "ParamSubset",
     "batch_gradients",
 ]

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import ParamSubset
-
 
 @dataclass(frozen=True)
 class GradTailConfig:
@@ -64,11 +62,12 @@ class GradTailConfig:
 class GradTailState:
     """EMA mean gradient, running alignment spread, and the update counter.
 
-    ``ema_grad`` is a flat vector over the parameters ``layout`` selects.
+    ``ema_grad`` is a flat vector over the parameter blocks ``layout`` names,
+    as (layer, "weight"|"bias") pairs in flattening order.
     """
 
     ema_grad: np.ndarray
-    layout: ParamSubset
+    layout: tuple[tuple[int, str], ...]
     sigma: float = 0.0
     updates_seen: int = 0
 

@@ -361,19 +361,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = [float(tok) for tok in args.values.split(",") if tok != ""]
     if not values:
         raise ValueError("empty sweep value list")
+    if kind == "dense" and args.param != "pivot":
+        raise ValueError("dense sweeps support the pivot parameter only")
     if args.reference_mode:
         config = replace(config, reference_mode=True)
+    # every value's config is checked before the first run writes anything
+    value_configs = [_sweep_value_config(config, args.param, value) for value in values]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if kind == "dense":
-        if args.param != "pivot":
-            raise ValueError("dense sweeps support the pivot parameter only")
         return _dense_sweep(entries, config, data_seed, model_seed, values, args, out)
 
     rows, panels = [], []
-    for value in values:
-        value_config = _sweep_value_config(config, args.param, value)
+    for value, value_config in zip(values, value_configs):
         balanced, total, disagreement, recall_uncommon = [], [], [], []
         panel_model = None
         for k in range(args.seeds):

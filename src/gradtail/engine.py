@@ -21,11 +21,12 @@ from .baselines import FrequencyWeights, entropy_scores
 from .datasets import Dataset2D, DenseGrid
 from .mlp import (
     LOSSES,
+    PARAM_KINDS,
     Loss,
     MlpModel,
-    ParamSubset,
     batch_gradients,
     forward_batch,
+    param_columns,
     softmax,
 )
 from .patches import patch_mean_loss, sample_patches
@@ -82,6 +83,8 @@ class TrainConfig:
         if self.focal_gamma < 0.0:
             raise ValueError("focal_gamma must be nonnegative")
         parse_subset_spec(self.subset_spec)  # fail fast on malformed specs
+        if self.class_weights is not None:
+            FrequencyWeights(dict(enumerate(self.class_weights)))  # fail fast on bad weights
 
 
 def parse_subset_spec(spec: str) -> tuple[str, tuple[int, ...] | None]:
@@ -101,11 +104,13 @@ def parse_subset_spec(spec: str) -> tuple[str, tuple[int, ...] | None]:
     raise ValueError(f"unknown subset spec {spec!r}")
 
 
-def build_subset(model: MlpModel, spec: str) -> ParamSubset:
+def subset_selectors(spec: str, n_layers: int) -> tuple[tuple[int, str], ...]:
+    """The (layer, kind) parameter blocks a subset spec names: 'all' is every
+    block in ``MlpModel.params`` order, 'biases' every bias vector."""
     kind, layers = parse_subset_spec(spec)
     if kind == "all":
-        return ParamSubset.all_params(model)
-    return ParamSubset.biases_only(model, layers)
+        return tuple((i, k) for i in range(n_layers) for k in PARAM_KINDS)
+    return tuple((i, "bias") for i in (range(n_layers) if layers is None else layers))
 
 
 def nesterov_update(
@@ -165,10 +170,6 @@ class TraceTable:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(self.occurrences > 0, self.entropy_sum / self.occurrences, np.nan)
 
-    def accuracy(self) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.occurrences > 0, self.correct_count / self.occurrences, np.nan)
-
 
 @dataclass
 class StepLog:
@@ -213,9 +214,8 @@ class _Run:
     """Per-run constants and the optimiser state that the step kernel advances."""
 
     config: TrainConfig
-    model: MlpModel
+    model: MlpModel  # holds the look-ahead parameters during a step
     loss_fn: Loss
-    flat: np.ndarray  # the model's weight and bias arrays are views of this vector
     subset_idx: np.ndarray  # the weighting subset's columns in a full gradient row
     class_weights: np.ndarray | None  # inverse-frequency weight per class label
     params: np.ndarray
@@ -223,31 +223,19 @@ class _Run:
     state: GradTailState | None
     log: StepLog
 
-    def load(self, values: np.ndarray) -> None:
-        """Write a flat all_params vector into the model's parameter arrays."""
-        self.flat[...] = values
-
 
 def _start_run(config: TrainConfig, model_seed: int, class_weights: np.ndarray | None) -> _Run:
-    """Seeded model on one flat parameter vector, and every per-run index map."""
+    """Seeded model, the weighting subset's columns, and the optimiser state."""
     model = MlpModel.initialize(
         list(config.model_dims), model_seed, config.hidden_activation, config.weight_scale
     )
-    full = ParamSubset.all_params(model)
-    flat = full.pack(model)
-    pos = 0
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        model.weights[i] = flat[pos : pos + w.size].reshape(w.shape)
-        pos += w.size
-        model.biases[i] = flat[pos : pos + b.size]
-        pos += b.size
-    subset = build_subset(model, config.subset_spec)
-    subset_idx = subset.index_map(model)
-    params = flat.copy()
+    layout = subset_selectors(config.subset_spec, model.n_layers)
+    subset_idx = param_columns(model.layer_dims, layout)
+    params = model.params.copy()
     track = config.trace_logging or config.strategy == "gradtail"
-    state = GradTailState(np.zeros(subset_idx.size), subset) if track else None
+    state = GradTailState(np.zeros(subset_idx.size), layout) if track else None
     return _Run(
-        config, model, LOSSES[config.loss], flat, subset_idx, class_weights,
+        config, model, LOSSES[config.loss], subset_idx, class_weights,
         params, np.zeros_like(params), state, StepLog.zeros(config.steps),
     )
 
@@ -262,7 +250,7 @@ def _step(run: _Run, step: int, inputs, targets, labels, regions, row_ids, reduc
     the weighting (None when untracked), and the row weights and losses.
     """
     cfg = run.config
-    run.load(run.params + cfg.momentum * run.velocity)
+    run.model.params[...] = run.params + cfg.momentum * run.velocity
     bg = batch_gradients(
         run.model, inputs, targets, run.loss_fn, serial=cfg.reference_mode, regions=regions
     )
@@ -393,7 +381,7 @@ def train(dataset: Dataset2D, model_seed: int, config: TrainConfig) -> TrainResu
     if buffer is not None:
         buffer.flush()
 
-    run.load(run.params)
+    run.model.params[...] = run.params
     return TrainResult(run.model, trace, run.log, run.state, config, model_seed)
 
 
@@ -507,7 +495,7 @@ def train_dense(
             patch_log.weight.append(float(weights[k]))
             patch_log.loss.append(float(losses[k]))
 
-    run.load(run.params)
+    run.model.params[...] = run.params
     return TrainResult(run.model, None, run.log, run.state, config, model_seed, patch_log)
 
 

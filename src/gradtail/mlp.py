@@ -7,7 +7,7 @@ batch, so each example's gradient is independent of the rest of the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,12 +22,26 @@ _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 PARAM_KINDS = ("weight", "bias")
 
 
+def _param_spans(layer_dims: Sequence[int]) -> list[tuple[int, int]]:
+    """(start, stop) of every block of the flat parameter vector, in its one
+    order [w0, b0, w1, b1, ...]; each weight matrix is flattened row-major."""
+    spans, pos = [], 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        for size in (fan_out * fan_in, fan_out):
+            spans.append((pos, pos + size))
+            pos += size
+    return spans
+
+
 @dataclass
 class MlpModel:
     """MLP weights and biases; weights[i] has shape (layer_dims[i+1], layer_dims[i]).
 
-    Hidden layers apply ``hidden_activation``; the final layer is always linear
-    (logits for classification, raw values for regression).
+    The constructor copies the arrays into one float64 vector ``params`` and
+    makes ``weights`` and ``biases`` views of it, so a write to ``params`` is
+    a write to the model. Hidden layers apply ``hidden_activation``; the final
+    layer is always linear (logits for classification, raw values for
+    regression).
     """
 
     layer_dims: list[int]
@@ -35,6 +49,7 @@ class MlpModel:
     biases: list[np.ndarray]
     hidden_activation: str = "tanh"
     init_seed: int | None = None
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dims = self.layer_dims
@@ -51,6 +66,14 @@ class MlpModel:
                 raise ValueError(f"biases[{i}] shape {b.shape} != {(dims[i + 1],)}")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"non-finite parameters in layer {i}")
+        spans = _param_spans(dims)
+        self.params = np.empty(spans[-1][1])
+        blocks = [arr for pair in zip(self.weights, self.biases) for arr in pair]
+        views = []
+        for arr, (lo, hi) in zip(blocks, spans):
+            self.params[lo:hi] = arr.ravel()
+            views.append(self.params[lo:hi].reshape(arr.shape))
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @classmethod
     def initialize(
@@ -74,90 +97,26 @@ class MlpModel:
         return len(self.layer_dims) - 1
 
     def copy(self) -> "MlpModel":
+        """A model on its own parameter vector (the constructor copies)."""
         return MlpModel(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.hidden_activation,
-            self.init_seed,
+            list(self.layer_dims), self.weights, self.biases, self.hidden_activation, self.init_seed
         )
 
 
-@dataclass(frozen=True)
-class ParamSubset:
-    """Ordered selection of (layer index, "weight"|"bias") parameter blocks.
-
-    Defines the canonical flattening: blocks appear in selector order, each
-    matrix flattened row-major. Flat vectors are only comparable when they
-    come from the exact same selector tuple.
-    """
-
-    selectors: tuple[tuple[int, str], ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.selectors)) != len(self.selectors):
-            raise ValueError("duplicate selectors")
-        for layer, kind in self.selectors:
-            if kind not in PARAM_KINDS:
-                raise ValueError(f"bad parameter kind {kind!r}")
-            if layer < 0:
-                raise ValueError("negative layer index")
-
-    @classmethod
-    def all_params(cls, model: MlpModel) -> "ParamSubset":
-        """Every parameter, layer ascending, weight before bias."""
-        sel = []
-        for i in range(model.n_layers):
-            sel.append((i, "weight"))
-            sel.append((i, "bias"))
-        return cls(tuple(sel))
-
-    @classmethod
-    def biases_only(cls, model: MlpModel, layers: Sequence[int] | None = None) -> "ParamSubset":
-        which = range(model.n_layers) if layers is None else layers
-        return cls(tuple((i, "bias") for i in which))
-
-    def validate(self, model: MlpModel) -> None:
-        for layer, _ in self.selectors:
-            if layer >= model.n_layers:
-                raise ValueError(f"selector references layer {layer} of a {model.n_layers}-layer model")
-
-    def arrays(self, model: MlpModel) -> list[np.ndarray]:
-        """The selected parameter arrays themselves (not copies), in selector order."""
-        self.validate(model)
-        return [
-            model.weights[layer] if kind == "weight" else model.biases[layer]
-            for layer, kind in self.selectors
-        ]
-
-    def size(self, model: MlpModel) -> int:
-        return sum(arr.size for arr in self.arrays(model))
-
-    def pack(self, model: MlpModel) -> np.ndarray:
-        """Flatten the selected parameters into one float64 vector."""
-        parts = [np.asarray(arr, dtype=np.float64).ravel() for arr in self.arrays(model)]
-        return np.concatenate(parts) if parts else np.zeros(0)
-
-    def unpack_into(self, model: MlpModel, values: np.ndarray) -> None:
-        """Write a flat vector back into the selected parameter blocks."""
-        blocks = self.arrays(model)
-        if values.shape != (sum(arr.size for arr in blocks),):
-            raise ValueError("flat vector length does not match subset size")
-        pos = 0
-        for arr in blocks:
-            arr[...] = values[pos : pos + arr.size].reshape(arr.shape)
-            pos += arr.size
-
-    def index_map(self, model: MlpModel) -> np.ndarray:
-        """Indices of this subset's coordinates inside the all_params flattening."""
-        self.validate(model)
-        full = ParamSubset.all_params(model)
-        offsets, pos = {}, 0
-        for sel, arr in zip(full.selectors, full.arrays(model)):
-            offsets[sel] = (pos, pos + arr.size)
-            pos += arr.size
-        idx = [np.arange(*offsets[sel]) for sel in self.selectors]
-        return np.concatenate(idx) if idx else np.zeros(0, dtype=np.intp)
+def param_columns(layer_dims: Sequence[int], selectors) -> np.ndarray:
+    """Indices into ``MlpModel.params`` of the (layer, "weight"|"bias") blocks
+    ``selectors`` names, block after block in selector order."""
+    if len(set(selectors)) != len(selectors):
+        raise ValueError("duplicate selectors")
+    spans, n_layers = _param_spans(layer_dims), len(layer_dims) - 1
+    cols = []
+    for layer, kind in selectors:
+        if kind not in PARAM_KINDS:
+            raise ValueError(f"bad parameter kind {kind!r}")
+        if not 0 <= layer < n_layers:
+            raise ValueError(f"selector references layer {layer} of a {n_layers}-layer model")
+        cols.append(np.arange(*spans[2 * layer + PARAM_KINDS.index(kind)]))
+    return np.concatenate(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +127,14 @@ class ParamSubset:
 @dataclass(frozen=True)
 class Loss:
     """A loss in two forms: ``value`` on a single output vector (what the
-    finite-difference oracle differentiates), and ``batch_value`` /
-    ``batch_output_grad`` over (B, K) outputs, which the backward pass uses.
+    finite-difference oracle differentiates), and ``batch`` over (B, K)
+    outputs, which returns the per-example losses (B,) and their gradients
+    with respect to the outputs (B, K) for the backward pass.
     """
 
     name: str
     value: Callable[[np.ndarray, object], float]
-    batch_value: Callable[[np.ndarray, object], np.ndarray]
-    batch_output_grad: Callable[[np.ndarray, object], np.ndarray]
+    batch: Callable[[np.ndarray, object], tuple[np.ndarray, np.ndarray]]
 
 
 def loss_softmax_xent(logits: np.ndarray, label: int) -> float:
@@ -202,49 +161,36 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def loss_l1(prediction: float, target: float) -> float:
-    if not (np.isfinite(prediction) and np.isfinite(target)):
-        raise ValueError("l1 loss requires finite inputs")
-    return abs(float(prediction) - float(target))
-
-
 def _xent_value(out: np.ndarray, label) -> float:
     return loss_softmax_xent(out, int(label))
 
 
-def _xent_batch_value(out: np.ndarray, labels) -> np.ndarray:
+def _xent_batch(out: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise loss_softmax_xent and its gradient softmax - onehot, from one exp."""
     labels = np.asarray(labels, dtype=np.intp)
     rows = np.arange(out.shape[0])
     m = out.max(axis=1)
     d = out[rows, labels] - m
-    rest = np.exp(out - m[:, None])
-    rest[rows, labels] = 0.0
-    return np.log1p(np.expm1(d) + rest.sum(axis=1)) - d
+    e = np.exp(out - m[:, None])
+    grad = e / e.sum(axis=1, keepdims=True)  # softmax(out), bit for bit
+    grad[rows, labels] -= 1.0
+    e[rows, labels] = 0.0
+    return np.log1p(np.expm1(d) + e.sum(axis=1)) - d, grad
 
 
-def _xent_batch_grad(out: np.ndarray, labels) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.intp)
-    g = softmax(out)
-    g[np.arange(out.shape[0]), labels] -= 1.0
-    return g
+def _l1_batch(out: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    diff = out - np.atleast_2d(t).reshape(out.shape)
+    return np.sum(np.abs(diff), axis=1), np.sign(diff)  # sign(0) = 0 at the kink
 
 
-SOFTMAX_XENT = Loss("softmax_xent", _xent_value, _xent_batch_value, _xent_batch_grad)
+def _squared_batch(out: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    diff = out - np.atleast_2d(t).reshape(out.shape)
+    return 0.5 * np.sum(diff**2, axis=1), diff
 
-# sign(0) = 0: the standard subgradient choice at the l1 kink
-L1 = Loss(
-    "l1",
-    lambda out, t: float(np.sum(np.abs(out - t))),
-    lambda out, t: np.sum(np.abs(out - np.atleast_2d(t).reshape(out.shape)), axis=1),
-    lambda out, t: np.sign(out - np.atleast_2d(t).reshape(out.shape)),
-)
 
-SQUARED = Loss(
-    "squared",
-    lambda out, t: float(0.5 * np.sum((out - t) ** 2)),
-    lambda out, t: 0.5 * np.sum((out - np.atleast_2d(t).reshape(out.shape)) ** 2, axis=1),
-    lambda out, t: out - np.atleast_2d(t).reshape(out.shape),
-)
+SOFTMAX_XENT = Loss("softmax_xent", _xent_value, _xent_batch)
+L1 = Loss("l1", lambda out, t: float(np.sum(np.abs(out - t))), _l1_batch)
+SQUARED = Loss("squared", lambda out, t: float(0.5 * np.sum((out - t) ** 2)), _squared_batch)
 
 LOSSES = {loss.name: loss for loss in (SOFTMAX_XENT, L1, SQUARED)}
 
@@ -293,7 +239,7 @@ def raw_batch_gradients(
 ):
     """Per-example gradients of the unweighted loss over all parameters.
 
-    Returns (grads (B, P) in all_params order, losses (B,), outputs (B, K)).
+    Returns (grads (B, P) in ``MlpModel.params`` order, losses (B,), outputs (B, K)).
     Every row depends only on its own example; batch order is preserved.
 
     With ``regions`` (a list of index arrays into the batch), ``grads`` is
@@ -307,8 +253,7 @@ def raw_batch_gradients(
     out = acts[-1]
     bsz = inputs.shape[0]
 
-    losses = np.asarray(loss_fn.batch_value(out, targets), dtype=np.float64)
-    delta = np.asarray(loss_fn.batch_output_grad(out, targets), dtype=np.float64)
+    losses, delta = loss_fn.batch(out, targets)
 
     n_layers = len(weights)
     grad_w: list[np.ndarray | None] = [None] * n_layers
@@ -344,7 +289,7 @@ class BatchGradients:
     """Per-example (or per-region) gradients plus the per-example forward-pass
     byproducts."""
 
-    grads: np.ndarray  # (B, P) on the subset layout; (R, P) region means with regions
+    grads: np.ndarray  # (B, P) in params order; (R, P) region means with regions
     losses: np.ndarray  # (B,)
     outputs: np.ndarray  # (B, K)
 
@@ -354,13 +299,12 @@ def batch_gradients(
     inputs: np.ndarray,
     targets,
     loss_fn: Loss,
-    subset: ParamSubset | None = None,
     serial: bool = False,
     regions: Sequence[np.ndarray] | None = None,
 ) -> BatchGradients:
     """Vectorized per-example gradients; `serial` forces a per-example loop.
 
-    Without ``subset`` the columns are every parameter in all_params order.
+    The columns are every parameter in ``MlpModel.params`` order.
     ``regions`` (index arrays into the batch, possibly overlapping) switches
     ``grads`` to one mean-gradient row per region. The serial path computes
     every per-example row and averages it per region: it is the oracle of
@@ -375,7 +319,6 @@ def batch_gradients(
         regions = [np.asarray(sel, dtype=np.intp) for sel in regions]
         if not regions or any(sel.ndim != 1 or sel.size == 0 for sel in regions):
             raise ValueError("regions must be a non-empty list of non-empty 1-D index arrays")
-    idx = None if subset is None else subset.index_map(model)
 
     if serial:
         rows, losses, outs = [], [], []
@@ -397,17 +340,18 @@ def batch_gradients(
             model.weights, model.biases, model.hidden_activation, inputs, targets, loss_fn,
             regions,
         )
-    return BatchGradients(full if idx is None else full[:, idx], losses, out)
+    return BatchGradients(full, losses, out)
 
 
 def finite_diff_gradient(
     model: MlpModel,
     example: tuple[np.ndarray, object],
     loss_fn: Loss,
-    subset: ParamSubset,
+    columns: np.ndarray,
     step: float = 1e-5,
 ) -> np.ndarray:
-    """Central-difference gradient (L(p+h) - L(p-h)) / 2h per subset coordinate.
+    """Central-difference gradient (L(p+h) - L(p-h)) / 2h for each of the
+    ``columns`` of ``model.params``, in their order.
 
     Independent of the analytic backward pass; used as its oracle.
     """
@@ -416,17 +360,13 @@ def finite_diff_gradient(
     x, target = example
     x = np.asarray(x, dtype=np.float64)
     work = model.copy()
-    flat = subset.pack(work)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        subset.unpack_into(work, flat)
+    grad = np.zeros(len(columns))
+    for k, i in enumerate(columns):
+        orig = work.params[i]
+        work.params[i] = orig + step
         up = loss_fn.value(forward(work, x), target)
-        flat[i] = orig - step
-        subset.unpack_into(work, flat)
+        work.params[i] = orig - step
         down = loss_fn.value(forward(work, x), target)
-        flat[i] = orig
-        grad[i] = (up - down) / (2.0 * step)
-    subset.unpack_into(work, flat)
+        work.params[i] = orig
+        grad[k] = (up - down) / (2.0 * step)
     return grad

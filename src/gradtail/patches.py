@@ -41,12 +41,6 @@ class PatchSet:
         """Flat pixel indices per region: the rectangles, then the complement."""
         return [self._rect_indices(r) for r in self.rects] + [self.complement]
 
-    def covers_grid(self) -> bool:
-        seen = np.zeros(self.height * self.width, dtype=bool)
-        for idx in self.regions():
-            seen[idx] = True
-        return bool(seen.all())
-
 
 def sample_patches(
     height: int,

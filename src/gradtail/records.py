@@ -21,7 +21,7 @@ from . import __version__
 from .algorithm import GradTailConfig, GradTailState
 from .datasets import Dataset2D, GaussianSpec
 from .engine import PatchLog, StepLog, TraceTable, TrainConfig
-from .mlp import MlpModel, ParamSubset
+from .mlp import PARAM_KINDS, MlpModel
 
 FORMAT_LINE = "format: gradtail-record v1"
 
@@ -128,16 +128,18 @@ def load_model(path: str | Path) -> MlpModel:
     return MlpModel(dims, weights, biases, fields["hidden_activation"], seed)
 
 
-def _selectors_to_text(subset: ParamSubset) -> str:
-    return ";".join(f"{layer}:{kind}" for layer, kind in subset.selectors)
+def _selectors_to_text(layout: tuple[tuple[int, str], ...]) -> str:
+    return ";".join(f"{layer}:{kind}" for layer, kind in layout)
 
 
-def _selectors_from_text(text: str) -> ParamSubset:
+def _selectors_from_text(text: str) -> tuple[tuple[int, str], ...]:
     sel = []
     for tok in text.split(";"):
         layer, kind = tok.split(":")
+        if kind not in PARAM_KINDS:
+            raise ValueError(f"bad parameter kind {kind!r}")
         sel.append((int(layer), kind))
-    return ParamSubset(tuple(sel))
+    return tuple(sel)
 
 
 def save_gradtail_state(path: str | Path, state: GradTailState, config: GradTailConfig) -> None:

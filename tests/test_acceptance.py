@@ -41,11 +41,17 @@ from gradtail.datasets import (
     gen_hard_variant,
     gen_two_gaussians,
 )
-from gradtail.engine import TrainConfig, dense_config, dense_predictions, train, train_dense
+from gradtail.engine import (
+    TrainConfig,
+    dense_config,
+    dense_predictions,
+    subset_selectors,
+    train,
+    train_dense,
+)
 from gradtail.mlp import (
     LOSSES,
     MlpModel,
-    ParamSubset,
     batch_gradients,
     finite_diff_gradient,
 )
@@ -207,13 +213,11 @@ def test_01_gradient_oracle(criterion_log):
     for pair in range(100):
         dims = dims_pool[pair % len(dims_pool)]
         model = MlpModel.initialize(dims, seed=1000 + pair)
-        subset = ParamSubset.all_params(model)
+        columns = np.arange(model.params.size)
         x = rng.normal(size=dims[0])
         label = int(rng.integers(dims[-1]))
-        a = batch_gradients(
-            model, x[None, :], np.array([label]), LOSSES["softmax_xent"], subset
-        ).grads[0]
-        n = finite_diff_gradient(model, (x, label), LOSSES["softmax_xent"], subset)
+        a = batch_gradients(model, x[None, :], np.array([label]), LOSSES["softmax_xent"]).grads[0]
+        n = finite_diff_gradient(model, (x, label), LOSSES["softmax_xent"], columns)
         near_zero = np.abs(n) < 1e-8
         if np.any(near_zero):
             worst_abs = max(worst_abs, float(np.max(np.abs(a - n)[near_zero])))
@@ -231,8 +235,8 @@ def test_02_weighting_unit_properties(criterion_log):
     """EMA closed form, weight range/monotonicity, alignment invariances, warm-up."""
     started = time.monotonic()
     model = MlpModel.initialize([2, 5, 2], seed=0)
-    layout = ParamSubset.all_params(model)
-    n = layout.size(model)
+    layout = subset_selectors("all", model.n_layers)
+    n = model.params.size
     rng = np.random.default_rng(7)
 
     # EMA of a constant observation from zero init follows the geometric form.

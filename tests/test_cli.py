@@ -10,6 +10,7 @@ import shutil
 import numpy as np
 import pytest
 
+from gradtail import cli
 from gradtail.cli import main
 from gradtail.records import load_model, parse_manifest, read_record
 
@@ -298,6 +299,23 @@ def test_sweep_inverse_frequency(tmp_path):
     assert main(["sweep", "--config", config, "--param", "inverse_frequency_w",
                  "--values", "1,25", "--out", str(out)]) == 0
     assert "median_recall_uncommon" in (out / "sweep.txt").read_text()
+
+
+@pytest.mark.parametrize("param,strategy", [
+    ("max_weight", "gradtail"),
+    ("inverse_frequency_w", "inverse_frequency"),
+])
+def test_sweep_bad_later_value_fails_before_any_run(tmp_path, capsys, monkeypatch, param, strategy):
+    config = write_config(tmp_path, f"train.steps: 50\ntrain.strategy: {strategy}\n")
+    out = tmp_path / "sweep"
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+    rv = main(["sweep", "--config", config, "--param", param, "--values", "5,0.5",
+               "--seeds", "2", "--out", str(out)])
+    assert rv == 2
+    assert "config error" in capsys.readouterr().err
+    assert trained == []
+    assert not out.exists()
 
 
 def test_sweep_empty_values_is_config_error(tmp_path, capsys):

@@ -12,9 +12,8 @@ from gradtail.algorithm import (
     step_arrays,
 )
 from gradtail.engine import weighted_mean
-from gradtail.mlp import ParamSubset
 
-LAYOUT = ParamSubset(((0, "bias"),))
+LAYOUT = ((0, "bias"),)
 
 
 def vec(values):

@@ -10,25 +10,29 @@ from gradtail.mlp import (
     SQUARED,
     Loss,
     MlpModel,
-    ParamSubset,
     batch_gradients,
     finite_diff_gradient,
     forward,
     forward_batch,
-    loss_l1,
     loss_softmax_xent,
+    param_columns,
     softmax,
 )
+from gradtail.records import load_model, save_model
 
 
 def tiny_model(seed=0, dims=(2, 5, 2)):
     return MlpModel.initialize(list(dims), seed=seed)
 
 
-def example_gradient(model, x, target, loss, subset):
-    """One example's gradient row, through the batch path."""
+def example_gradient(model, x, target, loss):
+    """One example's gradient row over every parameter, through the batch path."""
     inputs = np.asarray(x, dtype=float)[None, :]
-    return batch_gradients(model, inputs, [target], loss, subset).grads[0]
+    return batch_gradients(model, inputs, [target], loss).grads[0]
+
+
+def all_columns(model):
+    return np.arange(model.params.size)
 
 
 class TestForward:
@@ -92,6 +96,43 @@ class TestForward:
         assert all(np.all(b == 0.0) for b in a.biases)
 
 
+class TestFlatParams:
+    """The model's weights and biases are views of its one ``params`` vector."""
+
+    @staticmethod
+    def assert_views(m):
+        for arr in m.weights + m.biases:
+            assert np.shares_memory(arr, m.params)
+
+    def test_views_share_memory(self, tmp_path):
+        m = tiny_model(seed=3)
+        self.assert_views(m)
+        self.assert_views(MlpModel([2, 2], [np.ones((2, 2))], [np.zeros(2)]))
+        save_model(tmp_path / "model.txt", m)
+        loaded = load_model(tmp_path / "model.txt")
+        self.assert_views(loaded)
+        np.testing.assert_array_equal(loaded.params, m.params)
+        c = m.copy()
+        self.assert_views(c)
+        assert not np.shares_memory(c.params, m.params)
+        np.testing.assert_array_equal(c.params, m.params)
+
+    def test_constructor_copies_its_arrays(self):
+        w = np.ones((2, 2))
+        m = MlpModel([2, 2], [w], [np.zeros(2)])
+        w[...] = 5.0
+        np.testing.assert_array_equal(m.weights[0], np.ones((2, 2)))
+
+    def test_write_to_params_changes_forward(self):
+        m = tiny_model(seed=4)
+        xs = np.random.default_rng(0).normal(size=(3, 2))
+        before = forward_batch(m, xs)
+        m.params[-1] += 2.0  # the last output bias
+        after = forward_batch(m, xs)
+        np.testing.assert_array_equal(after[:, 0], before[:, 0])
+        np.testing.assert_allclose(after[:, 1], before[:, 1] + 2.0, rtol=1e-15)
+
+
 class TestLosses:
     def test_xent_uniform_logits(self):
         # two equal logits -> -log(1/2)
@@ -120,27 +161,28 @@ class TestLosses:
             loss_softmax_xent(np.array([0.0, 0.0]), 2)
 
     def test_xent_grad_is_softmax_minus_onehot(self):
-        logits = np.array([1.0, -2.0, 0.5])
-        g = SOFTMAX_XENT.batch_output_grad(logits[None, :], [1])[0]
-        expect = softmax(logits).copy()
-        expect[1] -= 1.0
-        np.testing.assert_allclose(g, expect, rtol=1e-15)
+        logits = np.array([[1.0, -2.0, 0.5], [0.3, 0.3, -4.0]])
+        _, g = SOFTMAX_XENT.batch(logits, [1, 0])
+        expect = softmax(logits)
+        expect[[0, 1], [1, 0]] -= 1.0
+        np.testing.assert_array_equal(g, expect)  # bit for bit: one exp serves both
 
     def test_l1_basic(self):
-        assert loss_l1(3.0, 5.0) == 2.0
-        assert loss_l1(-1.0, -1.0) == 0.0
-        with pytest.raises(ValueError):
-            loss_l1(np.inf, 0.0)
+        assert L1.value(np.array([3.0]), np.array([5.0])) == 2.0
+        assert L1.value(np.array([3.0, -1.0]), np.array([5.0, -1.0])) == 2.0
+        assert L1.value(np.array([-1.0]), np.array([-1.0])) == 0.0
+        # a non-finite output is a non-finite loss, which the step kernel rejects
+        assert L1.value(np.array([np.inf]), np.array([0.0])) == np.inf
 
     def test_l1_grad_sign_and_kink(self):
-        g = L1.batch_output_grad(np.array([[2.0, -3.0, 1.0]]), np.array([[1.0, 0.0, 1.0]]))[0]
-        np.testing.assert_array_equal(g, [1.0, -1.0, 0.0])
+        _, g = L1.batch(np.array([[2.0, -3.0, 1.0]]), np.array([[1.0, 0.0, 1.0]]))
+        np.testing.assert_array_equal(g[0], [1.0, -1.0, 0.0])
 
     def test_squared_value_and_grad(self):
         out, t = np.array([2.0, 0.0]), np.array([0.0, 1.0])
         assert SQUARED.value(out, t) == pytest.approx(0.5 * (4.0 + 1.0))
-        g = SQUARED.batch_output_grad(out[None, :], t[None, :])[0]
-        np.testing.assert_array_equal(g, [2.0, -1.0])
+        _, g = SQUARED.batch(out[None, :], t[None, :])
+        np.testing.assert_array_equal(g[0], [2.0, -1.0])
 
     def test_batch_paths_match_scalar(self):
         # batch values against the scalar form, batch output gradients against
@@ -151,8 +193,7 @@ class TestLosses:
         targets = rng.normal(size=(9, 3))
         h = 1e-6
         for loss, tgt in ((SOFTMAX_XENT, labels), (L1, targets), (SQUARED, targets)):
-            bv = loss.batch_value(out, tgt)
-            bg = loss.batch_output_grad(out, tgt)
+            bv, bg = loss.batch(out, tgt)
             for i in range(9):
                 assert bv[i] == pytest.approx(loss.value(out[i], tgt[i]), rel=1e-13, abs=1e-15)
                 step = h * np.eye(3)
@@ -165,150 +206,145 @@ class TestLosses:
 
 
 class TestParamSubset:
+    """param_columns: where a parameter subset's blocks sit in ``params``."""
+
     def test_all_params_order(self):
         m = tiny_model()
-        sub = ParamSubset.all_params(m)
-        assert sub.selectors == ((0, "weight"), (0, "bias"), (1, "weight"), (1, "bias"))
-        assert sub.size(m) == 2 * 5 + 5 + 5 * 2 + 2
+        sel = ((0, "weight"), (0, "bias"), (1, "weight"), (1, "bias"))
+        cols = param_columns(m.layer_dims, sel)
+        np.testing.assert_array_equal(cols, np.arange(2 * 5 + 5 + 5 * 2 + 2))
+        blocks = [m.weights[0], m.biases[0], m.weights[1], m.biases[1]]
+        np.testing.assert_array_equal(m.params, np.concatenate([b.ravel() for b in blocks]))
 
     def test_pack_unpack_roundtrip(self):
-        m = tiny_model(seed=1)
-        sub = ParamSubset.all_params(m)
-        flat = sub.pack(m)
-        m2 = tiny_model(seed=2)
-        sub.unpack_into(m2, flat)
-        for a, b in zip(m.weights + m.biases, m2.weights + m2.biases):
+        m, other = tiny_model(seed=1), tiny_model(seed=2)
+        m2 = MlpModel(m.layer_dims, m.weights, m.biases)
+        np.testing.assert_array_equal(m2.params, m.params)
+        m2.params[:] = other.params
+        for a, b in zip(m2.weights + m2.biases, other.weights + other.biases):
             np.testing.assert_array_equal(a, b)
 
     def test_pack_is_row_major(self):
         m = MlpModel([2, 2], [np.array([[1.0, 2.0], [3.0, 4.0]])], [np.array([5.0, 6.0])])
-        sub = ParamSubset.all_params(m)
-        np.testing.assert_array_equal(sub.pack(m), [1, 2, 3, 4, 5, 6])
+        np.testing.assert_array_equal(m.params, [1, 2, 3, 4, 5, 6])
+        np.testing.assert_array_equal(param_columns([2, 2], ((0, "bias"),)), [4, 5])
 
     def test_biases_only(self):
         m = tiny_model()
-        sub = ParamSubset.biases_only(m, layers=[1])
-        assert sub.selectors == ((1, "bias"),)
-        assert sub.size(m) == 2
+        cols = param_columns(m.layer_dims, ((1, "bias"),))
+        np.testing.assert_array_equal(cols, [25, 26])
+        np.testing.assert_array_equal(m.params[cols], m.biases[1])
 
-    def test_index_map_consistent_with_pack(self):
+    def test_columns_pick_the_named_blocks(self):
         m = tiny_model(seed=9)
-        full = ParamSubset.all_params(m)
-        sub = ParamSubset(((1, "bias"), (0, "weight")))
-        np.testing.assert_array_equal(full.pack(m)[sub.index_map(m)], sub.pack(m))
+        cols = param_columns(m.layer_dims, ((1, "bias"), (0, "weight")))
+        np.testing.assert_array_equal(
+            m.params[cols], np.concatenate([m.biases[1], m.weights[0].ravel()])
+        )
 
     def test_rejects_bad_selectors(self):
-        with pytest.raises(ValueError):
-            ParamSubset(((0, "weight"), (0, "weight")))
-        with pytest.raises(ValueError):
-            ParamSubset(((0, "gamma"),))
-        m = tiny_model()
-        with pytest.raises(ValueError):
-            ParamSubset(((7, "bias"),)).validate(m)
-        with pytest.raises(ValueError):
-            ParamSubset(((7, "bias"),)).index_map(m)
+        dims = [2, 5, 2]
+        for sel in (
+            ((0, "weight"), (0, "weight")),  # duplicate
+            ((0, "gamma"),),  # bad kind
+            ((7, "bias"),),  # missing layer
+            ((2, "weight"),),  # one past the last layer
+            ((-1, "bias"),),  # negative layer
+        ):
+            with pytest.raises(ValueError):
+                param_columns(dims, sel)
 
 
 class TestGradients:
     def test_linear_squared_closed_form(self):
         # 1-D linear model, squared loss: L = (wx - t)^2 / 2, dL/dw = (wx - t) x
         m = MlpModel([1, 1], [np.array([[3.0]])], [np.array([0.0])])
-        sub = ParamSubset.all_params(m)
-        g = example_gradient(m, [2.0], np.array([1.0]), SQUARED, sub)
+        g = example_gradient(m, [2.0], np.array([1.0]), SQUARED)
         np.testing.assert_allclose(g, [(3.0 * 2.0 - 1.0) * 2.0, 3.0 * 2.0 - 1.0], rtol=1e-15)
 
     def test_zero_gradient_at_exact_fit(self):
         m = MlpModel([1, 1], [np.array([[2.0]])], [np.array([1.0])])
-        sub = ParamSubset.all_params(m)
-        g = example_gradient(m, [3.0], np.array([7.0]), SQUARED, sub)
+        g = example_gradient(m, [3.0], np.array([7.0]), SQUARED)
         np.testing.assert_array_equal(g, np.zeros(2))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(123)
         m = tiny_model(seed=4)
-        sub = ParamSubset.all_params(m)
         for _ in range(5):
             x = rng.normal(size=2) * 2
             label = int(rng.integers(0, 2))
-            analytic = example_gradient(m, x, label, SOFTMAX_XENT, sub)
-            fd = finite_diff_gradient(m, (x, label), SOFTMAX_XENT, sub)
+            analytic = example_gradient(m, x, label, SOFTMAX_XENT)
+            fd = finite_diff_gradient(m, (x, label), SOFTMAX_XENT, all_columns(m))
             np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8)
 
     def test_finite_diff_on_subset_only(self):
         m = tiny_model(seed=6)
-        sub = ParamSubset.biases_only(m)
-        analytic = example_gradient(m, [0.4, -0.9], 1, SOFTMAX_XENT, sub)
-        fd = finite_diff_gradient(m, (np.array([0.4, -0.9]), 1), SOFTMAX_XENT, sub)
+        cols = param_columns(m.layer_dims, ((0, "bias"), (1, "bias")))
+        analytic = example_gradient(m, [0.4, -0.9], 1, SOFTMAX_XENT)[cols]
+        fd = finite_diff_gradient(m, (np.array([0.4, -0.9]), 1), SOFTMAX_XENT, cols)
         assert analytic.shape == fd.shape == (7,)
         np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8)
 
     def test_custom_scalar_loss_quadratic(self):
         # L(out) = out^2 on a model that outputs its single weight at x=1
         m = MlpModel([1, 1], [np.array([[3.0]])], [np.array([0.0])])
-        sub = ParamSubset(((0, "weight"),))
+        cols = param_columns(m.layer_dims, ((0, "weight"),))
         quad = Loss(
             "quad",
             lambda out, t: float(out[0] ** 2),
-            lambda out, t: out[:, 0] ** 2,
-            lambda out, t: 2.0 * out,
+            lambda out, t: (out[:, 0] ** 2, 2.0 * out),
         )
-        g = example_gradient(m, [1.0], None, quad, sub)
+        g = example_gradient(m, [1.0], None, quad)[cols]
         assert g[0] == pytest.approx(6.0, abs=1e-8)
-        fd = finite_diff_gradient(m, (np.array([1.0]), None), quad, sub)
+        fd = finite_diff_gradient(m, (np.array([1.0]), None), quad, cols)
         assert fd[0] == pytest.approx(6.0, abs=1e-6)
 
     def test_constant_loss_zero_gradient(self):
         m = tiny_model(seed=2)
-        sub = ParamSubset.all_params(m)
         const = Loss(
             "const",
             lambda out, t: 1.0,
-            lambda out, t: np.ones(out.shape[0]),
-            lambda out, t: np.zeros_like(out),
+            lambda out, t: (np.ones(out.shape[0]), np.zeros_like(out)),
         )
-        g = example_gradient(m, [1.0, 1.0], None, const, sub)
-        np.testing.assert_array_equal(g, np.zeros(sub.size(m)))
+        g = example_gradient(m, [1.0, 1.0], None, const)
+        np.testing.assert_array_equal(g, np.zeros(m.params.size))
 
     def test_gradient_linearity_in_loss(self):
         # grad(a*L1 + b*L2) == a*grad(L1) + b*grad(L2), exercised via scaled losses
         m = tiny_model(seed=13)
-        sub = ParamSubset.all_params(m)
         x, label = np.array([0.7, 0.1]), 0
-        g1 = example_gradient(m, x, label, SOFTMAX_XENT, sub)
+        g1 = example_gradient(m, x, label, SOFTMAX_XENT)
         scaled = Loss(
             "sx3",
             lambda out, t: 3.0 * SOFTMAX_XENT.value(out, t),
-            lambda out, t: 3.0 * SOFTMAX_XENT.batch_value(out, t),
-            lambda out, t: 3.0 * SOFTMAX_XENT.batch_output_grad(out, t),
+            lambda out, t: tuple(3.0 * a for a in SOFTMAX_XENT.batch(out, t)),
         )
-        g3 = example_gradient(m, x, label, scaled, sub)
+        g3 = example_gradient(m, x, label, scaled)
         np.testing.assert_allclose(g3, 3.0 * g1, rtol=1e-12)
 
     def test_per_example_rows_independent_of_batch(self):
         m = tiny_model(seed=21)
-        sub = ParamSubset.all_params(m)
         rng = np.random.default_rng(77)
         xs = rng.normal(size=(6, 2))
         labels = rng.integers(0, 2, size=6)
-        grads = batch_gradients(m, xs, labels, SOFTMAX_XENT, sub).grads
+        grads = batch_gradients(m, xs, labels, SOFTMAX_XENT).grads
         # each row must match the singleton-batch gradient (up to BLAS rounding)
         for i in range(6):
-            solo = example_gradient(m, xs[i], labels[i], SOFTMAX_XENT, sub)
+            solo = example_gradient(m, xs[i], labels[i], SOFTMAX_XENT)
             np.testing.assert_allclose(grads[i], solo, rtol=1e-12, atol=1e-15)
         # and permuting the batch only permutes the rows
         perm = [3, 0, 5, 1, 4, 2]
-        shuffled = batch_gradients(m, xs[perm], labels[perm], SOFTMAX_XENT, sub).grads
+        shuffled = batch_gradients(m, xs[perm], labels[perm], SOFTMAX_XENT).grads
         for j, i in enumerate(perm):
             np.testing.assert_allclose(shuffled[j], grads[i], rtol=1e-12, atol=1e-15)
 
     def test_serial_path_matches_vectorized(self):
         m = tiny_model(seed=30)
-        sub = ParamSubset.all_params(m)
         rng = np.random.default_rng(31)
         xs = rng.normal(size=(8, 2))
         labels = rng.integers(0, 2, size=8)
-        fast = batch_gradients(m, xs, labels, SOFTMAX_XENT, sub)
-        slow = batch_gradients(m, xs, labels, SOFTMAX_XENT, sub, serial=True)
+        fast = batch_gradients(m, xs, labels, SOFTMAX_XENT)
+        slow = batch_gradients(m, xs, labels, SOFTMAX_XENT, serial=True)
         np.testing.assert_allclose(fast.grads, slow.grads, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(fast.losses, slow.losses, rtol=1e-12, atol=1e-15)
 
@@ -317,11 +353,15 @@ class TestGradients:
         m = tiny_model(seed=14)
         xs = np.random.default_rng(2).normal(size=(5, 2))
         labels = np.array([0, 1, 1, 0, 1])
-        sub = ParamSubset(((1, "bias"), (1, "weight"), (0, "bias"), (0, "weight")))
-        full = batch_gradients(m, xs, labels, SOFTMAX_XENT)
-        got = batch_gradients(m, xs, labels, SOFTMAX_XENT, sub)
-        np.testing.assert_array_equal(got.grads, full.grads[:, sub.index_map(m)])
-        assert not np.array_equal(got.grads, full.grads)
+        sel = ((1, "bias"), (1, "weight"), (0, "bias"), (0, "weight"))
+        cols = param_columns(m.layer_dims, sel)
+        np.testing.assert_array_equal(np.sort(cols), all_columns(m))
+        full = batch_gradients(m, xs, labels, SOFTMAX_XENT).grads
+        got = full[:, cols]
+        assert not np.array_equal(got, full)
+        # the last output bias's gradient comes first: softmax minus one-hot
+        expect = softmax(forward_batch(m, xs))[:, 1] - (labels == 1)
+        np.testing.assert_allclose(got[:, 1], expect, rtol=1e-12, atol=1e-15)
 
     def test_batch_gradients_repeatable(self):
         m = tiny_model(seed=12)
@@ -333,12 +373,12 @@ class TestGradients:
     def test_empty_batch_rejected(self):
         m = tiny_model()
         with pytest.raises(ValueError):
-            batch_gradients(m, np.zeros((0, 2)), [], SOFTMAX_XENT, ParamSubset.all_params(m))
+            batch_gradients(m, np.zeros((0, 2)), [], SOFTMAX_XENT)
 
     def test_finite_diff_rejects_bad_step(self):
         m = tiny_model()
         with pytest.raises(ValueError):
-            finite_diff_gradient(m, (np.zeros(2), 0), SOFTMAX_XENT, ParamSubset.all_params(m), step=0.0)
+            finite_diff_gradient(m, (np.zeros(2), 0), SOFTMAX_XENT, all_columns(m), step=0.0)
 
 
 class TestRegionGradients:
@@ -379,19 +419,22 @@ class TestRegionGradients:
     def test_subset_columns_follow_layout(self):
         m = MlpModel.initialize(list(self.DIMS), seed=5)
         xs, labels = self.batch(SOFTMAX_XENT)
-        sub = ParamSubset.biases_only(m, layers=[0, 2])
-        full = batch_gradients(m, xs, labels, SOFTMAX_XENT, regions=self.REGIONS)
-        got = batch_gradients(m, xs, labels, SOFTMAX_XENT, sub, regions=self.REGIONS)
-        np.testing.assert_array_equal(got.grads, full.grads[:, sub.index_map(m)])
+        cols = param_columns(m.layer_dims, ((0, "bias"), (2, "bias")))
+        got = batch_gradients(m, xs, labels, SOFTMAX_XENT, regions=self.REGIONS).grads[:, cols]
+        assert got.shape == (len(self.REGIONS), self.DIMS[1] + self.DIMS[3])
+        # the output bias columns hold each region's mean of softmax minus one-hot
+        delta = softmax(forward_batch(m, xs)) - np.eye(self.DIMS[-1])[labels]
+        oracle = np.stack([delta[sel].mean(axis=0) for sel in self.REGIONS])
+        self.assert_rel(got[:, self.DIMS[1]:], oracle, 1e-12)
 
     def test_region_row_matches_finite_differences(self):
         m = MlpModel.initialize(list(self.DIMS), seed=7)
         xs, targets = self.batch(SQUARED)
-        sub = ParamSubset.all_params(m)
         sel = self.REGIONS[3]
         got = batch_gradients(m, xs, targets, SQUARED, regions=self.REGIONS).grads[3]
         fd = np.mean(
-            [finite_diff_gradient(m, (xs[i], targets[i]), SQUARED, sub) for i in sel], axis=0
+            [finite_diff_gradient(m, (xs[i], targets[i]), SQUARED, all_columns(m)) for i in sel],
+            axis=0,
         )
         np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-8)
 

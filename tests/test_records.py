@@ -15,7 +15,7 @@ from gradtail.algorithm import GradTailConfig, GradTailState, step_arrays
 from gradtail.analysis import ExperimentReport, QuartileReport, RareSetReport
 from gradtail.datasets import GaussianSpec, gen_two_gaussians
 from gradtail.engine import PatchLog, StepLog, TraceTable, TrainConfig
-from gradtail.mlp import MlpModel, ParamSubset
+from gradtail.mlp import MlpModel
 from gradtail.records import (
     CHUNK_ROWS,
     TRAIN_KEYS,
@@ -135,7 +135,7 @@ def _run_steps(state, config, grads_seq):
 
 def test_state_snapshot_resumes_bit_exactly(tmp_path):
     """Continuing from a reloaded snapshot matches continuing in memory."""
-    layout = ParamSubset(((0, "weight"), (0, "bias")))
+    layout = ((0, "weight"), (0, "bias"))
     config = GradTailConfig(pivot=-0.5, decay=0.97, warmup_batches=2)
     rng = np.random.default_rng(3)
     grads_seq = [rng.standard_normal((4, 6)) for _ in range(12)]
@@ -151,6 +151,14 @@ def test_state_snapshot_resumes_bit_exactly(tmp_path):
     assert final_disk.sigma == final_mem.sigma
     assert final_disk.updates_seen == final_mem.updates_seen
     assert final_disk.ema_grad.tobytes() == final_mem.ema_grad.tobytes()
+
+
+def test_state_snapshot_rejects_unknown_parameter_kind(tmp_path):
+    path = tmp_path / "state.txt"
+    save_gradtail_state(path, GradTailState(np.zeros(2), ((0, "bias"),)), GradTailConfig())
+    path.write_text(path.read_text().replace("layout: 0:bias", "layout: 0:gamma"))
+    with pytest.raises(RecordFormatError, match="gamma"):
+        load_gradtail_state(path)
 
 
 def test_manifest_round_trip():

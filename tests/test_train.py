@@ -12,15 +12,15 @@ from gradtail.engine import (
     TraceTable,
     TrainConfig,
     TrainingDiverged,
-    build_subset,
     dense_config,
     dense_predictions,
     nesterov_update,
     parse_subset_spec,
+    subset_selectors,
     train,
     train_dense,
 )
-from gradtail.mlp import MlpModel, ParamSubset, softmax
+from gradtail.mlp import MlpModel, softmax
 
 
 def small_dataset(seed=0):
@@ -109,9 +109,25 @@ class TestConfig:
         assert parse_subset_spec("biases:0,1") == ("biases", (0, 1))
         with pytest.raises(ValueError):
             parse_subset_spec("biases:")
-        m = MlpModel.initialize([2, 5, 2], 0)
-        assert build_subset(m, "all") == ParamSubset.all_params(m)
-        assert build_subset(m, "biases:1").selectors == ((1, "bias"),)
+        assert subset_selectors("biases:1", 2) == ((1, "bias"),)
+
+    def test_subset_selectors_spell_the_state_layout(self):
+        """The (layer, kind) pairs, as state.txt's layout line writes them."""
+        spelt = {
+            spec: ";".join(f"{layer}:{kind}" for layer, kind in subset_selectors(spec, 3))
+            for spec in ("all", "biases", "biases:0,1")
+        }
+        assert spelt == {
+            "all": "0:weight;0:bias;1:weight;1:bias;2:weight;2:bias",
+            "biases": "0:bias;1:bias;2:bias",
+            "biases:0,1": "0:bias;1:bias",
+        }
+
+    def test_class_weights_checked_at_construction(self):
+        for weights in ((1.0, 0.5), (2.0, 3.0), (1.0, float("inf"))):
+            with pytest.raises(ValueError):
+                TrainConfig(class_weights=weights)
+        assert TrainConfig(class_weights=(1.0, 4.0)).class_weights == (1.0, 4.0)
 
 
 class TestTrain:
@@ -180,7 +196,7 @@ class TestTrain:
         seen = res.trace.seen()
         ma = res.trace.mean_alignment()[seen]
         assert np.all(ma >= -1.0) and np.all(ma <= 1.0)
-        acc = res.trace.accuracy()[seen]
+        acc = res.trace.correct_count[seen] / res.trace.occurrences[seen]
         assert np.all(acc >= 0.0) and np.all(acc <= 1.0)
         assert np.all(res.trace.mean_entropy()[seen] >= 0.0)
         assert np.all(res.trace.mean_entropy()[seen] <= np.log(2.0) + 1e-12)
@@ -190,8 +206,9 @@ class TestTrain:
         ds = small_dataset()
         res = train(ds, 9, quick_config(steps=1, batch_size=4))
         unseen = int(np.flatnonzero(res.trace.occurrences == 0)[0])
-        for stat in (res.trace.mean_alignment(), res.trace.mean_entropy(), res.trace.accuracy()):
+        for stat in (res.trace.mean_alignment(), res.trace.mean_entropy()):
             assert np.isnan(stat[unseen])
+        assert res.trace.correct_count[unseen] == 0
 
     def test_loss_decreases_on_average(self):
         ds = small_dataset()
