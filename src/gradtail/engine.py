@@ -24,7 +24,10 @@ from .mlp import (
     PARAM_KINDS,
     Loss,
     MlpModel,
+    Workspace,
+    backprop,
     batch_gradients,
+    coefficient_gradients,
     forward_batch,
     param_columns,
     softmax,
@@ -84,6 +87,9 @@ class TrainConfig:
             raise ValueError("focal_gamma must be nonnegative")
         parse_subset_spec(self.subset_spec)  # fail fast on malformed specs
         if self.class_weights is not None:
+            n, classes = len(self.class_weights), self.model_dims[-1]
+            if n != classes:
+                raise ValueError(f"class_weights has {n} entries for {classes} classes")
             FrequencyWeights(dict(enumerate(self.class_weights)))  # fail fast on bad weights
 
 
@@ -240,21 +246,18 @@ def _start_run(config: TrainConfig, model_seed: int, class_weights: np.ndarray |
     )
 
 
-def _step(run: _Run, step: int, inputs, targets, labels, regions, row_ids, reduce_losses):
+def _step(run: _Run, step: int, labels, row_ids, gradients, *args):
     """One look-ahead momentum step; a gradient row is an example or a region.
 
-    ``labels`` are the rows' classes (read by the label-based strategies),
-    ``regions`` goes to `batch_gradients`, ``row_ids`` name the rows in a
-    divergence snapshot, and ``reduce_losses(losses, regions)`` turns the
-    per-example losses into one loss per row. Returns the batch gradients,
-    the weighting (None when untracked), and the row weights and losses.
+    ``gradients(run, *args)`` returns, at the look-ahead parameters, the rows'
+    gradients on the weighting subset, one loss per row, the model outputs,
+    and ``update(weights)``, the weighted mean gradient. ``labels`` are the
+    rows' classes and ``row_ids`` name them in a divergence snapshot. Returns
+    the weighting (None when untracked) and the row weights, losses, outputs.
     """
     cfg = run.config
     run.model.params[...] = run.params + cfg.momentum * run.velocity
-    bg = batch_gradients(
-        run.model, inputs, targets, run.loss_fn, serial=cfg.reference_mode, regions=regions
-    )
-    losses = reduce_losses(bg.losses, regions)
+    rows, losses, outputs, update = gradients(run, *args)
     if not np.isfinite(losses).all():
         raise TrainingDiverged(
             f"non-finite loss at step {step}",
@@ -268,19 +271,18 @@ def _step(run: _Run, step: int, inputs, targets, labels, regions, row_ids, reduc
 
     weighting = None
     if run.state is not None:
-        weighting, run.state = step_arrays(run.state, bg.grads[:, run.subset_idx], cfg.gradtail)
+        weighting, run.state = step_arrays(run.state, rows, cfg.gradtail)
     if cfg.strategy == "gradtail":
         weights = weighting.weights
     elif cfg.strategy == "uniform":
-        weights = np.ones(bg.grads.shape[0])
+        weights = np.ones(losses.size)
     elif cfg.strategy == "inverse_frequency":
         weights = run.class_weights[labels]
     else:  # focal
-        weights = focal_weights(bg.outputs, labels, cfg.focal_gamma)
+        weights = focal_weights(outputs, labels, cfg.focal_gamma)
 
     run.params, run.velocity = nesterov_update(
-        run.params, run.velocity, weighted_mean(weights, bg.grads),
-        cfg.learning_rate, cfg.momentum,
+        run.params, run.velocity, update(weights), cfg.learning_rate, cfg.momentum
     )
     run.log.mean_loss[step] = losses.sum() / losses.size  # .mean() without its dispatch
     run.log.mean_weight[step] = weights.sum() / weights.size
@@ -288,7 +290,7 @@ def _step(run: _Run, step: int, inputs, targets, labels, regions, row_ids, reduc
         ema = run.state.ema_grad
         run.log.sigma[step] = run.state.sigma
         run.log.ema_norm[step] = math.sqrt(ema.dot(ema))  # np.linalg.norm's formula
-    return bg, weighting, weights, losses
+    return weighting, weights, losses, outputs
 
 
 TRACE_FLUSH = 32  # steps of per-example trace inputs held between two TraceTable updates
@@ -339,9 +341,12 @@ class _TraceBuffer:
         self.filled = 0
 
 
-def _example_losses(losses, regions):
-    """The toy loop's ``reduce_losses``: each row is one example already."""
-    return losses
+def _example_gradients(run: _Run, inputs, targets, regions=None):
+    """``gradients`` from materialised per-example rows (serial in reference
+    mode), or their means per ``regions``; the update is their weighted mean."""
+    bg = batch_gradients(run.model, inputs, targets, run.loss_fn, serial=run.config.reference_mode)
+    rows = bg.grads if regions is None else np.stack([bg.grads[sel].mean(axis=0) for sel in regions])
+    return rows[:, run.subset_idx], bg.losses, bg.outputs, lambda w: weighted_mean(w, rows)
 
 
 def train(dataset: Dataset2D, model_seed: int, config: TrainConfig) -> TrainResult:
@@ -353,14 +358,12 @@ def train(dataset: Dataset2D, model_seed: int, config: TrainConfig) -> TrainResu
     points, labels = dataset.points, dataset.labels
     if int(labels.max()) >= config.model_dims[-1]:
         raise ValueError("label index exceeds model output dimension")
-    if config.class_weights is not None:
-        freq = FrequencyWeights(dict(enumerate(config.class_weights)))
+    if config.class_weights is not None:  # one per class, checked by TrainConfig
+        class_weights = np.array(config.class_weights)
     else:
         freq = FrequencyWeights.from_counts(dataset.class_counts())
-    run = _start_run(
-        config, model_seed,
-        np.array([freq.table.get(c, 1.0) for c in range(int(labels.max()) + 1)]),
-    )
+        class_weights = np.array([freq.table.get(c, 1.0) for c in range(int(labels.max()) + 1)])
+    run = _start_run(config, model_seed, class_weights)
     rng = _batch_stream(config, model_seed)
     trace = buffer = None
     if config.trace_logging:
@@ -373,11 +376,11 @@ def train(dataset: Dataset2D, model_seed: int, config: TrainConfig) -> TrainResu
         idx = rng.integers(0, dataset.n, size=config.batch_size)
         batch_labels = labels[idx]
         targets = batch_labels if one_hot is None else one_hot[idx]
-        bg, weighting, _, _ = _step(
-            run, step, points[idx], targets, batch_labels, None, idx, _example_losses
+        weighting, _, losses, outputs = _step(
+            run, step, batch_labels, idx, _example_gradients, points[idx], targets
         )
         if buffer is not None:
-            buffer.add(idx, weighting.alignments, bg.losses, bg.outputs)
+            buffer.add(idx, weighting.alignments, losses, outputs)
     if buffer is not None:
         buffer.flush()
 
@@ -454,7 +457,11 @@ def train_dense(
 ) -> TrainResult:
     """Patch-weighted dense regression: each step treats the sampled patches
     (plus the leftover-pixel region) as the weighting batch, with per-patch
-    mean losses and gradients."""
+    mean losses and gradients. With M the kept regions' (R, N) mean matrix,
+    the weighting's rows are M @ G and the update ((w / R) @ M) @ G, both by
+    `coefficient_gradients`, so the per-pixel gradients G are never formed;
+    reference mode forms G serially and averages it per region (the oracle).
+    """
     if config.strategy not in ("uniform", "gradtail"):
         raise ValueError(f"dense training supports uniform/gradtail, not {config.strategy!r}")
     if config.model_dims[0] != grid.inputs.shape[-1] or config.model_dims[-1] != 1:
@@ -468,10 +475,22 @@ def train_dense(
     valid = grid.valid_mask.ravel()
     rare = grid.rare_mask.ravel()
     patch_log = PatchLog.empty()
+    ws = Workspace(run.model.layer_dims, n_pix)
+    every_block = subset_selectors("all", run.model.n_layers)
 
-    def region_losses(losses, regions):
+    def region_gradients(run, sels):
+        if config.reference_mode:
+            rows, losses, outputs, update = _example_gradients(run, feats, targets, sels)
+        else:
+            m = np.zeros((len(sels), n_pix))
+            for row, sel in zip(m, sels):
+                row[sel] = 1.0 / sel.size
+            losses, outputs = backprop(run.model, feats, targets, run.loss_fn, ws)
+            rows = coefficient_gradients(m, ws, run.state.layout) if run.state else None
+            update = lambda w: coefficient_gradients(((w / w.size) @ m)[None], ws, every_block)[0]
         loss_grid = losses.reshape(grid.height, grid.width)
-        return np.array([patch_mean_loss(loss_grid, grid.valid_mask, sel) for sel in regions])
+        region_losses = [patch_mean_loss(loss_grid, grid.valid_mask, sel) for sel in sels]
+        return rows, np.array(region_losses), outputs, update
 
     for step in range(config.steps):
         patches = sample_patches(
@@ -483,9 +502,7 @@ def train_dense(
             if sel.size:  # an empty region is dropped: no pixels, no gradient, no cosine
                 kept.append(j)
                 sels.append(sel)
-        _, weighting, weights, losses = _step(
-            run, step, feats, targets, None, sels, kept, region_losses
-        )
+        weighting, weights, losses, _ = _step(run, step, None, kept, region_gradients, sels)
         for k, (j, sel) in enumerate(zip(kept, sels)):
             patch_log.step.append(step)
             patch_log.patch_index.append(j)

@@ -12,11 +12,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# activation -> (f(z), f'(.) computed from the activation value a and preact z)
+# activation -> (f applied in place to the preactivation z, f' from the
+# activation value a = f(z) alone, into the buffer ``out``; relu's a > 0 is z > 0)
 _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "tanh": (np.tanh, lambda a, z: 1.0 - a * a),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda a, z: (z > 0.0).astype(np.float64)),
-    "identity": (lambda z: z, lambda a, z: np.ones_like(z)),
+    "tanh": (lambda z: np.tanh(z, out=z),
+             lambda a, out: np.subtract(1.0, np.multiply(a, a, out=out), out=out)),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a, out: np.greater(a, 0.0, out=out)),
+    "identity": (lambda z: z, lambda a, out: np.ones_like(a)),
 }
 
 PARAM_KINDS = ("weight", "bias")
@@ -212,84 +214,89 @@ def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != model.layer_dims[0]:
         raise ValueError(f"batch shape {inputs.shape} incompatible with input dim {model.layer_dims[0]}")
-    acts, _ = _forward_cache(model.weights, model.biases, model.hidden_activation, inputs)
+    return _forward(model, inputs, Workspace(model.layer_dims, inputs.shape[0]))
+
+
+class Workspace:
+    """Buffers of one pass over ``n`` rows: ``acts[l]`` is layer l's input
+    (``acts[0]`` the batch, ``acts[-1]`` the outputs), ``deltas[l]`` the loss
+    gradient w.r.t. its output, and ``scratch[l]`` holds the activation
+    derivative, then `coefficient_gradients`' scaled deltas. Each pass
+    overwrites them all, so a run owns its workspace and copies what it keeps.
+    """
+
+    def __init__(self, layer_dims: Sequence[int], n: int):
+        widths = layer_dims[1:]
+        self.acts = [None] + [np.empty((n, d)) for d in widths]
+        self.deltas = [np.empty((n, d)) for d in widths[:-1]] + [None]
+        self.scratch = [np.empty((n, d)) for d in widths]
+
+
+def _forward(model: MlpModel, inputs: np.ndarray, ws: Workspace) -> np.ndarray:
+    act = _ACTIVATIONS[model.hidden_activation][0]
+    acts, last = ws.acts, model.n_layers - 1
+    acts[0] = inputs
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = np.matmul(acts[l], w.T, out=acts[l + 1])
+        z += b
+        if l < last:
+            act(z)
     return acts[-1]
 
 
-def _forward_cache(weights, biases, activation: str, inputs: np.ndarray):
-    """Forward pass keeping every layer's activation and preactivation."""
-    act, _ = _ACTIVATIONS[activation]
-    acts, preacts = [inputs], []
-    last = len(weights) - 1
-    for l, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w.T + b
-        preacts.append(z)
-        acts.append(act(z) if l < last else z)
-    return acts, preacts
+def backprop(
+    model: MlpModel, inputs: np.ndarray, targets, loss_fn: Loss, ws: Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward pass over a batch into ``ws``.
 
-
-def raw_batch_gradients(
-    weights,
-    biases,
-    activation: str,
-    inputs: np.ndarray,
-    targets,
-    loss_fn: Loss,
-    regions: Sequence[np.ndarray] | None = None,
-):
-    """Per-example gradients of the unweighted loss over all parameters.
-
-    Returns (grads (B, P) in ``MlpModel.params`` order, losses (B,), outputs (B, K)).
-    Every row depends only on its own example; batch order is preserved.
-
-    With ``regions`` (a list of index arrays into the batch), ``grads`` is
-    (R, P) instead: row r is the mean gradient over the examples
-    ``regions[r]``. A dense layer's per-example weight gradient is the outer
-    product delta_b act_b^T, so a region mean is delta[sel]^T @ act[sel] / |sel|
-    and no per-example row is ever formed.
+    Returns the per-example losses and the outputs (``ws.acts[-1]``); the
+    per-example gradient of a layer's weights is ``outer(deltas[l], acts[l])``
+    and of its biases ``deltas[l]``, row by row.
     """
-    _, deriv = _ACTIVATIONS[activation]
-    acts, preacts = _forward_cache(weights, biases, activation, inputs)
-    out = acts[-1]
-    bsz = inputs.shape[0]
+    out = _forward(model, inputs, ws)
+    deriv = _ACTIVATIONS[model.hidden_activation][1]
+    losses, ws.deltas[-1] = loss_fn.batch(out, targets)
+    for l in range(model.n_layers - 1, 0, -1):
+        delta = np.matmul(ws.deltas[l], model.weights[l], out=ws.deltas[l - 1])
+        delta *= deriv(ws.acts[l], ws.scratch[l - 1])
+    return losses, out
 
-    losses, delta = loss_fn.batch(out, targets)
 
-    n_layers = len(weights)
-    grad_w: list[np.ndarray | None] = [None] * n_layers
-    grad_b: list[np.ndarray | None] = [None] * n_layers
-    for l in range(n_layers - 1, -1, -1):
-        if regions is None:
-            grad_w[l] = np.einsum("bi,bj->bij", delta, acts[l]).reshape(bsz, -1)
-            grad_b[l] = delta
-        else:
-            grad_w[l], grad_b[l] = _region_means(delta, acts[l], regions)
-        if l > 0:
-            delta = (delta @ weights[l]) * deriv(acts[l], preacts[l - 1])
-
+def coefficient_gradients(coeffs: np.ndarray, ws: Workspace, selectors) -> np.ndarray:
+    """``coeffs @ G`` (K, columns) on the columns `param_columns` gives for
+    ``selectors``, where G (N, P) holds the per-example gradients of the pass
+    in ``ws``, never formed: a row's weight gradient is the outer product
+    delta a^T and its bias gradient delta, so row k is (c_k * delta)^T a and
+    c_k @ delta on each layer."""
     parts = []
-    for l in range(n_layers):
-        parts.append(grad_w[l])
-        parts.append(grad_b[l])
+    for layer, kind in selectors:
+        delta, scaled, act = ws.deltas[layer], ws.scratch[layer], ws.acts[layer]
+        if kind == "bias":
+            parts.append(coeffs @ delta)
+        else:  # one row per coefficient vector, its deltas scaled in the scratch buffer
+            parts.append(np.stack([
+                (np.multiply(c[:, None], delta, out=scaled).T @ act).ravel() for c in coeffs
+            ]))
+    return np.concatenate(parts, axis=1)
+
+
+def _example_rows(model: MlpModel, inputs: np.ndarray, targets, loss_fn: Loss):
+    """(grads (B, P) in ``MlpModel.params`` order, losses (B,), outputs (B, K))."""
+    bsz = inputs.shape[0]
+    ws = Workspace(model.layer_dims, bsz)
+    losses, out = backprop(model, inputs, targets, loss_fn, ws)
+    parts = []
+    for delta, act in zip(ws.deltas, ws.acts):
+        parts.append(np.einsum("bi,bj->bij", delta, act).reshape(bsz, -1))
+        parts.append(delta)
     return np.concatenate(parts, axis=1), losses, out
-
-
-def _region_means(delta: np.ndarray, act: np.ndarray, regions) -> tuple[np.ndarray, np.ndarray]:
-    """One layer's region-mean weight gradients (R, out*in) and bias gradients (R, out)."""
-    rows_w, rows_b = [], []
-    for sel in regions:
-        d = delta[sel]
-        rows_w.append((d.T @ act[sel]).ravel() / sel.size)
-        rows_b.append(d.mean(axis=0))
-    return np.stack(rows_w), np.stack(rows_b)
 
 
 @dataclass
 class BatchGradients:
-    """Per-example (or per-region) gradients plus the per-example forward-pass
-    byproducts."""
+    """Per-example gradients plus the per-example forward-pass byproducts."""
 
-    grads: np.ndarray  # (B, P) in params order; (R, P) region means with regions
+    grads: np.ndarray  # (B, P) in params order
     losses: np.ndarray  # (B,)
     outputs: np.ndarray  # (B, K)
 
@@ -300,47 +307,23 @@ def batch_gradients(
     targets,
     loss_fn: Loss,
     serial: bool = False,
-    regions: Sequence[np.ndarray] | None = None,
 ) -> BatchGradients:
     """Vectorized per-example gradients; `serial` forces a per-example loop.
 
-    The columns are every parameter in ``MlpModel.params`` order.
-    ``regions`` (index arrays into the batch, possibly overlapping) switches
-    ``grads`` to one mean-gradient row per region. The serial path computes
-    every per-example row and averages it per region: it is the oracle of
-    the region-reduced vectorized path.
+    The columns are every parameter in ``MlpModel.params`` order, and every
+    row depends only on its own example; batch order is preserved.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2:
         raise ValueError("inputs must be (batch, input_dim)")
     if inputs.shape[0] == 0:
         raise ValueError("empty batch")
-    if regions is not None:
-        regions = [np.asarray(sel, dtype=np.intp) for sel in regions]
-        if not regions or any(sel.ndim != 1 or sel.size == 0 for sel in regions):
-            raise ValueError("regions must be a non-empty list of non-empty 1-D index arrays")
 
     if serial:
-        rows, losses, outs = [], [], []
-        for i in range(inputs.shape[0]):
-            g, lo, ou = raw_batch_gradients(
-                model.weights, model.biases, model.hidden_activation,
-                inputs[i : i + 1], targets[i : i + 1], loss_fn,
-            )
-            rows.append(g[0])
-            losses.append(lo[0])
-            outs.append(ou[0])
-        full = np.stack(rows)
-        losses = np.array(losses)
-        out = np.stack(outs)
-        if regions is not None:
-            full = np.stack([full[sel].mean(axis=0) for sel in regions])
-    else:
-        full, losses, out = raw_batch_gradients(
-            model.weights, model.biases, model.hidden_activation, inputs, targets, loss_fn,
-            regions,
-        )
-    return BatchGradients(full, losses, out)
+        per = [_example_rows(model, inputs[i : i + 1], targets[i : i + 1], loss_fn)
+               for i in range(inputs.shape[0])]
+        return BatchGradients(*(np.concatenate(part) for part in zip(*per)))
+    return BatchGradients(*_example_rows(model, inputs, targets, loss_fn))
 
 
 def finite_diff_gradient(

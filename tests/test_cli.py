@@ -76,6 +76,17 @@ def test_boolean_other_than_true_or_false_is_config_error(tmp_path, capsys, line
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weights", ["1.0", "1.0,3.0,7.0"])
+def test_class_weights_of_wrong_length_are_config_error(tmp_path, capsys, weights):
+    text = f"train.steps: 5\ntrain.strategy: inverse_frequency\ntrain.class_weights: {weights}\n"
+    config = write_config(tmp_path, text)
+    out = tmp_path / "runs"
+    assert main(["train", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "class_weights has" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 # ---------------------------------------------------------------------------

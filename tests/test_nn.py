@@ -6,11 +6,15 @@ import pytest
 from gradtail.mlp import (
     L1,
     LOSSES,
+    PARAM_KINDS,
     SOFTMAX_XENT,
     SQUARED,
     Loss,
     MlpModel,
+    Workspace,
+    backprop,
     batch_gradients,
+    coefficient_gradients,
     finite_diff_gradient,
     forward,
     forward_batch,
@@ -382,20 +386,42 @@ class TestGradients:
 
 
 class TestRegionGradients:
-    """Region-mean rows straight from the backward pass vs the mean of
-    materialised per-example rows (the oracle)."""
+    """Coefficient rows straight from one backward pass (`coefficient_gradients`)
+    vs coefficient-weighted sums of materialised per-example rows (the oracle)."""
 
     DIMS = (3, 6, 5, 2)
+    N = 20
     # overlapping regions, a singleton, and rows 17-19 that no region covers
     # (like pixels a validity mask leaves out)
     REGIONS = [np.arange(0, 9), np.arange(5, 14), np.array([16]), np.arange(12, 17)]
+    EVERY_BLOCK = tuple((layer, kind) for layer in range(3) for kind in PARAM_KINDS)
+    REGION_WEIGHTS = np.array([1.0, 3.5, 0.25, 2.0])
 
-    def batch(self, loss, n=20):
+    def batch(self, loss):
         rng = np.random.default_rng(41)
-        xs = rng.normal(size=(n, self.DIMS[0]))
+        xs = rng.normal(size=(self.N, self.DIMS[0]))
         if loss is SOFTMAX_XENT:
-            return xs, rng.integers(0, self.DIMS[-1], size=n)
-        return xs, rng.normal(size=(n, self.DIMS[-1]))
+            return xs, rng.integers(0, self.DIMS[-1], size=self.N)
+        return xs, rng.normal(size=(self.N, self.DIMS[-1]))
+
+    def region_pass(self, model, xs, targets, loss):
+        """The pass's workspace and losses/outputs, and the (R, N) region-mean
+        matrix M: row r is 1/|sel| on the rows of region r."""
+        ws = Workspace(model.layer_dims, self.N)
+        losses, outputs = backprop(model, xs, targets, loss, ws)
+        mean_matrix = np.zeros((len(self.REGIONS), self.N))
+        for row, sel in zip(mean_matrix, self.REGIONS):
+            row[sel] = 1.0 / sel.size
+        return ws, losses, outputs, mean_matrix
+
+    def oracle(self, grads):
+        """Region means of materialised rows, and their weighted update mean."""
+        means = np.stack([grads[sel].mean(axis=0) for sel in self.REGIONS])
+        return means, self.REGION_WEIGHTS @ means / len(self.REGIONS)
+
+    def update_coeffs(self, mean_matrix):
+        """The update's K = 1 coefficient row, c = (w / R) @ M."""
+        return ((self.REGION_WEIGHTS / len(self.REGIONS)) @ mean_matrix)[None]
 
     @staticmethod
     def assert_rel(got, want, tol):
@@ -403,44 +429,54 @@ class TestRegionGradients:
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
     @pytest.mark.parametrize("loss", [SOFTMAX_XENT, L1, SQUARED], ids=lambda l: l.name)
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
     def test_matches_mean_of_materialised_rows(self, loss, activation):
         m = MlpModel.initialize(list(self.DIMS), seed=3, hidden_activation=activation)
         xs, targets = self.batch(loss)
         per_example = batch_gradients(m, xs, targets, loss)
-        oracle = np.stack([per_example.grads[sel].mean(axis=0) for sel in self.REGIONS])
-        for serial in (False, True):
-            got = batch_gradients(m, xs, targets, loss, serial=serial, regions=self.REGIONS)
-            self.assert_rel(got.grads, oracle, 1e-12)
-            # losses and outputs stay per example
-            self.assert_rel(got.losses, per_example.losses, 1e-12)
-            self.assert_rel(got.outputs, per_example.outputs, 1e-12)
+        means, update = self.oracle(per_example.grads)
+        ws, losses, outputs, mean_matrix = self.region_pass(m, xs, targets, loss)
+        self.assert_rel(coefficient_gradients(mean_matrix, ws, self.EVERY_BLOCK), means, 1e-12)
+        got = coefficient_gradients(self.update_coeffs(mean_matrix), ws, self.EVERY_BLOCK)
+        self.assert_rel(got, update[None], 1e-12)
+        # losses and outputs stay per example
+        self.assert_rel(losses, per_example.losses, 1e-12)
+        self.assert_rel(outputs, per_example.outputs, 1e-12)
 
     def test_subset_columns_follow_layout(self):
         m = MlpModel.initialize(list(self.DIMS), seed=5)
         xs, labels = self.batch(SOFTMAX_XENT)
-        cols = param_columns(m.layer_dims, ((0, "bias"), (2, "bias")))
-        got = batch_gradients(m, xs, labels, SOFTMAX_XENT, regions=self.REGIONS).grads[:, cols]
+        selectors = ((0, "bias"), (2, "bias"))
+        ws, _, _, mean_matrix = self.region_pass(m, xs, labels, SOFTMAX_XENT)
+        got = coefficient_gradients(mean_matrix, ws, selectors)
         assert got.shape == (len(self.REGIONS), self.DIMS[1] + self.DIMS[3])
         # the output bias columns hold each region's mean of softmax minus one-hot
         delta = softmax(forward_batch(m, xs)) - np.eye(self.DIMS[-1])[labels]
         oracle = np.stack([delta[sel].mean(axis=0) for sel in self.REGIONS])
         self.assert_rel(got[:, self.DIMS[1]:], oracle, 1e-12)
 
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_weight_blocks_follow_layout(self, activation):
+        """A subset with weight blocks, out of params order, for the region
+        rows and the update row alike."""
+        m = MlpModel.initialize(list(self.DIMS), seed=6, hidden_activation=activation)
+        xs, targets = self.batch(L1)
+        selectors = ((1, "weight"), (0, "bias"), (2, "weight"), (0, "weight"))
+        cols = param_columns(m.layer_dims, selectors)
+        means, update = self.oracle(batch_gradients(m, xs, targets, L1).grads)
+        ws, _, _, mean_matrix = self.region_pass(m, xs, targets, L1)
+        self.assert_rel(coefficient_gradients(mean_matrix, ws, selectors), means[:, cols], 1e-12)
+        got = coefficient_gradients(self.update_coeffs(mean_matrix), ws, selectors)
+        self.assert_rel(got, update[None, cols], 1e-12)
+
     def test_region_row_matches_finite_differences(self):
         m = MlpModel.initialize(list(self.DIMS), seed=7)
         xs, targets = self.batch(SQUARED)
-        sel = self.REGIONS[3]
-        got = batch_gradients(m, xs, targets, SQUARED, regions=self.REGIONS).grads[3]
+        ws, _, _, mean_matrix = self.region_pass(m, xs, targets, SQUARED)
+        got = coefficient_gradients(mean_matrix, ws, self.EVERY_BLOCK)[3]
         fd = np.mean(
-            [finite_diff_gradient(m, (xs[i], targets[i]), SQUARED, all_columns(m)) for i in sel],
+            [finite_diff_gradient(m, (xs[i], targets[i]), SQUARED, all_columns(m))
+             for i in self.REGIONS[3]],
             axis=0,
         )
         np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-8)
-
-    def test_rejects_empty_regions(self):
-        m = MlpModel.initialize(list(self.DIMS), seed=0)
-        xs, labels = self.batch(SOFTMAX_XENT)
-        for regions in ([], [np.arange(3), np.array([], dtype=np.intp)]):
-            with pytest.raises(ValueError):
-                batch_gradients(m, xs, labels, SOFTMAX_XENT, regions=regions)

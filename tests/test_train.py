@@ -1,8 +1,15 @@
 """Training-loop oracles: optimizer recurrence, determinism, neutrality, traces."""
 
+import os
+import subprocess
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import gradtail
 from gradtail import engine
 from gradtail.algorithm import GradTailConfig
 from gradtail.baselines import entropy_scores
@@ -261,16 +268,16 @@ class TestTraceBuffer:
         trace = TraceTable.zeros(dataset.n)
         for step in range(config.steps):
             idx = rng.integers(0, dataset.n, size=config.batch_size)
-            bg, weighting, _, _ = engine._step(
-                run, step, dataset.points[idx], labels[idx], labels[idx], None, idx,
-                lambda losses, regions: losses,
+            weighting, _, losses, outputs = engine._step(
+                run, step, labels[idx], idx,
+                engine._example_gradients, dataset.points[idx], labels[idx],
             )
             np.add.at(trace.occurrences, idx, 1)
             np.add.at(trace.theta_sum, idx, weighting.alignments)
             np.add.at(trace.theta_sq_sum, idx, weighting.alignments**2)
-            np.add.at(trace.loss_sum, idx, bg.losses)
-            np.add.at(trace.entropy_sum, idx, entropy_scores(softmax(bg.outputs)))
-            np.add.at(trace.correct_count, idx, np.argmax(bg.outputs, axis=1) == labels[idx])
+            np.add.at(trace.loss_sum, idx, losses)
+            np.add.at(trace.entropy_sum, idx, entropy_scores(softmax(outputs)))
+            np.add.at(trace.correct_count, idx, np.argmax(outputs, axis=1) == labels[idx])
         return trace
 
     @pytest.mark.parametrize("strategy", ["gradtail", "uniform", "focal"])
@@ -341,6 +348,30 @@ class TestTrainDense:
             np.testing.assert_allclose(fa[key], ra[key], rtol=0.0, atol=1e-12)
         assert fa["weight"].max() > 1.0 or strategy == "uniform"
 
+    @staticmethod
+    def assert_matches_reference(grid, model_seed, cfg, **sampler):
+        fast = train_dense(grid, model_seed, cfg, **sampler)
+        ref = train_dense(grid, model_seed, replace(cfg, reference_mode=True), **sampler)
+        np.testing.assert_allclose(fast.model.params, ref.model.params, rtol=1e-12, atol=0.0)
+        fa, ra = fast.patch_log.arrays(), ref.patch_log.arrays()
+        np.testing.assert_array_equal(fa["patch_index"], ra["patch_index"])
+        for key in ("alignment", "weight"):
+            np.testing.assert_allclose(fa[key], ra[key], rtol=0.0, atol=1e-12)
+        return fa
+
+    @pytest.mark.parametrize("strategy", ["uniform", "gradtail"])
+    def test_default_sampler_matches_reference_mode_on_64x64(self, strategy):
+        cfg = self.cfg(steps=3, strategy=strategy, gradtail=GradTailConfig(pivot=-0.5,
+                                                                             warmup_batches=1))
+        rows = self.assert_matches_reference(gen_dense_task(0, 64, 64, 0.05), 8, cfg)
+        assert rows["weight"].max() > 1.0 or strategy == "uniform"
+
+    def test_weight_block_subset_matches_reference_mode(self):
+        """``train.subset: all`` puts weight blocks in the region rows."""
+        cfg = self.cfg(steps=10, subset_spec="all", hidden_activation="relu")
+        rows = self.assert_matches_reference(self.grid(), 8, cfg, size_min=8, size_max=16)
+        assert rows["weight"].max() > 1.0
+
     def test_warmup_weights_are_ones(self):
         res = train_dense(self.grid(), 5, self.cfg(steps=5), size_min=8, size_max=16)
         rows = res.patch_log.arrays()
@@ -368,3 +399,91 @@ class TestTrainDense:
     def test_rejects_classification_strategies(self):
         with pytest.raises(ValueError):
             train_dense(self.grid(), 0, self.cfg(strategy="focal"))
+
+
+# (height, width, data and model seed) of the runs the aliasing test interleaves
+ALIAS_GRIDS = [(16, 16, 1), (16, 16, 2), (20, 12, 3)]
+
+
+def alias_run_arrays(height, width, seed):
+    """Every array a short dense run returns: step log, patch log, parameters."""
+    cfg = dense_config(steps=12, gradtail=GradTailConfig(pivot=-0.5, warmup_batches=3))
+    res = train_dense(gen_dense_task(seed, height, width, 0.05), seed, cfg, size_min=4, size_max=10)
+    arrays = {f"step_log.{k}": v for k, v in vars(res.step_log).items()}
+    arrays.update({f"patch_log.{k}": v for k, v in res.patch_log.arrays().items()})
+    arrays["params"] = res.model.params
+    return arrays
+
+
+class _Lockstep:
+    """Lets threads take turns, round robin: each `step` call hands the turn
+    to the next live thread and waits for it to come back."""
+
+    def __init__(self, names):
+        self.names, self.live, self.turn = list(names), set(names), None
+        self.cond = threading.Condition()
+
+    def _hand_on(self, me):
+        i = self.names.index(me)
+        later = self.names[i + 1:] + self.names[: i + 1]
+        self.turn = next((name for name in later if name in self.live), None)
+        self.cond.notify_all()
+
+    def step(self, me):
+        with self.cond:
+            self._hand_on(me)
+            self.cond.wait_for(lambda: self.turn == me)
+
+    def finish(self, me):
+        with self.cond:
+            self.live.discard(me)
+            self._hand_on(me)
+
+
+def test_interleaved_dense_runs_match_fresh_processes(tmp_path, monkeypatch):
+    """Runs that take turns in one process keep their own buffers: each
+    equals, bit for bit, the same run alone in a fresh process. The turn
+    passes at `step_arrays`, between a step's backward pass and its update,
+    so a buffer two runs shared would feed one run's update the other's pass."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gradtail.__file__)))
+    fresh = []
+    for k, grid in enumerate(ALIAS_GRIDS):
+        path = tmp_path / f"fresh{k}.npz"
+        script = (
+            "import importlib.util, numpy as np\n"
+            f"spec = importlib.util.spec_from_file_location('runs', {__file__!r})\n"
+            "runs = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(runs)\n"
+            f"np.savez({str(path)!r}, **runs.alias_run_arrays(*{grid!r}))\n"
+        )
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        with np.load(path) as saved:
+            fresh.append(dict(saved))
+
+    names = [str(k) for k in range(len(ALIAS_GRIDS))]
+    lockstep, results = _Lockstep(names), {}
+    step_arrays = engine.step_arrays
+
+    def stepped(*args, **kwargs):
+        lockstep.step(threading.current_thread().name)
+        return step_arrays(*args, **kwargs)
+
+    def worker(name, grid):
+        try:
+            results[name] = alias_run_arrays(*grid)
+        finally:
+            lockstep.finish(name)
+
+    monkeypatch.setattr(engine, "step_arrays", stepped)
+    threads = [threading.Thread(target=worker, name=name, args=(name, grid), daemon=True)
+               for name, grid in zip(names, ALIAS_GRIDS)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    for name, want in zip(names, fresh):
+        got = results[name]
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].dtype == want[key].dtype and np.array_equal(got[key], want[key]), key

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from gradtail.baselines import FrequencyWeights, entropy_score, entropy_scores
-from gradtail.datasets import GaussianSpec, gen_two_gaussians
-from gradtail.engine import TrainConfig, focal_weights, train
+from gradtail.engine import TrainConfig, focal_weights
 
 
 def focal(probs, label, gamma=2.0):
@@ -21,17 +20,13 @@ class TestFrequencyWeights:
         assert fw.table == {0: 1.0, 1: 25.0}
 
     def test_unknown_class(self):
-        # a class the table does not list trains at weight 1, like uniform
-        ds = gen_two_gaussians(
-            0, GaussianSpec((0.0, 0.0), 1.0, 200, 0), GaussianSpec((2.2, 2.2), 0.5, 20, 1)
-        )
-        cfg = dict(steps=15, batch_size=16)
-        one_class = TrainConfig(strategy="inverse_frequency", class_weights=(1.0,), **cfg)
-        listed = train(ds, 1, one_class)
-        uniform = train(ds, 1, TrainConfig(strategy="uniform", **cfg))
-        for a, b in zip(listed.model.weights + listed.model.biases,
-                        uniform.model.weights + uniform.model.biases):
-            np.testing.assert_array_equal(a, b)
+        # a class_weights that does not list every class, or lists one too
+        # many, is a config error, not a class trained at weight 1
+        for weights in ((1.0,), (1.0, 3.0, 7.0)):
+            with pytest.raises(ValueError, match="class_weights has"):
+                TrainConfig(strategy="inverse_frequency", class_weights=weights)
+        three = TrainConfig(class_weights=(1.0, 3.0, 7.0), model_dims=(2, 5, 3))
+        assert three.class_weights == (1.0, 3.0, 7.0)
 
     def test_uniform_table(self):
         fw = FrequencyWeights.from_counts({0: 7, 1: 7, 2: 7})
