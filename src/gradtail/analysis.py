@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -19,12 +18,10 @@ EVAL_RESOLUTION = 200
 DENSE_BAND_EDGES = (7.0,)
 
 
-class TailLabel(Enum):
-    """Example category from its run-mean alignment against a +/- band."""
-
-    COMMON = "common"
-    RARE = "rare"
-    HARD = "hard"
+# tail codes: an example's band by run-mean alignment; TAIL_NAMES[code]
+# names each visited code
+UNVISITED, COMMON, RARE, HARD = -1, 0, 1, 2
+TAIL_NAMES = ("common", "rare", "hard")
 
 
 def label_examples(
@@ -32,18 +29,18 @@ def label_examples(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Label every visited example by mean alignment.
 
-    Returns (labels as an object array of TailLabel with None for unvisited,
-    evaluated mask, number excluded). The band is closed: |mean| equal to the
-    half width still counts as rare.
+    Returns (tail codes, UNVISITED for unvisited examples; evaluated mask;
+    number excluded). The band is closed: |mean| equal to the half width
+    still counts as rare.
     """
     if band_half_width < 0:
         raise ValueError("band_half_width must be nonnegative")
     mean = trace.mean_alignment()
     seen = trace.seen()
-    labels = np.full(trace.n, None, dtype=object)
-    labels[seen & (mean > band_half_width)] = TailLabel.COMMON
-    labels[seen & (np.abs(mean) <= band_half_width)] = TailLabel.RARE
-    labels[seen & (mean < -band_half_width)] = TailLabel.HARD
+    labels = np.full(trace.n, UNVISITED)
+    labels[seen & (mean > band_half_width)] = COMMON
+    labels[seen & (np.abs(mean) <= band_half_width)] = RARE
+    labels[seen & (mean < -band_half_width)] = HARD
     return labels, seen, int((~seen).sum())
 
 
@@ -185,16 +182,13 @@ def rare_set_stats(
     """Class makeup and mean boundary distance of the rare-labeled set,
     against the whole dataset's mean distance. An empty rare set is flagged
     rather than an error (the dominated-distribution outcome)."""
-    rare_mask = np.array([lab is TailLabel.RARE for lab in labels])
+    rare_mask = labels == RARE
     all_dist = boundary_distance(dataset.points, common, uncommon)
     if not rare_mask.any():
         return RareSetReport({}, None, float(all_dist.mean()), True, 0)
-    counts = {
-        int(c): int(np.sum(dataset.labels[rare_mask] == c))
-        for c in np.unique(dataset.labels[rare_mask])
-    }
+    classes, counts = np.unique(dataset.labels[rare_mask], return_counts=True)
     return RareSetReport(
-        counts,
+        dict(zip(classes.tolist(), counts.tolist())),
         float(all_dist[rare_mask].mean()),
         float(all_dist.mean()),
         False,
@@ -275,9 +269,8 @@ def experiment_report(
     correct = (preds == dataset.labels).astype(float)
     quart = quartile_accuracy(result.trace.mean_alignment()[seen], correct[seen])
 
-    tail_counts = {
-        lab.value: int(np.sum([l is lab for l in labels])) for lab in TailLabel
-    }
+    counts = np.bincount(labels[labels != UNVISITED], minlength=len(TAIL_NAMES))
+    tail_counts = dict(zip(TAIL_NAMES, counts.tolist()))
     return ExperimentReport(
         metrics.total_accuracy,
         metrics.balanced_accuracy,

@@ -48,6 +48,7 @@ from .engine import (
 from .figures import (
     entropy_figure,
     panel_figure,
+    point_glyphs,
     prediction_figure,
     scatter_figure,
     tail_figure,
@@ -294,23 +295,28 @@ def _report_for_run(
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    run_dirs = [Path(dir_name) for dir_name in args.run_dirs]
+    names = [run_dir.name for run_dir in run_dirs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:  # each run writes into out/<name>
+        raise ValueError(f"run dirs share a name: {', '.join(repeated)}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for dir_name in args.run_dirs:
-        run_dir = Path(dir_name)
+    for run_dir in run_dirs:
         if not (run_dir / "manifest.txt").exists():
             raise FileNotFoundError(f"{run_dir}/manifest.txt")
         report, fields, dataset, result = _report_for_run(run_dir)
         fig_dir = out / run_dir.name
         fig_dir.mkdir(parents=True, exist_ok=True)
+        glyphs = None if dataset is None else point_glyphs(dataset)
         if report is not None:
             save_report(fig_dir / "report.txt", report)
             (fig_dir / "report_table.txt").write_text(report_table(report))
             labels, _, _ = label_examples(result.trace)
-            tail_figure(dataset, labels, fig_dir / "tail.svg")
-            tail_figure(dataset, labels, fig_dir / "rare.svg", rare_only=True)
-            entropy_figure(dataset, result.trace.mean_entropy(), fig_dir / "entropy.svg")
+            tail_figure(glyphs, labels, fig_dir / "tail.svg")
+            tail_figure(glyphs, labels, fig_dir / "rare.svg", rare_only=True)
+            entropy_figure(glyphs, result.trace.mean_entropy(), fig_dir / "entropy.svg")
         else:
             if "trace" in fields:
                 print(
@@ -319,9 +325,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
             write_record(fig_dir / "report.txt", "experiment-report", fields, {})
-        if dataset is not None:
-            scatter_figure(dataset, fig_dir / "data.svg")
-            prediction_figure(result.model, dataset, fig_dir / "predictions.svg")
+        if glyphs is not None:
+            scatter_figure(glyphs, fig_dir / "data.svg")
+            prediction_figure(result.model, glyphs, fig_dir / "predictions.svg")
         rows.append({"run": run_dir.name, **{k: str(v) for k, v in fields.items()}})
         print(f"analyzed {run_dir} -> {fig_dir}")
 

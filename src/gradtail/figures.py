@@ -12,11 +12,12 @@ mapping is readable off the file itself.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import EVAL_BOUNDS, TailLabel
+from .analysis import EVAL_BOUNDS, RARE, UNVISITED
 from .datasets import Dataset2D, GaussianSpec, log_density
 from .mlp import MlpModel, forward_batch
 
@@ -24,10 +25,13 @@ COMMON_COLOR = "#2ca02c"   # green crosses
 UNCOMMON_COLOR = "#9467bd"  # purple circles
 BOUNDARY_COLOR = "#333333"
 MODEL_COLOR = "#1f77b4"
-TAIL_COLORS = {TailLabel.COMMON: "#2ca02c", TailLabel.RARE: "#e6b800", TailLabel.HARD: "#d62728"}
 UNVISITED_COLOR = "#bbbbbb"
 HIGH_COLOR = "#d62728"
 LOW_COLOR = "#2ca02c"
+# indexed by code: analysis tail codes, and entropy below/above the median;
+# the unvisited code -1 reads the last entry
+TAIL_COLORS = ("#2ca02c", "#e6b800", "#d62728", UNVISITED_COLOR)
+ENTROPY_COLORS = (LOW_COLOR, HIGH_COLOR, UNVISITED_COLOR)
 
 
 class SvgCanvas:
@@ -87,40 +91,6 @@ class SvgCanvas:
         self.elements.append(
             f'<text x="{self._fmt(px)}" y="{self._fmt(py)}" font-family="sans-serif"'
             f' font-size="11" text-anchor="{anchor}"{weight}>{s}</text>'
-        )
-
-    def _columns(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pixel x and y columns of world points, in the same operations as px."""
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        lo, hi = self.bounds
-        scale = self.size / (hi - lo)
-        return (
-            (self.origin[0] + self.margin) + (pts[:, 0] - lo) * scale,
-            (self.origin[1] + self.margin) + (hi - pts[:, 1]) * scale,
-        )
-
-    @staticmethod
-    def _fmt_column(values: np.ndarray) -> list[str]:
-        return [f"{v:.2f}".rstrip("0").rstrip(".") for v in values.tolist()]
-
-    def crosses(self, points: np.ndarray, color: str, arm: float = 2.5) -> None:
-        """All crosses of one color batched into a single path element."""
-        if len(points) == 0:
-            return
-        x, y = self._columns(points)
-        cols = [self._fmt_column(c) for c in (x - arm, y, x + arm, x, y - arm, y + arm)]
-        path = "".join(
-            f"M{left} {mid}L{right} {mid}M{centre} {top}L{centre} {bottom}"
-            for left, mid, right, centre, top, bottom in zip(*cols)
-        )
-        self.elements.append(f'<path d="{path}" stroke="{color}" stroke-width="1" fill="none"/>')
-
-    def circles(self, points: np.ndarray, color: str, radius: float = 2.5) -> None:
-        x, y = self._columns(points)
-        self.elements.extend(
-            f'<circle cx="{cx}" cy="{cy}" r="{radius}"'
-            f' stroke="{color}" fill="none" stroke-width="1"/>'
-            for cx, cy in zip(self._fmt_column(x), self._fmt_column(y))
         )
 
     def segments(self, segs: list, color: str, dashed: bool = False, width: float = 1.5) -> None:
@@ -251,105 +221,136 @@ def model_boundary_contour(
 # ---------------------------------------------------------------------------
 
 
-def _class_points(dataset: Dataset2D) -> tuple[np.ndarray, np.ndarray]:
-    common_label = dataset.specs[0].label
-    mask = dataset.labels == common_label
-    return dataset.points[mask], dataset.points[~mask]
+GLYPH_CHUNK = 1024  # points formatted at a time: bounds the column strings alive at once
 
 
-def _glyphs_by_color(
-    canvas: SvgCanvas,
-    points: np.ndarray,
-    labels: np.ndarray,
-    common_label: int,
-    colors: np.ndarray,
-) -> None:
-    """Class keeps its glyph (cross = common, circle = uncommon); color varies."""
-    is_common = labels == common_label
-    for color in dict.fromkeys(colors.tolist()):
-        chosen = colors == color
-        canvas.crosses(points[chosen & is_common], color)
-        canvas.circles(points[chosen & ~is_common], color)
+def _fmt_column(values: np.ndarray) -> list[str]:
+    return [f"{v:.2f}".rstrip("0").rstrip(".") for v in values.tolist()]
 
 
-def scatter_figure(dataset: Dataset2D, path: str | Path, title: str = "data") -> None:
-    """Raw cloud: green crosses (common), purple circles (uncommon), dotted
-    equal-density boundary."""
-    canvas = SvgCanvas()
-    canvas.frame(title)
-    common_pts, uncommon_pts = _class_points(dataset)
-    canvas.crosses(common_pts, COMMON_COLOR)
-    canvas.circles(uncommon_pts, UNCOMMON_COLOR)
-    canvas.segments(
-        analytic_boundary_contour(dataset.specs[0], dataset.specs[1]),
-        BOUNDARY_COLOR,
-        dashed=True,
+@dataclass(frozen=True, eq=False)
+class PointGlyphs:
+    """A dataset's points formatted once for one canvas geometry.
+
+    ``cross`` holds each point's cross as a path piece and ``circle`` its
+    ``<circle cx cy r`` opening: common-class points draw as crosses, the rest
+    as circles. ``boundary`` is the analytic boundary's path element (empty
+    when the curve misses the grid). Figures join the pieces by mask.
+    """
+
+    geometry: dict  # SvgCanvas keyword arguments
+    cross: np.ndarray
+    circle: np.ndarray
+    common: np.ndarray
+    boundary: list[str]
+
+    def canvas(self, title: str) -> SvgCanvas:
+        canvas = SvgCanvas(**self.geometry)
+        canvas.frame(title)
+        return canvas
+
+    def draw(self, canvas: SvgCanvas, groups) -> None:
+        """For each (mask, color): the masked common points' crosses as one
+        path, then the masked other points' circles."""
+        for mask, color in groups:
+            crosses = self.cross[mask & self.common]
+            if crosses.size:
+                canvas.elements.append(
+                    f'<path d="{"".join(crosses)}" stroke="{color}" stroke-width="1" fill="none"/>'
+                )
+            canvas.elements.extend(
+                f'{opening} stroke="{color}" fill="none" stroke-width="1"/>'
+                for opening in self.circle[mask & ~self.common]
+            )
+
+
+def point_glyphs(dataset: Dataset2D, arm: float = 2.5, **geometry) -> PointGlyphs:
+    """The glyphs of every point on ``SvgCanvas(**geometry)``: crosses with arm
+    ``arm`` and circles of that radius, from one formatting pass over the six
+    pixel columns of a cross (its centre's x and y among them), GLYPH_CHUNK
+    points at a time."""
+    canvas = SvgCanvas(**geometry)
+    lo, hi = canvas.bounds
+    scale = canvas.size / (hi - lo)
+    x = (canvas.origin[0] + canvas.margin) + (dataset.points[:, 0] - lo) * scale
+    y = (canvas.origin[1] + canvas.margin) + (hi - dataset.points[:, 1]) * scale
+    columns = np.stack([x - arm, y, x + arm, x, y - arm, y + arm])
+    cross, circle = [], []
+    for start in range(0, columns.shape[1], GLYPH_CHUNK):
+        block = columns[:, start : start + GLYPH_CHUNK]
+        left, mid, right, centre, top, bottom = map(_fmt_column, block)
+        cross += [
+            f"M{l} {m}L{r} {m}M{c} {t}L{c} {b}"
+            for l, m, r, c, t, b in zip(left, mid, right, centre, top, bottom)
+        ]
+        circle += [f'<circle cx="{c}" cy="{m}" r="{arm}"' for c, m in zip(centre, mid)]
+    canvas.segments(analytic_boundary_contour(*dataset.specs[:2]), BOUNDARY_COLOR, dashed=True)
+    return PointGlyphs(
+        geometry,
+        np.array(cross, dtype=object),
+        np.array(circle, dtype=object),
+        dataset.labels == dataset.specs[0].label,
+        canvas.elements,
     )
-    render_svg([canvas], path)
+
+
+def _first_appearance(codes: np.ndarray, colors, keep: np.ndarray | None = None) -> list:
+    """One (mask, color) per code among the kept points, in order of first
+    appearance; ``colors`` is indexed by code."""
+    if keep is None:
+        keep = np.ones(codes.shape, dtype=bool)
+    return [(keep & (codes == code), colors[code]) for code in dict.fromkeys(codes[keep].tolist())]
+
+
+def _data_canvas(glyphs: PointGlyphs, title: str, model: MlpModel | None = None) -> SvgCanvas:
+    """Green crosses (common), purple circles (uncommon), the dotted
+    equal-density boundary, and the model's decision boundary if given."""
+    canvas = glyphs.canvas(title)
+    glyphs.draw(canvas, [(glyphs.common, COMMON_COLOR), (~glyphs.common, UNCOMMON_COLOR)])
+    canvas.elements += glyphs.boundary
+    if model is not None:
+        canvas.segments(model_boundary_contour(model), MODEL_COLOR, width=2.0)
+    return canvas
+
+
+def scatter_figure(glyphs: PointGlyphs, path: str | Path, title: str = "data") -> None:
+    """Raw cloud with the equal-density boundary."""
+    render_svg([_data_canvas(glyphs, title)], path)
 
 
 def prediction_figure(
-    model: MlpModel, dataset: Dataset2D, path: str | Path, title: str = "predictions"
+    model: MlpModel, glyphs: PointGlyphs, path: str | Path, title: str = "predictions"
 ) -> None:
     """Data plus the model's decision boundary, analytic curve dotted behind."""
-    canvas = SvgCanvas()
-    canvas.frame(title)
-    common_pts, uncommon_pts = _class_points(dataset)
-    canvas.crosses(common_pts, COMMON_COLOR)
-    canvas.circles(uncommon_pts, UNCOMMON_COLOR)
-    canvas.segments(
-        analytic_boundary_contour(dataset.specs[0], dataset.specs[1]),
-        BOUNDARY_COLOR,
-        dashed=True,
-    )
-    canvas.segments(model_boundary_contour(model), MODEL_COLOR, width=2.0)
-    render_svg([canvas], path)
+    render_svg([_data_canvas(glyphs, title, model)], path)
 
 
 def tail_figure(
-    dataset: Dataset2D,
-    tail_labels: np.ndarray,
+    glyphs: PointGlyphs,
+    tail_codes: np.ndarray,
     path: str | Path,
     rare_only: bool = False,
     title: str = "",
 ) -> None:
-    """Per-example tail classes: common green, rare yellow, hard red;
+    """Per-example tail codes: common green, rare yellow, hard red;
     unvisited grey. ``rare_only`` reproduces the rare-set-with-boundary view."""
-    canvas = SvgCanvas()
-    canvas.frame(title or ("rare set" if rare_only else "tail classes"))
-    colors = np.array(
-        [UNVISITED_COLOR if lab is None else TAIL_COLORS[lab] for lab in tail_labels]
-    )
-    common_label = dataset.specs[0].label
-    if rare_only:
-        keep = np.array([lab is TailLabel.RARE for lab in tail_labels], dtype=bool)
-        _glyphs_by_color(
-            canvas, dataset.points[keep], dataset.labels[keep], common_label, colors[keep]
-        )
-    else:
-        _glyphs_by_color(canvas, dataset.points, dataset.labels, common_label, colors)
-    canvas.segments(
-        analytic_boundary_contour(dataset.specs[0], dataset.specs[1]),
-        BOUNDARY_COLOR,
-        dashed=True,
-    )
+    canvas = glyphs.canvas(title or ("rare set" if rare_only else "tail classes"))
+    keep = tail_codes == RARE if rare_only else None
+    glyphs.draw(canvas, _first_appearance(tail_codes, TAIL_COLORS, keep))
+    canvas.elements += glyphs.boundary
     render_svg([canvas], path)
 
 
 def entropy_figure(
-    dataset: Dataset2D, mean_entropy: np.ndarray, path: str | Path, title: str = "entropy"
+    glyphs: PointGlyphs, mean_entropy: np.ndarray, path: str | Path, title: str = "entropy"
 ) -> None:
     """Median split of run-mean prediction entropy: high red, low green."""
-    canvas = SvgCanvas()
-    canvas.frame(title)
+    canvas = glyphs.canvas(title)
     visited = np.isfinite(mean_entropy)
-    colors = np.full(len(mean_entropy), UNVISITED_COLOR, dtype=object)
+    codes = np.full(mean_entropy.shape, UNVISITED)
     if np.any(visited):
-        median = np.median(mean_entropy[visited])
-        colors[visited] = np.where(mean_entropy[visited] > median, HIGH_COLOR, LOW_COLOR)
-    _glyphs_by_color(
-        canvas, dataset.points, dataset.labels, dataset.specs[0].label, colors.astype(str)
-    )
+        codes[visited] = mean_entropy[visited] > np.median(mean_entropy[visited])
+    glyphs.draw(canvas, _first_appearance(codes, ENTROPY_COLORS))
     render_svg([canvas], path)
 
 
@@ -359,20 +360,10 @@ def panel_figure(
     """Side-by-side decision-boundary panels (one column per swept value)."""
     if not panels:
         raise ValueError("panel_figure needs at least one panel")
+    size, margin = 300, 36
     canvases = []
-    panel_size, margin = 300, 36
     for k, (title, model, dataset) in enumerate(panels):
-        canvas = SvgCanvas(size=panel_size, margin=margin, origin=(k * (panel_size + 2 * margin), 0))
-        canvas.frame(title)
-        common_pts, uncommon_pts = _class_points(dataset)
-        canvas.crosses(common_pts, COMMON_COLOR, arm=1.8)
-        canvas.circles(uncommon_pts, UNCOMMON_COLOR, radius=1.8)
-        canvas.segments(
-            analytic_boundary_contour(dataset.specs[0], dataset.specs[1]),
-            BOUNDARY_COLOR,
-            dashed=True,
-        )
-        if model is not None:
-            canvas.segments(model_boundary_contour(model), MODEL_COLOR, width=2.0)
-        canvases.append(canvas)
+        origin = (k * (size + 2 * margin), 0)
+        glyphs = point_glyphs(dataset, arm=1.8, size=size, margin=margin, origin=origin)
+        canvases.append(_data_canvas(glyphs, title, model))
     render_svg(canvases, path)

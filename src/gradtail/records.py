@@ -326,21 +326,28 @@ def _write_columns(path: str | Path, header: list[str], columns: list) -> None:
 
 def _read_columns(path: str | Path, header: list[str], kinds: list, name: str) -> list:
     """The columns _write_columns wrote under ``header``, one array per entry
-    of ``kinds`` (int or float). The first column must count 0..n-1 in order,
-    and the file must end in a line end, as every written row does: a file cut
-    inside its last number would otherwise still parse."""
+    of ``kinds`` (int or float), parsed in one ``np.loadtxt`` call. Every
+    line holds one row of unquoted numbers; a blank line is refused. The
+    first column must count 0..n-1 in order, and the file must end in a line
+    end, as every written row does: a file cut inside its last number would
+    otherwise still parse."""
     with open(path, newline="") as fh:
         text = fh.read()
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != header:
+    first, _, body = text.partition("\n")
+    if first.removesuffix("\r").split(",") != header:
         raise RecordFormatError(f"{path}: not a {name}")
     if not text.endswith("\n"):
         raise RecordFormatError(f"{path}: cut short inside its last row")
-    body = rows[1:]
-    columns = [np.array([kind(r[k]) for r in body], dtype=kind) for k, kind in enumerate(kinds)]
-    if columns[0].tolist() != list(range(len(body))):
-        raise RecordFormatError(f"{path}: {header[0]} column is not 0..{len(body) - 1} in order")
-    return columns
+    if "\n\n" in text or "\n\r\n" in text:  # np.loadtxt would skip it
+        raise RecordFormatError(f"{path}: blank line")
+    dtype = np.dtype(list(zip(header, kinds)))  # int -> int64, float -> float64
+    rows = np.loadtxt(
+        io.StringIO(body), dtype, comments=None, delimiter=",", quotechar=None, ndmin=1
+    ) if body else np.empty(0, dtype)  # np.loadtxt warns on a header-only file
+    n = rows.shape[0]
+    if rows[header[0]].tolist() != list(range(n)):
+        raise RecordFormatError(f"{path}: {header[0]} column is not 0..{n - 1} in order")
+    return [rows[col].copy() for col in header]
 
 
 STEP_COLUMNS = ["step", "mean_loss", "mean_weight", "sigma", "ema_norm"]

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from gradtail.analysis import (
-    TailLabel,
+    COMMON,
+    HARD,
+    RARE,
+    TAIL_NAMES,
+    UNVISITED,
     boundary_disagreement,
     boundary_distance,
     class_metrics,
@@ -39,12 +43,8 @@ class TestLabeling:
         t = trace_with_alignments([0.5, 0.0, -0.07, 0.07, -0.5, 0.071])
         labels, seen, excluded = label_examples(t)
         assert excluded == 0 and seen.all()
-        assert labels[0] is TailLabel.COMMON
-        assert labels[1] is TailLabel.RARE
-        assert labels[2] is TailLabel.RARE  # closed interval at -0.07
-        assert labels[3] is TailLabel.RARE  # closed at +0.07
-        assert labels[4] is TailLabel.HARD
-        assert labels[5] is TailLabel.COMMON
+        assert labels.tolist() == [COMMON, RARE, RARE, RARE, HARD, COMMON]  # closed at +/-0.07
+        assert [TAIL_NAMES[code] for code in (COMMON, RARE, HARD)] == ["common", "rare", "hard"]
 
     def test_unvisited_excluded(self):
         t = trace_with_alignments([0.2, 0.0])
@@ -52,13 +52,13 @@ class TestLabeling:
         t.theta_sum[1] = 0.0
         labels, seen, excluded = label_examples(t)
         assert excluded == 1
-        assert labels[1] is None and not seen[1]
+        assert labels[1] == UNVISITED and not seen[1]
 
     def test_partition_is_exhaustive_and_disjoint(self):
         rng = np.random.default_rng(0)
         t = trace_with_alignments(rng.uniform(-1, 1, size=500))
         labels, seen, _ = label_examples(t)
-        assert all(lab in (TailLabel.COMMON, TailLabel.RARE, TailLabel.HARD) for lab in labels)
+        assert set(labels.tolist()) <= {COMMON, RARE, HARD}
 
 
 class TestQuartiles:
@@ -304,15 +304,16 @@ class TestBoundaryDistanceOracle:
 class TestRareSetStats:
     def test_empty_rare_set_flagged(self):
         ds = gen_two_gaussians(0, GaussianSpec((0, 0), 1.0, 30, 0), GaussianSpec((2.2, 2.2), 0.5, 5, 1))
-        labels = np.array([TailLabel.COMMON] * 35, dtype=object)
+        labels = np.full(35, COMMON)
         rep = rare_set_stats(labels, ds, *ds.specs)
         assert rep.empty and rep.mean_distance_rare is None and rep.rare_size == 0
 
     def test_counts_and_distances(self):
         ds = gen_two_gaussians(1, GaussianSpec((0, 0), 1.0, 30, 0), GaussianSpec((2.2, 2.2), 0.5, 10, 1))
-        labels = np.array([TailLabel.COMMON] * 40, dtype=object)
-        labels[0] = labels[1] = TailLabel.RARE  # two common-class points
-        labels[30] = TailLabel.RARE  # one uncommon-class point
+        labels = np.full(40, COMMON)
+        labels[0] = labels[1] = RARE  # two common-class points
+        labels[30] = RARE  # one uncommon-class point
+        labels[31] = UNVISITED
         rep = rare_set_stats(labels, ds, *ds.specs)
         assert rep.counts_per_class == {0: 2, 1: 1}
         assert rep.rare_size == 3

@@ -61,3 +61,27 @@ def test_traced_dense_demo_records_every_writer(tmp_path):
         assert calls[name] == 2, name  # one uniform and one gradtail run dir
     assert calls["records.save_gradtail_state"] >= 1
     assert tracer.counts["engine.train_dense"]["steps"] == 10
+
+
+def test_traced_analyze_records_every_figure_and_reader(tmp_path):
+    """analyze calls every figure writer and both CSV readers through the
+    rebound names, and the figure counter sees every SVG it writes."""
+    config = tmp_path / "config.txt"
+    config.write_text("train.steps: 40\n")
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "runs")]) == 0
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        out = tmp_path / "analysis"
+        assert main(["analyze", str(tmp_path / "runs" / "run-gradtail-s000"), "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    _, _, calls = tracer.layer_times()
+    figures = [name for _, _, name, _ in tracing.TARGETS if name.startswith("figures.")]
+    assert len(figures) == 4
+    for name in (*figures, "records.load_trace", "records.load_step_log"):
+        assert calls[name] >= 1, name
+    assert calls["figures.tail_figure"] == 2  # tail.svg and rare.svg
+    svg_bytes = sum(path.stat().st_size for path in out.rglob("*.svg"))
+    assert tracing.layer_metrics(tracer, 1)["figures.svg_bytes"] == svg_bytes > 0

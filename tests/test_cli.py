@@ -250,6 +250,22 @@ def test_analyze_missing_run_dir_exits_4(tmp_path, capsys):
     assert "I/O error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("second", ["copy", "same_path", "trailing_slash"])
+def test_analyze_refuses_run_dirs_of_one_name(trained_runs, tmp_path, capsys, second):
+    """Each run writes into <out>/<run dir name>, so a second run of the same
+    name would overwrite the first's report and figures."""
+    first = sorted(trained_runs.iterdir())[0]
+    other = {
+        "copy": lambda: shutil.copytree(first, tmp_path / "elsewhere" / first.name),
+        "same_path": lambda: first,
+        "trailing_slash": lambda: f"{first}/",
+    }[second]()
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--out", str(out), str(first), str(other)]) == 2
+    assert f"run dirs share a name: {first.name}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_missing_trace_degrades_explicitly(trained_runs, tmp_path, capsys):
     clone = tmp_path / "run-clone"
     shutil.copytree(sorted(trained_runs.iterdir())[0], clone)

@@ -9,8 +9,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gradtail.analysis import TailLabel
-from gradtail.datasets import GaussianSpec, gen_two_gaussians
+from gradtail.analysis import COMMON, HARD, RARE, UNVISITED
+from gradtail.datasets import Dataset2D, GaussianSpec, gen_two_gaussians
 from gradtail.figures import (
     SvgCanvas,
     analytic_boundary_contour,
@@ -18,6 +18,7 @@ from gradtail.figures import (
     entropy_figure,
     model_boundary_contour,
     panel_figure,
+    point_glyphs,
     prediction_figure,
     render_svg,
     scatter_figure,
@@ -80,50 +81,56 @@ GLYPH_POINTS = np.array([
     [0.0, 1.0], [0.00125, 0.99875], [0.01005, 0.5], [-0.3, 1.2],
     [-0.15004, 1.1], [-0.1501, 0.33333], [0.123456, -0.25],
 ])
+GLYPH_GEOMETRY = {"bounds": (0.0, 1.0), "size": 100, "margin": 10, "origin": (5, 0)}
 
 
-def glyph_canvas():
-    return SvgCanvas(bounds=(0.0, 1.0), size=100, margin=10, origin=(5, 0))
+def glyph_dataset():
+    """GLYPH_POINTS with alternating classes: common at even indices."""
+    specs = (GaussianSpec((0.0, 0.0), 1.0, 4, 0), GaussianSpec((1.0, 1.0), 0.5, 3, 1))
+    return Dataset2D(GLYPH_POINTS, np.arange(7) % 2, specs, 0)
 
 
 def fmt_reference(v):
     return f"{float(v):.2f}".rstrip("0").rstrip(".")
 
 
+def cross_reference(canvas, x, y, arm):
+    f = fmt_reference
+    px, py = canvas.px(x, y)
+    return f"M{f(px - arm)} {f(py)}L{f(px + arm)} {f(py)}M{f(px)} {f(py - arm)}L{f(px)} {f(py + arm)}"
+
+
 def test_crosses_match_per_point_reference():
     for arm in (2.5, 1.8):
-        canvas = glyph_canvas()
-        want = ""
-        for x, y in GLYPH_POINTS:
-            px, py = canvas.px(x, y)
-            f = fmt_reference
-            want += f"M{f(px - arm)} {f(py)}L{f(px + arm)} {f(py)}"
-            want += f"M{f(px)} {f(py - arm)}L{f(px)} {f(py + arm)}"
-        canvas.crosses(GLYPH_POINTS, "#123456", arm=arm)
-        assert canvas.elements == [
-            f'<path d="{want}" stroke="#123456" stroke-width="1" fill="none"/>'
-        ]
-    canvas = glyph_canvas()
-    canvas.crosses(GLYPH_POINTS[1:5], "#123456")
-    assert canvas.elements[0].startswith(
-        '<path d="M12.62 10.12L17.62 10.12M15.12 7.62L15.12 12.62'
+        glyphs = point_glyphs(glyph_dataset(), arm=arm, **GLYPH_GEOMETRY)
+        canvas = SvgCanvas(**GLYPH_GEOMETRY)
+        want = [cross_reference(canvas, x, y, arm) for x, y in GLYPH_POINTS]
+        assert glyphs.cross.tolist() == want
+        glyphs.draw(canvas, [(np.ones(7, dtype=bool), "#123456")])
+        assert canvas.elements[0] == (
+            f'<path d="{"".join(want[::2])}" stroke="#123456" stroke-width="1" fill="none"/>'
+        )
+    glyphs = point_glyphs(glyph_dataset(), **GLYPH_GEOMETRY)
+    assert "".join(glyphs.cross[1:5]) == (
+        "M12.62 10.12L17.62 10.12M15.12 7.62L15.12 12.62"
         "M13.5 60L18.5 60M16 57.5L16 62.5M-17.5 -10L-12.5 -10M-15 -12.5L-15 -7.5"
-        'M-2.5 -0L2.5 -0M-0 -2.5L-0 2.5"'
+        "M-2.5 -0L2.5 -0M-0 -2.5L-0 2.5"
     )
 
 
 def test_circles_match_per_point_reference():
-    canvas = glyph_canvas()
-    canvas.circles(GLYPH_POINTS, "#654321", radius=1.8)
+    glyphs = point_glyphs(glyph_dataset(), arm=1.8, **GLYPH_GEOMETRY)
+    canvas = SvgCanvas(**GLYPH_GEOMETRY)
     want = []
     for x, y in GLYPH_POINTS:
         px, py = canvas.px(x, y)
-        want.append(
-            f'<circle cx="{fmt_reference(px)}" cy="{fmt_reference(py)}" r="1.8"'
-            ' stroke="#654321" fill="none" stroke-width="1"/>'
-        )
-    assert canvas.elements == want
-    centres = [(el.split('"')[1], el.split('"')[3]) for el in canvas.elements]
+        want.append(f'<circle cx="{fmt_reference(px)}" cy="{fmt_reference(py)}" r="1.8"')
+    assert glyphs.circle.tolist() == want
+    glyphs.draw(canvas, [(~glyphs.common, "#654321")])
+    assert canvas.elements == [
+        f'{opening} stroke="#654321" fill="none" stroke-width="1"/>' for opening in want[1::2]
+    ]
+    centres = [(el.split('"')[1], el.split('"')[3]) for el in want]
     assert centres == [
         ("15", "10"), ("15.12", "10.12"), ("16", "60"), ("-15", "-10"), ("-0", "-0"),
         ("-0.01", "76.67"), ("27.35", "135"),
@@ -131,11 +138,14 @@ def test_circles_match_per_point_reference():
 
 
 def test_glyphs_accept_empty_input():
-    canvas = glyph_canvas()
-    canvas.crosses(np.zeros((0, 2)), "#123456")
-    canvas.circles(np.zeros((0, 2)), "#123456")
-    canvas.circles([], "#123456")
+    glyphs = point_glyphs(glyph_dataset(), **GLYPH_GEOMETRY)
+    canvas = SvgCanvas(**GLYPH_GEOMETRY)
+    glyphs.draw(canvas, [(np.zeros(7, dtype=bool), "#123456")])
+    glyphs.draw(canvas, [])
     assert canvas.elements == []
+    # crosses for the common class only, circles for the rest
+    glyphs.draw(canvas, [(np.ones(7, dtype=bool), "#123456")])
+    assert canvas.elements[0].count("M") == 2 * 4 and len(canvas.elements) == 1 + 3
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +240,7 @@ def test_model_contour_rejects_regressor():
 def test_scatter_figure_structure(tmp_path):
     ds = small_dataset()
     path = tmp_path / "scatter.svg"
-    scatter_figure(ds, path)
+    scatter_figure(point_glyphs(ds), path)
     root = parse(path)
     assert root.tag == f"{SVG}svg"
     # 10 uncommon circles; crosses share one batched path, boundary one more
@@ -245,7 +255,7 @@ def test_prediction_figure_adds_model_curve(tmp_path):
     ds = small_dataset()
     model = MlpModel.initialize((2, 5, 2), seed=1)
     path = tmp_path / "pred.svg"
-    prediction_figure(model, ds, path)
+    prediction_figure(model, point_glyphs(ds), path)
     root = parse(path)
     strokes = {p.get("stroke") for p in root.findall(f".//{SVG}path")}
     assert "#1f77b4" in strokes  # model boundary drawn in its own color
@@ -253,12 +263,9 @@ def test_prediction_figure_adds_model_curve(tmp_path):
 
 def test_tail_figure_uses_three_colors(tmp_path):
     ds = small_dataset()
-    labels = np.array(
-        [TailLabel.COMMON] * 20 + [TailLabel.RARE] * 10 + [TailLabel.HARD] * 9 + [None],
-        dtype=object,
-    )
+    codes = np.array([COMMON] * 20 + [RARE] * 10 + [HARD] * 9 + [UNVISITED])
     path = tmp_path / "tail.svg"
-    tail_figure(ds, labels, path)
+    tail_figure(point_glyphs(ds), codes, path)
     root = parse(path)
     strokes = {el.get("stroke") for el in root.iter()} - {None}
     assert {"#2ca02c", "#e6b800", "#d62728", "#bbbbbb"} <= strokes
@@ -266,9 +273,9 @@ def test_tail_figure_uses_three_colors(tmp_path):
 
 def test_tail_figure_rare_only_drops_other_points(tmp_path):
     ds = small_dataset()
-    labels = np.array([TailLabel.HARD] * 30 + [TailLabel.RARE] * 10, dtype=object)
+    codes = np.array([HARD] * 30 + [RARE] * 10)
     path = tmp_path / "rare.svg"
-    tail_figure(ds, labels, path, rare_only=True)
+    tail_figure(point_glyphs(ds), codes, path, rare_only=True)
     root = parse(path)
     # the 10 rare examples are uncommon-class -> circles; nothing else drawn
     assert count_tags(root, "circle") == 10
@@ -280,7 +287,7 @@ def test_entropy_figure_median_split(tmp_path):
     ds = small_dataset()
     entropy = np.linspace(0.0, 0.6, ds.n)
     path = tmp_path / "entropy.svg"
-    entropy_figure(ds, entropy, path)
+    entropy_figure(point_glyphs(ds), entropy, path)
     text = path.read_text()
     assert "#d62728" in text and "#2ca02c" in text
 
@@ -290,7 +297,7 @@ def test_entropy_figure_handles_unvisited(tmp_path):
     entropy = np.full(ds.n, np.nan)
     entropy[:5] = 0.3
     path = tmp_path / "entropy.svg"
-    entropy_figure(ds, entropy, path)
+    entropy_figure(point_glyphs(ds), entropy, path)
     assert "#bbbbbb" in path.read_text()
 
 
@@ -313,10 +320,121 @@ def test_panel_figure_rejects_empty():
 def test_render_svg_is_valid_xml(tmp_path):
     canvas = SvgCanvas(bounds=(0.0, 1.0), size=50, margin=5)
     canvas.frame("t")
-    canvas.crosses(np.array([[0.5, 0.5]]), "#000000")
-    canvas.circles(np.array([[0.25, 0.75]]), "#ff0000")
+    glyphs = point_glyphs(glyph_dataset(), bounds=(0.0, 1.0), size=50, margin=5)
+    glyphs.draw(canvas, [(glyphs.common, "#000000"), (~glyphs.common, "#ff0000")])
     canvas.polyline([(0.0, 0.0), (1.0, 1.0)], "#00ff00")
     path = tmp_path / "mini.svg"
     render_svg([canvas], path)
     root = parse(path)
     assert count_tags(root, "polyline") == 1
+    assert count_tags(root, "circle") == 3
+
+
+# ---------------------------------------------------------------------------
+# whole figures against a per-point reference
+# ---------------------------------------------------------------------------
+
+
+def reference_canvas(ds, title, groups, arm=2.5, boundary=True, model=None, **geometry):
+    """A figure as per-point formatting draws it: for each (mask, color)
+    group, the chosen common-class points' crosses in one path, then the
+    chosen other points' circles, every coordinate formatted on its own."""
+    canvas = SvgCanvas(**geometry)
+    canvas.frame(title)
+    common = ds.labels == ds.specs[0].label
+    for mask, color in groups:
+        crosses = "".join(cross_reference(canvas, x, y, arm) for x, y in ds.points[mask & common])
+        if crosses:
+            canvas.elements.append(
+                f'<path d="{crosses}" stroke="{color}" stroke-width="1" fill="none"/>'
+            )
+        for x, y in ds.points[mask & ~common]:
+            px, py = canvas.px(x, y)
+            canvas.elements.append(
+                f'<circle cx="{fmt_reference(px)}" cy="{fmt_reference(py)}" r="{arm}"'
+                f' stroke="{color}" fill="none" stroke-width="1"/>'
+            )
+    if boundary:
+        canvas.segments(analytic_boundary_contour(*ds.specs[:2]), "#333333", dashed=True)
+    if model is not None:
+        canvas.segments(model_boundary_contour(model), "#1f77b4", width=2.0)
+    return canvas
+
+
+def by_first_color(colors):
+    """One (mask, color) group per color, in order of first appearance; None is not drawn."""
+    colors = np.array(colors, dtype=object)
+    return [(colors == c, c) for c in dict.fromkeys(colors.tolist()) if c is not None]
+
+
+def class_groups(ds):
+    common = ds.labels == ds.specs[0].label
+    return [(common, "#2ca02c"), (~common, "#9467bd")]
+
+
+def assert_same_file(tmp_path, path, canvases):
+    render_svg(canvases, tmp_path / "reference.svg")
+    assert path.read_bytes() == (tmp_path / "reference.svg").read_bytes()
+
+
+def uncommon_first(ds):
+    return Dataset2D(ds.points[::-1].copy(), ds.labels[::-1].copy(), ds.specs, ds.seed)
+
+
+TAIL_HEX = {UNVISITED: "#bbbbbb", COMMON: "#2ca02c", RARE: "#e6b800", HARD: "#d62728"}
+
+
+@pytest.mark.parametrize("order", ["common_first", "uncommon_first"])
+def test_figures_match_per_point_reference(tmp_path, order):
+    ds = small_dataset(3)
+    if order == "uncommon_first":
+        ds = uncommon_first(ds)
+        assert ds.labels[0] != ds.specs[0].label
+    glyphs = point_glyphs(ds)
+    model = MlpModel.initialize((2, 5, 2), seed=4)
+    path = tmp_path / "figure.svg"
+
+    scatter_figure(glyphs, path)
+    assert_same_file(tmp_path, path, [reference_canvas(ds, "data", class_groups(ds))])
+    prediction_figure(model, glyphs, path)
+    assert_same_file(
+        tmp_path, path, [reference_canvas(ds, "predictions", class_groups(ds), model=model)]
+    )
+
+    # every code, the first point hard and an unvisited point second
+    codes = np.resize([HARD, UNVISITED, RARE, COMMON, RARE], ds.n)
+    colors = [TAIL_HEX[c] for c in codes.tolist()]
+    tail_figure(glyphs, codes, path)
+    assert_same_file(tmp_path, path, [reference_canvas(ds, "tail classes", by_first_color(colors))])
+    tail_figure(glyphs, codes, path, rare_only=True)
+    rare = [c if code == RARE else None for c, code in zip(colors, codes.tolist())]
+    assert_same_file(tmp_path, path, [reference_canvas(ds, "rare set", by_first_color(rare))])
+    no_rare = np.where(codes == RARE, HARD, codes)
+    tail_figure(glyphs, no_rare, path, rare_only=True, title="empty")
+    assert_same_file(tmp_path, path, [reference_canvas(ds, "empty", [])])
+
+    entropy = np.random.default_rng(5).uniform(0.0, 0.7, ds.n)
+    entropy[1::8] = np.nan  # unvisited; the 35 visited have a median point
+    median = np.median(entropy[np.isfinite(entropy)])
+    colors = [
+        "#bbbbbb" if not np.isfinite(e) else "#d62728" if e > median else "#2ca02c"
+        for e in entropy
+    ]
+    entropy_figure(glyphs, entropy, path)
+    assert_same_file(
+        tmp_path, path, [reference_canvas(ds, "entropy", by_first_color(colors), boundary=False)]
+    )
+
+
+def test_panel_figure_matches_per_point_reference(tmp_path):
+    ds, other = small_dataset(6), uncommon_first(small_dataset(7))
+    model = MlpModel.initialize((2, 5, 2), seed=8)
+    path = tmp_path / "panel.svg"
+    panel_figure([("a", model, ds), ("b", None, other), ("c", model, ds)], path)
+    canvases = [
+        reference_canvas(
+            d, title, class_groups(d), arm=1.8, model=m, size=300, margin=36, origin=(k * 372, 0)
+        )
+        for k, (title, m, d) in enumerate([("a", model, ds), ("b", None, other), ("c", model, ds)])
+    ]
+    assert_same_file(tmp_path, path, canvases)

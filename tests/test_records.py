@@ -6,6 +6,7 @@ round-trip through their CSV forms with full float precision.
 """
 
 import csv
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -275,6 +276,96 @@ def test_trace_ids_must_count_from_zero(tmp_path):
     path.write_text("\n".join(lines[1:]) + "\n")
     with pytest.raises(RecordFormatError, match="not a trace"):
         load_trace(path)
+
+
+EXTREME_FLOATS = [5e-324, -5e-324, 2.2250738585072014e-308 / 3, -0.0, 0.0, 1e308, -1e308,
+                  1.7976931348623157e308, 0.1, -1.0 / 3]
+EXTREME_COUNTS = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**62]
+
+
+def test_logs_round_trip_extreme_values_bit_for_bit(tmp_path):
+    n = len(EXTREME_FLOATS)
+    floats = [np.roll(EXTREME_FLOATS, k) for k in range(4)]
+    counts = np.resize(EXTREME_COUNTS, n).astype(np.int64)
+    log = StepLog(np.arange(n, dtype=np.int64), *floats)
+    save_step_log(tmp_path / "steps.csv", log)
+    back = load_step_log(tmp_path / "steps.csv")
+    for name in ("step", "mean_loss", "mean_weight", "sigma", "ema_norm"):
+        got, want = getattr(back, name), getattr(log, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    trace = TraceTable(counts, *floats, counts[::-1].copy())
+    save_trace(tmp_path / "trace.csv", trace)
+    back = load_trace(tmp_path / "trace.csv")
+    for name in ("occurrences", "theta_sum", "theta_sq_sum", "loss_sum", "entropy_sum",
+                 "correct_count"):
+        got, want = getattr(back, name), getattr(trace, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert got.flags.c_contiguous
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    from gradtail.cli import main
+
+    out = tmp_path_factory.mktemp("records-run")
+    (out / "config.txt").write_text("train.steps: 40\n")
+    assert main(["train", "--config", str(out / "config.txt"), "--out", str(out / "runs")]) == 0
+    return out / "runs" / "run-gradtail-s000"
+
+
+def edit_row(line: str, edit: str) -> str:
+    cells = line.split(",")
+    if edit == "extra_field":
+        return line + ",0"
+    if edit == "missing_field":
+        return ",".join(cells[:-1])
+    if edit == "non_integer":  # the first column counts rows: int in both logs
+        return ",".join(["1.0"] + cells[1:])
+    if edit == "int64_overflow":
+        return ",".join([str(2**64)] + cells[1:])
+    if edit == "empty_field":
+        return ",".join(cells[:2] + [""] + cells[3:])
+    if edit == "quoted":
+        return ",".join([cells[0], f'"{cells[1]}"'] + cells[2:])
+    raise AssertionError(edit)
+
+
+@pytest.mark.parametrize("name", ["trace.csv", "steps.csv"])
+@pytest.mark.parametrize(
+    "edit",
+    ["extra_field", "missing_field", "non_integer", "int64_overflow", "empty_field", "quoted",
+     "blank_line"],
+)
+def test_analyze_refuses_malformed_rows(run_dir, tmp_path, capsys, name, edit):
+    """One bad row of a log makes analyze exit 4 with the file named. A quoted
+    field and an extra field are refused too, although a csv.reader-based
+    reader reads the first and can ignore the second: the writer writes
+    neither."""
+    from gradtail.cli import main
+
+    clone = tmp_path / "run"
+    shutil.copytree(run_dir, clone)
+    lines = (clone / name).read_bytes().decode().split("\r\n")
+    if edit == "blank_line":
+        lines.insert(3, "")
+    else:
+        lines[2] = edit_row(lines[2], edit)
+    (clone / name).write_bytes("\r\n".join(lines).encode())
+    assert main(["analyze", "--out", str(tmp_path / "analysis"), str(clone)]) == 4
+    err = capsys.readouterr().err
+    assert "record format error" in err and name in err
+
+
+def test_analyze_refuses_header_only_trace(run_dir, tmp_path, capsys):
+    from gradtail.cli import main
+
+    clone = tmp_path / "run"
+    shutil.copytree(run_dir, clone)
+    header = (clone / "trace.csv").read_bytes().split(b"\r\n")[0]
+    (clone / "trace.csv").write_bytes(header + b"\r\n")
+    assert load_trace(clone / "trace.csv").n == 0
+    assert main(["analyze", "--out", str(tmp_path / "analysis"), str(clone)]) == 4
+    assert "0 rows for 10400 examples" in capsys.readouterr().err
 
 
 def test_patch_log_columns(tmp_path):
