@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset2D, GaussianSpec
+from .datasets import Dataset2D, GaussianSpec, analytic_boundary_side
 from .engine import TraceTable, TrainResult
-from .mlp import MlpModel, forward_batch
+from .mlp import MlpModel, _row_argmax, forward_batch
 
 DEFAULT_BAND_HALF_WIDTH = 0.07
 EVAL_BOUNDS = (-4.0, 5.0)
@@ -110,7 +110,7 @@ def metrics_from_predictions(pred_labels: np.ndarray, true_labels: np.ndarray) -
 
 def class_metrics(model: MlpModel, dataset: Dataset2D) -> ClassMetrics:
     """Total accuracy, per-class recall, and their unweighted (balanced) mean."""
-    preds = np.argmax(forward_batch(model, dataset.points), axis=1)
+    preds = _row_argmax(forward_batch(model, dataset.points))
     return metrics_from_predictions(preds, dataset.labels)
 
 
@@ -131,12 +131,9 @@ def boundary_disagreement(
 ) -> float:
     """Fraction of grid nodes where the model's class differs from the
     equal-density oracle. Nodes exactly on the oracle curve never disagree."""
-    from .datasets import analytic_boundary_side
-
     pts = _eval_grid(bounds, resolution)
     oracle = analytic_boundary_side(pts, common, uncommon)
-    preds = np.argmax(forward_batch(model, pts), axis=1)
-    model_side = np.where(preds == common.label, 1.0, -1.0)
+    model_side = np.where(_row_argmax(forward_batch(model, pts)) == common.label, 1.0, -1.0)
     return float(((oracle != 0.0) & (model_side != oracle)).mean())
 
 
@@ -263,9 +260,8 @@ def experiment_report(
         raise ValueError("run has no traces; rerun with trace_logging")
     common, uncommon = dataset.specs[0], dataset.specs[1]
     labels, seen, excluded = label_examples(result.trace, band_half_width)
-    metrics = class_metrics(result.model, dataset)
-
-    preds = np.argmax(forward_batch(result.model, dataset.points), axis=1)
+    preds = _row_argmax(forward_batch(result.model, dataset.points))
+    metrics = metrics_from_predictions(preds, dataset.labels)
     correct = (preds == dataset.labels).astype(float)
     quart = quartile_accuracy(result.trace.mean_alignment()[seen], correct[seen])
 

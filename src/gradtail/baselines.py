@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mlp import _row_sum
+
 
 @dataclass(frozen=True)
 class FrequencyWeights:
@@ -50,4 +52,4 @@ def entropy_scores(prob_rows: np.ndarray) -> np.ndarray:
     p = np.asarray(prob_rows, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log(p), 0.0)
-    return -np.sum(terms, axis=1)
+    return -_row_sum(terms)

@@ -296,18 +296,18 @@ def _report_for_run(
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     run_dirs = [Path(dir_name) for dir_name in args.run_dirs]
-    names = [run_dir.name for run_dir in run_dirs]
+    names = [run_dir.resolve().name for run_dir in run_dirs]  # '.' and '..' name their directory
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:  # each run writes into out/<name>
         raise ValueError(f"run dirs share a name: {', '.join(repeated)}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for run_dir in run_dirs:
+    for run_dir, name in zip(run_dirs, names):
         if not (run_dir / "manifest.txt").exists():
             raise FileNotFoundError(f"{run_dir}/manifest.txt")
         report, fields, dataset, result = _report_for_run(run_dir)
-        fig_dir = out / run_dir.name
+        fig_dir = out / name
         fig_dir.mkdir(parents=True, exist_ok=True)
         glyphs = None if dataset is None else point_glyphs(dataset)
         if report is not None:
@@ -328,7 +328,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if glyphs is not None:
             scatter_figure(glyphs, fig_dir / "data.svg")
             prediction_figure(result.model, glyphs, fig_dir / "predictions.svg")
-        rows.append({"run": run_dir.name, **{k: str(v) for k, v in fields.items()}})
+        rows.append({"run": name, **{k: str(v) for k, v in fields.items()}})
         print(f"analyzed {run_dir} -> {fig_dir}")
 
     columns = ["run", "total_accuracy", "balanced_accuracy", "boundary_disagreement", "rare.size"]

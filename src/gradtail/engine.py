@@ -25,6 +25,7 @@ from .mlp import (
     Loss,
     MlpModel,
     Workspace,
+    _row_argmax,
     backprop,
     batch_gradients,
     coefficient_gradients,
@@ -256,7 +257,7 @@ def _step(run: _Run, step: int, labels, row_ids, gradients, *args):
     the weighting (None when untracked) and the row weights, losses, outputs.
     """
     cfg = run.config
-    run.model.params[...] = run.params + cfg.momentum * run.velocity
+    np.add(run.params, cfg.momentum * run.velocity, out=run.model.params)  # look-ahead, in place
     rows, losses, outputs, update = gradients(run, *args)
     if not np.isfinite(losses).all():
         raise TrainingDiverged(
@@ -336,7 +337,7 @@ class _TraceBuffer:
         np.add.at(trace.theta_sq_sum, idx, alignments**2)
         np.add.at(trace.loss_sum, idx, self.losses[:k].ravel())
         np.add.at(trace.entropy_sum, idx, entropy_scores(softmax(outputs)))
-        correct = np.argmax(outputs, axis=1) == self.labels[idx]
+        correct = _row_argmax(outputs) == self.labels[idx]
         trace.correct_count += np.bincount(idx[correct], minlength=trace.n)
         self.filled = 0
 
@@ -373,11 +374,13 @@ def train(dataset: Dataset2D, model_seed: int, config: TrainConfig) -> TrainResu
     # regression-style losses (squared/l1) train against one-hot targets
     one_hot = None if config.loss == "softmax_xent" else np.eye(config.model_dims[-1])[labels]
     for step in range(config.steps):
-        idx = rng.integers(0, dataset.n, size=config.batch_size)
-        batch_labels = labels[idx]
-        targets = batch_labels if one_hot is None else one_hot[idx]
+        if step % TRACE_FLUSH == 0:  # Philox gives the same indices as one draw per step
+            block = rng.integers(0, dataset.n, size=(TRACE_FLUSH, config.batch_size))
+        idx = block[step % TRACE_FLUSH]
+        batch_labels = labels.take(idx)
+        targets = batch_labels if one_hot is None else one_hot.take(idx, axis=0)
         weighting, _, losses, outputs = _step(
-            run, step, batch_labels, idx, _example_gradients, points[idx], targets
+            run, step, batch_labels, idx, _example_gradients, points.take(idx, axis=0), targets
         )
         if buffer is not None:
             buffer.add(idx, weighting.alignments, losses, outputs)

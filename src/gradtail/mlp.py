@@ -7,6 +7,7 @@ batch, so each example's gradient is independent of the rest of the batch.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -156,11 +157,30 @@ def loss_softmax_xent(logits: np.ndarray, label: int) -> float:
     return float(np.log1p(np.expm1(d) + np.sum(rest)) - d)
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)`` column by column: numpy reduces a short last axis row by row."""
+    return functools.reduce(np.maximum, [x[..., k] for k in range(x.shape[-1])])
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)`` column by column, as numpy adds: from +0.0, left to right.
+    The row helpers give numpy's bits for K <= 7 (numpy 2.4); on longer rows numpy's
+    unrolled loops can round the sum and pick the max's signed zero differently."""
+    return functools.reduce(np.add, [x[..., k] for k in range(x.shape[-1])], 0.0)
+
+
+def _row_argmax(x: np.ndarray) -> np.ndarray:
+    """``np.argmax(x, axis=-1)``: the first maximum, or the first NaN."""
+    m, idx = _row_max(x), np.full(x.shape[:-1], x.shape[-1] - 1, dtype=np.intp)
+    for k in range(x.shape[-1] - 2, -1, -1):  # no earlier hit: the last column holds it
+        idx[(x[..., k] == m) | np.isnan(x[..., k])] = k
+    return idx
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - _row_max(logits)[..., None])
+    return e / _row_sum(e)[..., None]
 
 
 def _xent_value(out: np.ndarray, label) -> float:
@@ -169,25 +189,24 @@ def _xent_value(out: np.ndarray, label) -> float:
 
 def _xent_batch(out: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise loss_softmax_xent and its gradient softmax - onehot, from one exp."""
-    labels = np.asarray(labels, dtype=np.intp)
-    rows = np.arange(out.shape[0])
-    m = out.max(axis=1)
-    d = out[rows, labels] - m
+    flat_label = np.ravel_multi_index((np.arange(out.shape[0]), labels), out.shape)
+    m = _row_max(out)
+    d = out.take(flat_label) - m
     e = np.exp(out - m[:, None])
-    grad = e / e.sum(axis=1, keepdims=True)  # softmax(out), bit for bit
-    grad[rows, labels] -= 1.0
-    e[rows, labels] = 0.0
-    return np.log1p(np.expm1(d) + e.sum(axis=1)) - d, grad
+    grad = e / _row_sum(e)[:, None]  # softmax(out), bit for bit
+    grad.put(flat_label, grad.take(flat_label) - 1.0)
+    e.put(flat_label, 0.0)
+    return np.log1p(np.expm1(d) + _row_sum(e)) - d, grad
 
 
 def _l1_batch(out: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     diff = out - np.atleast_2d(t).reshape(out.shape)
-    return np.sum(np.abs(diff), axis=1), np.sign(diff)  # sign(0) = 0 at the kink
+    return _row_sum(np.abs(diff)), np.sign(diff)  # sign(0) = 0 at the kink
 
 
 def _squared_batch(out: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     diff = out - np.atleast_2d(t).reshape(out.shape)
-    return 0.5 * np.sum(diff**2, axis=1), diff
+    return 0.5 * _row_sum(diff**2), diff
 
 
 SOFTMAX_XENT = Loss("softmax_xent", _xent_value, _xent_batch)

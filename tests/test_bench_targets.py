@@ -41,7 +41,7 @@ def test_traced_train_records_every_step_layer(tmp_path):
     for name in ("algorithm.step_arrays", "mlp.batch_gradients", "engine.nesterov_update"):
         assert calls[name] == 70, name
     for name in ("mlp.softmax", "baselines.entropy_scores"):
-        assert calls[name] >= 1, name
+        assert calls[name] == 3, name  # once per flush, through engine's names
     assert calls["records.save_trace"] == 1
 
 

@@ -266,6 +266,22 @@ def test_analyze_refuses_run_dirs_of_one_name(trained_runs, tmp_path, capsys, se
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cwd, arg", [("run", "."), ("run/sub", "..")])
+def test_analyze_names_a_relative_run_dir_by_its_directory(
+    trained_runs, tmp_path, monkeypatch, cwd, arg
+):
+    """`analyze .` from inside a run dir writes into <out>/<its name>, not
+    beside summary.txt in <out> itself."""
+    shutil.copytree(sorted(trained_runs.iterdir())[0], tmp_path / "run")
+    (tmp_path / "run" / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / cwd)
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--out", str(out), arg]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["run", "summary.txt"]
+    assert (out / "run" / "report.txt").exists() and (out / "run" / "tail.svg").exists()
+    assert [row["run"] for row in read_table(out / "summary.txt")] == ["run"]
+
+
 def test_analyze_missing_trace_degrades_explicitly(trained_runs, tmp_path, capsys):
     clone = tmp_path / "run-clone"
     shutil.copytree(sorted(trained_runs.iterdir())[0], clone)

@@ -12,6 +12,9 @@ from gradtail.mlp import (
     Loss,
     MlpModel,
     Workspace,
+    _row_argmax,
+    _row_max,
+    _row_sum,
     backprop,
     batch_gradients,
     coefficient_gradients,
@@ -137,6 +140,46 @@ class TestFlatParams:
         np.testing.assert_allclose(after[:, 1], before[:, 1] + 2.0, rtol=1e-15)
 
 
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestRowReductions:
+    """The output-axis helpers against numpy's reductions along the last axis."""
+
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
+
+    def matrices(self, k, rows=400):
+        rng = np.random.default_rng(k)
+        scale = rng.choice([1e-3, 1.0, 1e3], size=(rows, k))
+        noise = rng.normal(size=(rows, k)) * scale
+        ties = np.round(rng.normal(size=(rows, k)) * 2.0) / 2.0  # ties, +0.0 and -0.0
+        special = rng.choice(self.SPECIAL, size=(rows, k))
+        mixed = np.where(rng.random((rows, k)) < 0.3, special, noise)
+        return {"noise": noise, "ties": ties, "special": special, "mixed": mixed}
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_bit_for_bit_up_to_seven_columns(self, k):
+        for name, x in self.matrices(k).items():
+            with np.errstate(invalid="ignore"):  # inf - inf in the sums
+                for row in (x, x[0], x[-1]):  # 2-D and 1-D
+                    assert same_bits(_row_max(row), row.max(axis=-1)), (name, "max")
+                    assert same_bits(_row_sum(row), row.sum(axis=-1)), (name, "sum")
+                    assert same_bits(_row_argmax(row), np.argmax(row, axis=-1)), (name, "argmax")
+
+    def test_argmax_picks_the_first_nan_or_the_first_tie(self):
+        x = np.array([[1.0, np.nan, np.nan], [2.0, 2.0, 1.0], [-0.0, 0.0, -1.0],
+                      [np.inf, np.inf, np.nan], [-np.inf, -np.inf, -np.inf]])
+        np.testing.assert_array_equal(_row_argmax(x), [1, 0, 0, 2, 0])
+
+    @pytest.mark.parametrize("k", range(8, 12))
+    def test_sum_within_rounding_from_eight_columns(self, k):
+        x = np.abs(self.matrices(k)["noise"])
+        np.testing.assert_allclose(_row_sum(x), x.sum(axis=-1), rtol=1e-14, atol=0)
+        assert same_bits(_row_argmax(x), np.argmax(x, axis=-1))
+
+
 class TestLosses:
     def test_xent_uniform_logits(self):
         # two equal logits -> -log(1/2)
@@ -170,6 +213,11 @@ class TestLosses:
         expect = softmax(logits)
         expect[[0, 1], [1, 0]] -= 1.0
         np.testing.assert_array_equal(g, expect)  # bit for bit: one exp serves both
+
+    @pytest.mark.parametrize("labels", [[0, 2], [0, -1]])
+    def test_xent_batch_rejects_labels_outside_the_logits(self, labels):
+        with pytest.raises(ValueError):  # would address another row's logit
+            SOFTMAX_XENT.batch(np.zeros((2, 2)), labels)
 
     def test_l1_basic(self):
         assert L1.value(np.array([3.0]), np.array([5.0])) == 2.0

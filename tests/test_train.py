@@ -294,6 +294,36 @@ class TestTraceBuffer:
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+class TestBatchDraw:
+    """train draws the batch indices of TRACE_FLUSH steps at once; Philox
+    gives the same indices as one draw per step, also for a run that ends
+    inside a block."""
+
+    @pytest.mark.parametrize("counts, batch_size", [((2, 1), 2), ((10_000, 400), 128)])
+    def test_block_draws_equal_per_step_draws(self, monkeypatch, counts, batch_size):
+        from gradtail.datasets import GaussianSpec
+
+        ds = gen_two_gaussians(
+            3, GaussianSpec((0.0, 0.0), 1.0, counts[0], 0), GaussianSpec((2.2, 2.2), 0.5, counts[1], 1)
+        )
+        cfg = quick_config(steps=45, batch_size=batch_size)
+        assert cfg.steps % TRACE_FLUSH != 0
+        batches, batch_gradients = [], engine.batch_gradients
+
+        def recording(model, inputs, targets, loss_fn, serial=False):
+            batches.append((inputs.copy(), np.array(targets)))
+            return batch_gradients(model, inputs, targets, loss_fn, serial)
+
+        monkeypatch.setattr(engine, "batch_gradients", recording)
+        train(ds, 7, cfg)
+        rng = engine._batch_stream(cfg, 7)
+        assert len(batches) == cfg.steps
+        for inputs, targets in batches:
+            idx = rng.integers(0, ds.n, size=batch_size)
+            np.testing.assert_array_equal(inputs, ds.points[idx])
+            np.testing.assert_array_equal(targets, ds.labels[idx])
+
+
 class TestTrainDense:
     def grid(self, seed=0):
         return gen_dense_task(seed, 32, 32, 0.05)
