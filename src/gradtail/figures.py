@@ -34,6 +34,51 @@ TAIL_COLORS = ("#2ca02c", "#e6b800", "#d62728", UNVISITED_COLOR)
 ENTROPY_COLORS = (LOW_COLOR, HIGH_COLOR, UNVISITED_COLOR)
 
 
+def _fmt(v: float) -> str:
+    return f"{v:.2f}".rstrip("0").rstrip(".")
+
+
+def _number_bytes(values: np.ndarray) -> np.ndarray:
+    """``_fmt`` of each value as one NUL-padded uint8 row, built from integer
+    cents ``rint(|v| * 100)``: sign, integer digits, then ``.d`` or ``.dd``.
+    Rounding is monotonic, so the product lands on a half-cent's correct side
+    or on it; values within 1e-6 of a half-cent, non-finite or >= 1e9 go
+    through ``_fmt`` itself, whose .2f decides exact binary ties (16.005)."""
+    v = np.asarray(values, dtype=np.float64)
+    big = ~(np.abs(v) < 1e9)  # NaN and +-inf too
+    cents = np.where(big, 0.0, np.abs(v)) * 100.0
+    odd = big | (np.abs(cents % 1.0 - 0.5) < 1e-6)
+    whole, frac = np.divmod(np.rint(cents).astype(np.int64), 100)
+    d1, d2 = np.divmod(frac, 10)
+    ndig = len(str(whole.max(initial=0)))
+    out = np.zeros((v.size, ndig + 4), np.uint8)
+    out[np.signbit(v), 0] = ord("-")
+    for p in range(ndig):  # the ones digit in column ndig; leading zeros stay NUL
+        out[:, ndig - p] = whole // 10**p % 10 + 48
+        if p:
+            out[whole < 10**p, ndig - p] = 0
+    tail = frac != 0
+    out[tail, ndig + 1] = ord(".")
+    out[tail, ndig + 2] = d1[tail] + 48
+    out[d2 != 0, ndig + 3] = d2[d2 != 0] + 48
+    if odd.any():
+        text = np.array([_fmt(x) for x in v[odd].tolist()], dtype=bytes)
+        out = np.pad(out, ((0, 0), (0, max(0, text.itemsize - out.shape[1]))))
+        out[odd] = 0
+        out[odd, : text.itemsize] = text.view(np.uint8).reshape(-1, text.itemsize)
+    return out
+
+
+def _rows(*parts) -> list[str]:
+    """One str per row from ``bytes`` literals and ``_number_bytes`` arrays."""
+    n = next(len(part) for part in parts if isinstance(part, np.ndarray))
+    cols = [
+        np.broadcast_to(np.frombuffer(p, np.uint8), (n, len(p))) if isinstance(p, bytes) else p
+        for p in parts + (b"\n",)
+    ]
+    return np.concatenate(cols, axis=1).tobytes().replace(b"\0", b"").decode().split("\n")[:-1]
+
+
 class SvgCanvas:
     """World-coordinate drawing surface that renders to a single <svg>."""
 
@@ -69,27 +114,24 @@ class SvgCanvas:
             self.origin[1] + self.margin + (hi - y) * scale,
         )
 
-    def _fmt(self, v: float) -> str:
-        return f"{v:.2f}".rstrip("0").rstrip(".")
-
     def frame(self, title: str = "") -> None:
         lo, hi = self.bounds
         x0, y0 = self.px(lo, hi)
         self.elements.append(
-            f'<rect x="{self._fmt(x0)}" y="{self._fmt(y0)}" width="{self.size}"'
+            f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{self.size}"'
             f' height="{self.size}" fill="none" stroke="#000" stroke-width="1"/>'
         )
         corner_lo = self.px(lo, lo)
         corner_hi = self.px(hi, hi)
-        self.text(corner_lo[0], corner_lo[1] + 14, f"({self._fmt(lo)}, {self._fmt(lo)})")
-        self.text(corner_hi[0], corner_hi[1] - 5, f"({self._fmt(hi)}, {self._fmt(hi)})", anchor="end")
+        self.text(corner_lo[0], corner_lo[1] + 14, f"({_fmt(lo)}, {_fmt(lo)})")
+        self.text(corner_hi[0], corner_hi[1] - 5, f"({_fmt(hi)}, {_fmt(hi)})", anchor="end")
         if title:
             self.text(x0 + self.size / 2, y0 - 8, title, anchor="middle", bold=True)
 
     def text(self, px: float, py: float, s: str, anchor: str = "start", bold: bool = False) -> None:
         weight = ' font-weight="bold"' if bold else ""
         self.elements.append(
-            f'<text x="{self._fmt(px)}" y="{self._fmt(py)}" font-family="sans-serif"'
+            f'<text x="{_fmt(px)}" y="{_fmt(py)}" font-family="sans-serif"'
             f' font-size="11" text-anchor="{anchor}"{weight}>{s}</text>'
         )
 
@@ -97,21 +139,19 @@ class SvgCanvas:
         """World-coordinate line segments batched into one path."""
         if not segs:
             return
-        parts = []
-        for (x1, y1), (x2, y2) in segs:
-            p1, p2 = self.px(x1, y1), self.px(x2, y2)
-            parts.append(
-                f"M{self._fmt(p1[0])} {self._fmt(p1[1])}L{self._fmt(p2[0])} {self._fmt(p2[1])}"
-            )
+        (x1, y1), (x2, y2) = np.array(segs).transpose(1, 2, 0)
+        (x1, y1), (x2, y2) = self.px(x1, y1), self.px(x2, y2)
+        ends = _number_bytes(np.concatenate([x1, y1, x2, y2])).reshape(4, len(segs), -1)
+        d = "".join(_rows(b"M", ends[0], b" ", ends[1], b"L", ends[2], b" ", ends[3]))
         dash = ' stroke-dasharray="5 4"' if dashed else ""
         self.elements.append(
-            f'<path d="{"".join(parts)}" stroke="{color}" stroke-width="{width}"'
+            f'<path d="{d}" stroke="{color}" stroke-width="{width}"'
             f' fill="none"{dash}/>'
         )
 
     def polyline(self, points: list, color: str, width: float = 1.5) -> None:
         coords = " ".join(
-            f"{self._fmt(px)},{self._fmt(py)}" for px, py in (self.px(x, y) for x, y in points)
+            f"{_fmt(px)},{_fmt(py)}" for px, py in (self.px(x, y) for x, y in points)
         )
         self.elements.append(
             f'<polyline points="{coords}" stroke="{color}" stroke-width="{width}" fill="none"/>'
@@ -151,36 +191,27 @@ def contour_segments(
     corner_any = pos[:-1, :-1] | pos[:-1, 1:] | pos[1:, 1:] | pos[1:, :-1]
     corner_all = pos[:-1, :-1] & pos[:-1, 1:] & pos[1:, 1:] & pos[1:, :-1]
     mixed = corner_any & ~corner_all
-    segs = []
-    for i, j in zip(*np.nonzero(mixed)):
-        x0, x1, y0, y1 = xs[j], xs[j + 1], ys[i], ys[i + 1]
-        corners = [  # counterclockwise from bottom-left in world terms
-            ((x0, y0), f[i, j]),
-            ((x1, y0), f[i, j + 1]),
-            ((x1, y1), f[i + 1, j + 1]),
-            ((x0, y1), f[i + 1, j]),
-        ]
-        crossings = []
-        for k in range(4):
-            (pa, va), (pb, vb) = corners[k], corners[(k + 1) % 4]
-            if (va > 0.0) != (vb > 0.0):
-                t = va / (va - vb)
-                crossings.append((pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]), k))
-        if len(crossings) == 2:
-            (ax, ay, _), (bx, by, _) = crossings
-            segs.append(((ax, ay), (bx, by)))
-        elif len(crossings) == 4:
-            # saddle: pair edges so the contour separates the center correctly
-            center = 0.25 * sum(v for _, v in corners)
-            c = sorted(crossings, key=lambda t: t[2])
-            first_positive = corners[0][1] > 0.0
-            if (center > 0.0) == first_positive:
-                pairs = [(c[0], c[3]), (c[1], c[2])]
-            else:
-                pairs = [(c[0], c[1]), (c[2], c[3])]
-            for (ax, ay, _), (bx, by, _) in pairs:
-                segs.append(((ax, ay), (bx, by)))
-    return segs
+    i, j = np.nonzero(mixed)
+    # corner k counterclockwise from bottom-left in world terms; edge k runs
+    # from corner k to corner k + 1
+    cx = np.stack([xs[j], xs[j + 1], xs[j + 1], xs[j]])
+    cy = np.stack([ys[i], ys[i], ys[i + 1], ys[i + 1]])
+    v = np.stack([f[i, j], f[i, j + 1], f[i + 1, j + 1], f[i + 1, j]])
+    nx, ny, nv = (np.roll(a, -1, axis=0) for a in (cx, cy, v))
+    crosses = (v > 0.0) != (nv > 0.0)
+    t = np.divide(v, v - nv, out=np.zeros_like(v), where=crosses)
+    px, py = cx + t * (nx - cx), cy + t * (ny - cy)
+    # two crossings join first to last edge; a saddle (four) pairs its edges
+    # so the contour separates the cell centre correctly
+    saddle = crosses.all(axis=0)
+    split = (0.25 * (((v[0] + v[1]) + v[2]) + v[3]) > 0.0) == (v[0] > 0.0)
+    first, last = crosses.argmax(axis=0), 3 - crosses[::-1].argmax(axis=0)
+    second = np.where(saddle & ~split, 1, last)
+    ends = np.stack([first, second, 2 - split, 3 - split], axis=1).reshape(-1, 2, 2)
+    ends = ends[np.stack([np.ones_like(saddle), saddle], axis=1)]  # drop non-saddles' second
+    cell = np.repeat(np.arange(len(saddle)), 1 + saddle)[:, None]
+    segs = np.stack([px[ends, cell], py[ends, cell]], axis=-1).tolist()
+    return [((ax, ay), (bx, by)) for (ax, ay), (bx, by) in segs]
 
 
 def _grid(bounds: tuple[float, float], resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,13 +250,6 @@ def model_boundary_contour(
 # ---------------------------------------------------------------------------
 # figures
 # ---------------------------------------------------------------------------
-
-
-GLYPH_CHUNK = 1024  # points formatted at a time: bounds the column strings alive at once
-
-
-def _fmt_column(values: np.ndarray) -> list[str]:
-    return [f"{v:.2f}".rstrip("0").rstrip(".") for v in values.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,23 +291,16 @@ class PointGlyphs:
 def point_glyphs(dataset: Dataset2D, arm: float = 2.5, **geometry) -> PointGlyphs:
     """The glyphs of every point on ``SvgCanvas(**geometry)``: crosses with arm
     ``arm`` and circles of that radius, from one formatting pass over the six
-    pixel columns of a cross (its centre's x and y among them), GLYPH_CHUNK
-    points at a time."""
+    pixel columns of a cross (its centre's x and y among them)."""
     canvas = SvgCanvas(**geometry)
-    lo, hi = canvas.bounds
-    scale = canvas.size / (hi - lo)
-    x = (canvas.origin[0] + canvas.margin) + (dataset.points[:, 0] - lo) * scale
-    y = (canvas.origin[1] + canvas.margin) + (hi - dataset.points[:, 1]) * scale
-    columns = np.stack([x - arm, y, x + arm, x, y - arm, y + arm])
-    cross, circle = [], []
-    for start in range(0, columns.shape[1], GLYPH_CHUNK):
-        block = columns[:, start : start + GLYPH_CHUNK]
-        left, mid, right, centre, top, bottom = map(_fmt_column, block)
-        cross += [
-            f"M{l} {m}L{r} {m}M{c} {t}L{c} {b}"
-            for l, m, r, c, t, b in zip(left, mid, right, centre, top, bottom)
-        ]
-        circle += [f'<circle cx="{c}" cy="{m}" r="{arm}"' for c, m in zip(centre, mid)]
+    x, y = canvas.px(dataset.points[:, 0], dataset.points[:, 1])
+    columns = np.concatenate([x - arm, y, x + arm, x, y - arm, y + arm])
+    left, mid, right, centre, top, bottom = _number_bytes(columns).reshape(6, len(x), -1)
+    cross = _rows(
+        b"M", left, b" ", mid, b"L", right, b" ", mid,
+        b"M", centre, b" ", top, b"L", centre, b" ", bottom,
+    )
+    circle = _rows(b'<circle cx="', centre, b'" cy="', mid, f'" r="{arm}"'.encode())
     canvas.segments(analytic_boundary_contour(*dataset.specs[:2]), BOUNDARY_COLOR, dashed=True)
     return PointGlyphs(
         geometry,

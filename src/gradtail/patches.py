@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,24 +13,23 @@ Rect = tuple[int, int, int, int]  # row0, col0, height, width
 class PatchSet:
     """Six (by default) rectangles and the leftover-pixel region of one grid.
 
-    ``complement`` holds flat pixel indices (row-major) of every pixel no
-    rectangle covers; it may be empty when the rectangles blanket the grid.
+    ``complement`` is derived from the rectangles: the flat pixel indices
+    (row-major) of every pixel none covers; it may be empty when the
+    rectangles blanket the grid.
     """
 
     rects: list[Rect]
-    complement: np.ndarray
     height: int
     width: int
+    complement: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        covered = np.zeros(self.height * self.width, dtype=bool)
         for r0, c0, h, w in self.rects:
             if h < 1 or w < 1 or r0 < 0 or c0 < 0 or r0 + h > self.height or c0 + w > self.width:
                 raise ValueError(f"rect {(r0, c0, h, w)} outside {self.height}x{self.width} grid")
-        covered = np.zeros(self.height * self.width, dtype=bool)
-        for idx in map(self._rect_indices, self.rects):
-            covered[idx] = True
-        if not np.array_equal(np.flatnonzero(~covered), np.sort(self.complement)):
-            raise ValueError("complement is not exactly the uncovered pixel set")
+            covered[self._rect_indices((r0, c0, h, w))] = True
+        self.complement = np.flatnonzero(~covered)
 
     def _rect_indices(self, rect: Rect) -> np.ndarray:
         r0, c0, h, w = rect
@@ -63,16 +62,13 @@ def sample_patches(
     lo_h, hi_h = min(size_min, height), min(size_max, height)
     lo_w, hi_w = min(size_min, width), min(size_max, width)
     rects: list[Rect] = []
-    covered = np.zeros(height * width, dtype=bool)
     for _ in range(count):
         h = int(rng.integers(lo_h, hi_h + 1))
         w = int(rng.integers(lo_w, hi_w + 1))
         r0 = int(rng.integers(0, height - h + 1))
         c0 = int(rng.integers(0, width - w + 1))
         rects.append((r0, c0, h, w))
-        rows = np.arange(r0, r0 + h)[:, None] * width
-        covered[(rows + np.arange(c0, c0 + w)[None, :]).ravel()] = True
-    return PatchSet(rects, np.flatnonzero(~covered), height, width)
+    return PatchSet(rects, height, width)
 
 
 def patch_mean_loss(losses: np.ndarray, mask: np.ndarray, region: np.ndarray) -> float:

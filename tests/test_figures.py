@@ -9,10 +9,19 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gradtail.analysis import COMMON, HARD, RARE, UNVISITED
-from gradtail.datasets import Dataset2D, GaussianSpec, gen_two_gaussians
+from gradtail import figures
+from gradtail.analysis import COMMON, EVAL_BOUNDS, HARD, RARE, UNVISITED
+from gradtail.datasets import (
+    Dataset2D,
+    GaussianSpec,
+    gen_hard_variant,
+    gen_two_gaussians,
+    log_density,
+)
 from gradtail.figures import (
     SvgCanvas,
+    _number_bytes,
+    _rows,
     analytic_boundary_contour,
     contour_segments,
     entropy_figure,
@@ -148,6 +157,87 @@ def test_glyphs_accept_empty_input():
     assert canvas.elements[0].count("M") == 2 * 4 and len(canvas.elements) == 1 + 3
 
 
+def format_rows(values):
+    return _rows(_number_bytes(np.asarray(values, dtype=np.float64)))
+
+
+def assert_formats_like_reference(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert format_rows(values) == [fmt_reference(v) for v in values.tolist()]
+
+
+def test_formatter_matches_reference_on_ties():
+    # exact binary ties (.2f rounds them by their exact value) and near misses
+    ties = np.array([0.125, 0.375, 0.625, 16.005, 15.125, 10.124999999999998, 2.675, 1.005])
+    near = (np.arange(-3000, 3000) + 0.5) / 100
+    offsets = np.array([0.0, 1e-7, -1e-7, 3e-8, -3e-8, 1e-9, -1e-9, 1e-12, -1e-12]) / 100
+    assert_formats_like_reference(np.concatenate([ties, -ties, (near[:, None] + offsets).ravel()]))
+    for tie in ties:
+        assert_formats_like_reference([np.nextafter(tie, 0.0), tie, np.nextafter(tie, 1e3)])
+
+
+def test_formatter_matches_reference_on_edge_values():
+    assert_formats_like_reference(
+        [0.0, -0.0, -0.004, 0.004, -0.005, -1e-300, 1e-300, 9.995, -9.995, 99.995, 999.995,
+         0.1, 0.01, 0.09, 0.99, 1.0, 10.0, 100.0, 1000.1, -600.0, 5e-3, 0.015, 0.025]
+    )
+    assert_formats_like_reference(
+        [1e5, 123456.78, -654321.125, 99999.995, 1e8 + 0.25, 999999999.99, 1e9, -1e9, 1.5e9,
+         1e15 + 0.5, 1e20, -3.2e300]
+    )
+    assert_formats_like_reference([np.nan, np.inf, -np.inf, 1.0, -np.nan])
+    assert format_rows([]) == []
+    assert format_rows(np.array([2.5, 3.0])) == ["2.5", "3"]
+
+
+def test_formatter_matches_reference_on_random_values():
+    rng = np.random.default_rng(11)
+    assert_formats_like_reference(rng.uniform(-600.0, 60_000.0, 200_000))
+    assert_formats_like_reference(np.arange(-4800, 480_000, 7) / 8)
+    assert_formats_like_reference(rng.integers(-10**6, 10**6, 20_000) / 1000)
+
+
+def test_rows_join_literals_and_columns():
+    a, b = _number_bytes(np.array([1.5, -0.25])), _number_bytes(np.array([1000.0, 0.999]))
+    assert _rows(b"<", a, b" ", b, b'"/>') == ['<1.5 1000"/>', '<-0.25 1"/>']
+
+
+PANEL_GEOMETRY = {"arm": 1.8, "size": 300, "margin": 36, "origin": (372, 0)}
+
+
+@pytest.mark.parametrize("gen", [gen_two_gaussians, gen_hard_variant])
+@pytest.mark.parametrize("geometry", [{}, PANEL_GEOMETRY], ids=["default", "panel"])
+def test_full_size_glyphs_match_per_point_reference(gen, geometry):
+    geometry = dict(geometry)
+    arm = geometry.pop("arm", 2.5)
+    ds = gen(0)
+    glyphs = point_glyphs(ds, arm=arm, **geometry)
+    canvas = SvgCanvas(**geometry)
+    crosses, circles = [], []
+    for x, y in ds.points.tolist():
+        px, py = canvas.px(x, y)
+        crosses.append(cross_reference(canvas, x, y, arm))
+        circles.append(f'<circle cx="{fmt_reference(px)}" cy="{fmt_reference(py)}" r="{arm}"')
+    assert len(crosses) == 10_400
+    assert glyphs.cross.dtype == object and glyphs.circle.dtype == object
+    assert glyphs.cross.tolist() == crosses
+    assert glyphs.circle.tolist() == circles
+
+
+def test_default_glyphs_rarely_use_scalar_fallback(monkeypatch):
+    """The vector formatter sends only half-cent ties and huge or non-finite
+    values to ``_fmt``; a widened tie window would send everything there."""
+    calls = []
+    scalar = figures._fmt
+    monkeypatch.setattr(figures, "_fmt", lambda v: calls.append(v) or scalar(v))
+    for gen in (gen_two_gaussians, gen_hard_variant):
+        calls.clear()
+        glyphs = point_glyphs(gen(0))
+        assert 6 * len(glyphs.cross) == 62_400
+        assert len(calls) < 10
+    assert format_rows([0.125, 1.0]) == ["0.12", "1"] and calls[-1] == 0.125
+
+
 # ---------------------------------------------------------------------------
 # marching squares
 # ---------------------------------------------------------------------------
@@ -201,6 +291,92 @@ def test_contour_saddle_emits_two_segments():
 def test_contour_shape_mismatch():
     with pytest.raises(ValueError, match="field shape"):
         contour_segments(np.arange(3.0), np.arange(4.0), np.zeros((3, 4)))
+
+
+def contour_reference(xs, ys, field, level=0.0):
+    """Per-cell marching squares, the loop ``contour_segments`` replaced."""
+    f = np.asarray(field, dtype=np.float64) - level
+    pos = f > 0.0
+    corner_any = pos[:-1, :-1] | pos[:-1, 1:] | pos[1:, 1:] | pos[1:, :-1]
+    corner_all = pos[:-1, :-1] & pos[:-1, 1:] & pos[1:, 1:] & pos[1:, :-1]
+    segs = []
+    for i, j in zip(*np.nonzero(corner_any & ~corner_all)):
+        x0, x1, y0, y1 = xs[j], xs[j + 1], ys[i], ys[i + 1]
+        corners = [
+            ((x0, y0), f[i, j]),
+            ((x1, y0), f[i, j + 1]),
+            ((x1, y1), f[i + 1, j + 1]),
+            ((x0, y1), f[i + 1, j]),
+        ]
+        crossings = []
+        for k in range(4):
+            (pa, va), (pb, vb) = corners[k], corners[(k + 1) % 4]
+            if (va > 0.0) != (vb > 0.0):
+                t = va / (va - vb)
+                crossings.append((pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]), k))
+        if len(crossings) == 2:
+            (ax, ay, _), (bx, by, _) = crossings
+            segs.append(((ax, ay), (bx, by)))
+        elif len(crossings) == 4:
+            center = 0.25 * sum(v for _, v in corners)
+            c = sorted(crossings, key=lambda t: t[2])
+            if (center > 0.0) == (corners[0][1] > 0.0):
+                pairs = [(c[0], c[3]), (c[1], c[2])]
+            else:
+                pairs = [(c[0], c[1]), (c[2], c[3])]
+            for (ax, ay, _), (bx, by, _) in pairs:
+                segs.append(((ax, ay), (bx, by)))
+    return segs
+
+
+def assert_same_segments(xs, ys, field, level=0.0):
+    got, want = contour_segments(xs, ys, field, level), contour_reference(xs, ys, field, level)
+    assert len(got) == len(want)
+    assert all(type(c) is float for seg in got for point in seg for c in point)
+    bits = lambda segs: np.array(segs, dtype=np.float64).reshape(-1, 2, 2).view(np.uint64)
+    np.testing.assert_array_equal(bits(got), bits(want))
+    return got
+
+
+def test_contour_matches_per_cell_reference_on_random_fields():
+    rng = np.random.default_rng(12)
+    saddles = 0
+    for trial in range(240):
+        rows, cols = (2, 2) if trial % 4 == 0 else rng.integers(2, 12, size=2)
+        xs = np.sort(rng.uniform(-3.0, 3.0, cols))
+        ys = np.sort(rng.uniform(-3.0, 3.0, rows))
+        field = rng.normal(size=(rows, cols))
+        if trial % 3 == 1:  # corners exactly zero, either sign
+            field[rng.random((rows, cols)) < 0.3] = rng.choice([0.0, -0.0])
+        elif trial % 5 == 2:  # one sign throughout: no segments
+            field = np.abs(field) * rng.choice([-1.0, 1.0])
+        elif trial % 7 == 3:  # checkerboard: every cell a saddle
+            parity = np.add.outer(np.arange(rows), np.arange(cols)) % 2
+            field = np.abs(field) * np.where(parity, -1.0, 1.0)
+        segs = assert_same_segments(xs, ys, field, level=0.1 if trial % 11 == 5 else 0.0)
+        saddles += len(segs) > (rows - 1) * (cols - 1)
+    assert saddles > 5
+    xs = ys = np.array([0.0, 1.0])
+    for field in (
+        [[1.0, -1.0], [-1.0, 1.0]],  # saddle, centre exactly 0
+        [[-1.0, 1.0], [1.0, -1.0]],
+        [[1.0, -3.0], [-3.0, 1.0]],
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[1.0, 1.0], [1.0, 1.0]],
+    ):
+        assert_same_segments(xs, ys, np.array(field))
+
+
+@pytest.mark.parametrize("gen", [gen_two_gaussians, gen_hard_variant])
+def test_contour_matches_per_cell_reference_on_default_boundaries(gen):
+    common, uncommon = gen(0).specs[:2]
+    xs = ys = np.linspace(*EVAL_BOUNDS, 200)
+    gx, gy = np.meshgrid(xs, ys)
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    field = (log_density(pts, common) - log_density(pts, uncommon)).reshape(200, 200)
+    segs = assert_same_segments(xs, ys, field)
+    assert len(segs) > 100
+    assert segs == analytic_boundary_contour(common, uncommon)
 
 
 def test_analytic_contour_matches_closed_form_circle():

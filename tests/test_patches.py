@@ -71,10 +71,10 @@ class TestSampling:
 
     def test_patchset_validation(self):
         with pytest.raises(ValueError):
-            PatchSet([(0, 0, 20, 20)], np.array([], dtype=np.intp), 10, 10)
-        with pytest.raises(ValueError):
-            # complement missing the uncovered pixels
-            PatchSet([(0, 0, 5, 10)], np.array([], dtype=np.intp), 10, 10)
+            PatchSet([(0, 0, 20, 20)], 10, 10)
+        # the complement is derived: every pixel the rectangles leave
+        ps = PatchSet([(0, 0, 5, 10)], 10, 10)
+        np.testing.assert_array_equal(ps.complement, np.arange(50, 100))
 
 
 class TestPatchMeanLoss:
