@@ -479,6 +479,14 @@ def cmd_dense_demo(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def seed_count(text: str) -> int:
+    """A ``--seeds`` value: an integer of at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradtail",
@@ -486,15 +494,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_flags(p: argparse.ArgumentParser, default_out: str) -> None:
+    def common_flags(p: argparse.ArgumentParser, default_out: str, reference: bool = True) -> None:
         p.add_argument("--config", help="key-value config file (same format as run manifests)")
         p.add_argument("--out", default=default_out, help="output directory")
-        p.add_argument("--seeds", type=int, default=1, help="number of seeds to run")
-        p.add_argument("--reference-mode", action="store_true",
-                       help="serial per-example gradients for bitwise reproducibility")
+        p.add_argument("--seeds", type=seed_count, default=1, help="number of seeds to run")
+        if reference:
+            p.add_argument("--reference-mode", action="store_true",
+                           help="serial per-example gradients for bitwise reproducibility")
 
     p = sub.add_parser("gen-data", help="write dataset files and their manifest")
-    common_flags(p, "data")
+    common_flags(p, "data", reference=False)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train one run directory per seed")
@@ -502,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("analyze", help="reports, figures, and a cross-run summary")
-    common_flags(p, "analysis")
+    p.add_argument("--out", default="analysis", help="output directory")
     p.add_argument("run_dirs", nargs="+", help="run directories produced by train")
     p.set_defaults(func=cmd_analyze)
 

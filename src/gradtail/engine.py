@@ -25,7 +25,6 @@ from .mlp import (
     Loss,
     MlpModel,
     Workspace,
-    _row_argmax,
     backprop,
     batch_gradients,
     coefficient_gradients,
@@ -148,18 +147,11 @@ class TraceTable:
 
     occurrences: np.ndarray
     theta_sum: np.ndarray
-    theta_sq_sum: np.ndarray
-    loss_sum: np.ndarray
     entropy_sum: np.ndarray
-    correct_count: np.ndarray
 
     @classmethod
     def zeros(cls, n: int) -> "TraceTable":
-        return cls(
-            np.zeros(n, dtype=np.int64),
-            np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n),
-            np.zeros(n, dtype=np.int64),
-        )
+        return cls(np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n))
 
     @property
     def n(self) -> int:
@@ -303,23 +295,21 @@ class _TraceBuffer:
     A flush adds them to the TraceTable with one ``np.add.at`` per float
     column over the stacked steps, which adds every example's values in the
     same order as one call per step would, so the sums keep their bits.
-    Softmax, entropy and argmax work row by row, so stacking does not change
-    them either.
+    Softmax and entropy work row by row, so stacking does not change them
+    either.
     """
 
-    def __init__(self, trace: TraceTable, labels: np.ndarray, batch_size: int, classes: int):
-        self.trace, self.labels = trace, labels
+    def __init__(self, trace: TraceTable, batch_size: int, classes: int):
+        self.trace = trace
         self.idx = np.empty((TRACE_FLUSH, batch_size), dtype=np.int64)
         self.alignments = np.empty((TRACE_FLUSH, batch_size))
-        self.losses = np.empty((TRACE_FLUSH, batch_size))
         self.outputs = np.empty((TRACE_FLUSH, batch_size, classes))
         self.filled = 0
 
-    def add(self, idx, alignments, losses, outputs) -> None:
+    def add(self, idx, alignments, outputs) -> None:
         k = self.filled
         self.idx[k] = idx
         self.alignments[k] = alignments
-        self.losses[k] = losses
         self.outputs[k] = outputs
         self.filled = k + 1
         if self.filled == TRACE_FLUSH:
@@ -330,15 +320,10 @@ class _TraceBuffer:
         if k == 0:
             return
         idx = self.idx[:k].ravel()
-        alignments = self.alignments[:k].ravel()
         outputs = self.outputs[:k].reshape(idx.size, -1)
         trace.occurrences += np.bincount(idx, minlength=trace.n)
-        np.add.at(trace.theta_sum, idx, alignments)
-        np.add.at(trace.theta_sq_sum, idx, alignments**2)
-        np.add.at(trace.loss_sum, idx, self.losses[:k].ravel())
+        np.add.at(trace.theta_sum, idx, self.alignments[:k].ravel())
         np.add.at(trace.entropy_sum, idx, entropy_scores(softmax(outputs)))
-        correct = _row_argmax(outputs) == self.labels[idx]
-        trace.correct_count += np.bincount(idx[correct], minlength=trace.n)
         self.filled = 0
 
 
@@ -369,7 +354,7 @@ def train(dataset: Dataset2D, model_seed: int, config: TrainConfig) -> TrainResu
     trace = buffer = None
     if config.trace_logging:
         trace = TraceTable.zeros(dataset.n)
-        buffer = _TraceBuffer(trace, labels, config.batch_size, config.model_dims[-1])
+        buffer = _TraceBuffer(trace, config.batch_size, config.model_dims[-1])
 
     # regression-style losses (squared/l1) train against one-hot targets
     one_hot = None if config.loss == "softmax_xent" else np.eye(config.model_dims[-1])[labels]
@@ -379,11 +364,11 @@ def train(dataset: Dataset2D, model_seed: int, config: TrainConfig) -> TrainResu
         idx = block[step % TRACE_FLUSH]
         batch_labels = labels.take(idx)
         targets = batch_labels if one_hot is None else one_hot.take(idx, axis=0)
-        weighting, _, losses, outputs = _step(
+        weighting, _, _, outputs = _step(
             run, step, batch_labels, idx, _example_gradients, points.take(idx, axis=0), targets
         )
         if buffer is not None:
-            buffer.add(idx, weighting.alignments, losses, outputs)
+            buffer.add(idx, weighting.alignments, outputs)
     if buffer is not None:
         buffer.flush()
 

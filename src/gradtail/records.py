@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .algorithm import GradTailConfig, GradTailState
-from .datasets import Dataset2D, GaussianSpec
+from .datasets import Dataset2D
 from .engine import PatchLog, StepLog, TraceTable, TrainConfig
 from .mlp import PARAM_KINDS, MlpModel
 
@@ -27,7 +27,7 @@ FORMAT_LINE = "format: gradtail-record v1"
 
 
 class RecordFormatError(ValueError):
-    """A record, log or dataset file was read but its contents do not parse."""
+    """A record or log file was read but its contents do not parse."""
 
 
 def _reader(load):
@@ -365,23 +365,19 @@ def load_step_log(path: str | Path) -> StepLog:
     return StepLog(*_read_columns(path, STEP_COLUMNS, [int] + [float] * 4, "step log"))
 
 
-TRACE_COLUMNS = [
-    "example_id", "occurrences", "alignment_sum", "alignment_sq_sum",
-    "loss_sum", "entropy_sum", "correct_count",
-]
+TRACE_COLUMNS = ["example_id", "occurrences", "alignment_sum", "entropy_sum"]
 
 
 def save_trace(path: str | Path, trace: TraceTable) -> None:
     _write_columns(path, TRACE_COLUMNS, [
-        np.arange(trace.n), trace.occurrences, trace.theta_sum, trace.theta_sq_sum,
-        trace.loss_sum, trace.entropy_sum, trace.correct_count,
+        np.arange(trace.n), trace.occurrences, trace.theta_sum, trace.entropy_sum,
     ])
 
 
 @_reader
 def load_trace(path: str | Path) -> TraceTable:
     """The trace save_trace wrote: one row per example, ids 0..n-1 in order."""
-    kinds = [int, int, float, float, float, float, int]
+    kinds = [int, int, float, float]
     return TraceTable(*_read_columns(path, TRACE_COLUMNS, kinds, "trace")[1:])
 
 
@@ -403,31 +399,6 @@ def save_dataset(path: str | Path, dataset: Dataset2D) -> None:
         writer.writerow(["x1", "x2", "label"])
         for p, lab in zip(dataset.points, dataset.labels):
             writer.writerow([repr(float(p[0])), repr(float(p[1])), int(lab)])
-
-
-@_reader
-def load_dataset(path: str | Path) -> Dataset2D:
-    specs, seed = [], 0
-    with open(path, newline="") as fh:
-        text = fh.read()
-    rows = []
-    for line in text.splitlines():
-        if line.startswith("# seed:"):
-            seed = int(line.split(":", 1)[1])
-        elif line.startswith("# spec"):
-            body = line.split(":", 1)[1].strip()
-            parts = dict(tok.split("=", 1) for tok in body.split(" "))
-            mean = tuple(float(v) for v in parts["mean"].split(","))
-            specs.append(
-                GaussianSpec(mean, float(parts["cov_scale"]), int(parts["count"]), int(parts["label"]))
-            )
-        elif line and not line.startswith("#"):
-            rows.append(line)
-    parsed = list(csv.reader(io.StringIO("\n".join(rows))))
-    body = parsed[1:]
-    points = np.array([[float(r[0]), float(r[1])] for r in body])
-    labels = np.array([int(r[2]) for r in body], dtype=np.int64)
-    return Dataset2D(points, labels, tuple(specs), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,26 @@ def test_unknown_sweep_param_exits_2():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("command", [
+    ["gen-data"], ["train"], ["sweep", "--param", "pivot", "--values", "0"], ["dense-demo"],
+], ids=lambda command: command[0])
+def test_seed_count_below_one_exits_2(tmp_path, capsys, command, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--seeds", value, "--out", str(out)])
+    assert err.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_takes_no_seeds_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["analyze", "--seeds", "2", "--out", str(tmp_path / "analysis"), str(tmp_path)])
+    assert err.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path, "train.stepz: 5\n")
     rv = main(["gen-data", "--config", config, "--out", str(tmp_path / "d")])
@@ -519,6 +539,22 @@ def test_analyze_bad_trace_rows_exit_4(trained_runs, tmp_path, capsys, edit):
     assert rv == 4
     err = capsys.readouterr().err
     assert "record format error" in err and "trace.csv" in err
+
+
+def test_analyze_refuses_the_older_seven_column_trace(trained_runs, tmp_path, capsys):
+    """The layout that also held alignment_sq_sum, loss_sum and correct_count."""
+    clone = clone_run(trained_runs, tmp_path, "run-old-trace")
+    header, *rows = (clone / "trace.csv").read_text().splitlines()
+    old = ["example_id,occurrences,alignment_sum,alignment_sq_sum,loss_sum,entropy_sum,"
+           "correct_count"]
+    for row in rows:
+        example_id, occurrences, alignment, entropy = row.split(",")
+        old.append(f"{example_id},{occurrences},{alignment},0.0,0.0,{entropy},0")
+    (clone / "trace.csv").write_text("\n".join(old) + "\n")
+    rv = main(["analyze", "--out", str(tmp_path / "analysis"), str(clone)])
+    assert rv == 4
+    err = capsys.readouterr().err
+    assert "not a trace" in err and "trace.csv" in err
 
 
 @pytest.mark.parametrize("edit", ["drop", "duplicate", "swap", "cut"])

@@ -1,8 +1,9 @@
 """Round-trip tests for the on-disk formats.
 
 Checkpoints and state snapshots must survive a write/read cycle bit for bit;
-manifests must rebuild the exact TrainConfig; logs and datasets must
-round-trip through their CSV forms with full float precision.
+manifests must rebuild the exact TrainConfig; logs must round-trip through
+their CSV forms with full float precision, and every CSV writer writes the
+bytes csv.writer would.
 """
 
 import csv
@@ -25,7 +26,6 @@ from gradtail.records import (
     _encode_array,
     config_from_manifest,
     format_manifest,
-    load_dataset,
     load_gradtail_state,
     load_model,
     load_step_log,
@@ -244,19 +244,13 @@ def test_trace_round_trip(tmp_path):
     trace = TraceTable.zeros(5)
     trace.occurrences[:] = rng.integers(0, 10, 5)
     trace.theta_sum[:] = rng.standard_normal(5)
-    trace.theta_sq_sum[:] = rng.standard_normal(5) ** 2
-    trace.loss_sum[:] = rng.standard_normal(5) ** 2
     trace.entropy_sum[:] = rng.standard_normal(5) ** 2
-    trace.correct_count[:] = rng.integers(0, 10, 5)
     save_trace(tmp_path / "trace.csv", trace)
     back = load_trace(tmp_path / "trace.csv")
     assert back.occurrences.tolist() == trace.occurrences.tolist()
     assert back.theta_sum.tolist() == trace.theta_sum.tolist()
-    assert back.theta_sq_sum.tolist() == trace.theta_sq_sum.tolist()
-    assert back.loss_sum.tolist() == trace.loss_sum.tolist()
     assert back.entropy_sum.tolist() == trace.entropy_sum.tolist()
-    assert back.correct_count.tolist() == trace.correct_count.tolist()
-    assert back.occurrences.dtype == back.correct_count.dtype == np.int64
+    assert back.occurrences.dtype == np.int64
 
 
 def test_trace_ids_must_count_from_zero(tmp_path):
@@ -293,11 +287,10 @@ def test_logs_round_trip_extreme_values_bit_for_bit(tmp_path):
     for name in ("step", "mean_loss", "mean_weight", "sigma", "ema_norm"):
         got, want = getattr(back, name), getattr(log, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    trace = TraceTable(counts, *floats, counts[::-1].copy())
+    trace = TraceTable(counts, *floats[:2])
     save_trace(tmp_path / "trace.csv", trace)
     back = load_trace(tmp_path / "trace.csv")
-    for name in ("occurrences", "theta_sum", "theta_sq_sum", "loss_sum", "entropy_sum",
-                 "correct_count"):
+    for name in ("occurrences", "theta_sum", "entropy_sum"):
         got, want = getattr(back, name), getattr(trace, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert got.flags.c_contiguous
@@ -418,18 +411,14 @@ def test_step_log_bytes_match_csv_writer(tmp_path, n):
 @pytest.mark.parametrize("n", ROW_COUNTS)
 def test_trace_bytes_match_csv_writer(tmp_path, n):
     rng = np.random.default_rng(100 + n)
-    trace = TraceTable(
-        rng.integers(0, 50, n), *float_columns(n, 4, 200 + n), rng.integers(0, 50, n)
-    )
+    trace = TraceTable(rng.integers(0, 50, n), *float_columns(n, 2, 200 + n))
     save_trace(tmp_path / "trace.csv", trace)
     rows = [
         [i, int(trace.occurrences[i]), repr(float(trace.theta_sum[i])),
-         repr(float(trace.theta_sq_sum[i])), repr(float(trace.loss_sum[i])),
-         repr(float(trace.entropy_sum[i])), int(trace.correct_count[i])]
+         repr(float(trace.entropy_sum[i]))]
         for i in range(n)
     ]
-    header = ["example_id", "occurrences", "alignment_sum", "alignment_sq_sum",
-              "loss_sum", "entropy_sum", "correct_count"]
+    header = ["example_id", "occurrences", "alignment_sum", "entropy_sum"]
     assert (tmp_path / "trace.csv").read_bytes() == csv_writer_bytes(
         tmp_path / "ref.csv", header, rows
     )
@@ -475,32 +464,27 @@ def test_record_rejects_duplicated_key(tmp_path, line):
         load_model(tmp_path / "model.txt")
 
 
-def test_dataset_round_trip(tmp_path):
-    ds = gen_two_gaussians(
-        5,
-        GaussianSpec((0.0, 0.0), 1.0, 40, 0),
-        GaussianSpec((2.2, 2.2), 0.5, 8, 1),
-    )
-    save_dataset(tmp_path / "data.csv", ds)
-    back = load_dataset(tmp_path / "data.csv")
-    assert back.seed == 5
-    assert back.specs == ds.specs
-    assert back.labels.tolist() == ds.labels.tolist()
-    assert np.array_equal(back.points, ds.points)
+DATASET_CASES = [  # (seed, specs, the header lines save_dataset writes for them)
+    (5, (GaussianSpec((0.0, 0.0), 1.0, 40, 0), GaussianSpec((2.2, 2.2), 0.5, 8, 1)),
+     "# seed: 5\n# spec0: mean=0.0,0.0 cov_scale=1.0 count=40 label=0\n"
+     "# spec1: mean=2.2,2.2 cov_scale=0.5 count=8 label=1\n"),
+    (3, (GaussianSpec((0.5, -1.0), 2.0, 12, 0), GaussianSpec((2.0, 2.0), 0.5, 6, 1)),
+     "# seed: 3\n# spec0: mean=0.5,-1.0 cov_scale=2.0 count=12 label=0\n"
+     "# spec1: mean=2.0,2.0 cov_scale=0.5 count=6 label=1\n"),
+]
 
 
-def test_dataset_file_regenerates_itself(tmp_path):
-    """The manifest rows embedded in the file fully determine the points."""
-    ds = gen_two_gaussians(
-        3,
-        GaussianSpec((0.5, -1.0), 2.0, 12, 0),
-        GaussianSpec((2.0, 2.0), 0.5, 6, 1),
-    )
-    save_dataset(tmp_path / "data.csv", ds)
-    back = load_dataset(tmp_path / "data.csv")
-    regen = gen_two_gaussians(back.seed, back.specs[0], back.specs[1])
-    assert np.array_equal(regen.points, back.points)
-    assert regen.labels.tolist() == back.labels.tolist()
+@pytest.mark.parametrize("seed, specs, header", DATASET_CASES, ids=["seed5", "seed3"])
+def test_dataset_bytes_regenerate_from_header(tmp_path, seed, specs, header):
+    """A dataset file is its seed and spec lines, then csv.writer's rows of
+    the points gen_two_gaussians draws from exactly those values: the file
+    carries everything needed to regenerate it."""
+    dataset = gen_two_gaussians(seed, *specs)
+    save_dataset(tmp_path / "data.csv", dataset)
+    rows = [[repr(float(x1)), repr(float(x2)), int(label)]
+            for (x1, x2), label in zip(dataset.points, dataset.labels)]
+    body = csv_writer_bytes(tmp_path / "ref.csv", ["x1", "x2", "label"], rows)
+    assert (tmp_path / "data.csv").read_bytes() == header.encode() + body
 
 
 def _toy_report():

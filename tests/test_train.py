@@ -203,8 +203,6 @@ class TestTrain:
         seen = res.trace.seen()
         ma = res.trace.mean_alignment()[seen]
         assert np.all(ma >= -1.0) and np.all(ma <= 1.0)
-        acc = res.trace.correct_count[seen] / res.trace.occurrences[seen]
-        assert np.all(acc >= 0.0) and np.all(acc <= 1.0)
         assert np.all(res.trace.mean_entropy()[seen] >= 0.0)
         assert np.all(res.trace.mean_entropy()[seen] <= np.log(2.0) + 1e-12)
         assert np.all(res.trace.occurrences[seen] >= 1)
@@ -215,7 +213,6 @@ class TestTrain:
         unseen = int(np.flatnonzero(res.trace.occurrences == 0)[0])
         for stat in (res.trace.mean_alignment(), res.trace.mean_entropy()):
             assert np.isnan(stat[unseen])
-        assert res.trace.correct_count[unseen] == 0
 
     def test_loss_decreases_on_average(self):
         ds = small_dataset()
@@ -257,8 +254,7 @@ class TestTraceBuffer:
     """The buffered trace against one np.add.at per step, driven here through
     the same step kernel and batch stream as train."""
 
-    COLUMNS = ("occurrences", "theta_sum", "theta_sq_sum", "loss_sum", "entropy_sum",
-               "correct_count")
+    COLUMNS = ("occurrences", "theta_sum", "entropy_sum")
 
     @staticmethod
     def per_step_trace(dataset, model_seed, config):
@@ -268,16 +264,13 @@ class TestTraceBuffer:
         trace = TraceTable.zeros(dataset.n)
         for step in range(config.steps):
             idx = rng.integers(0, dataset.n, size=config.batch_size)
-            weighting, _, losses, outputs = engine._step(
+            weighting, _, _, outputs = engine._step(
                 run, step, labels[idx], idx,
                 engine._example_gradients, dataset.points[idx], labels[idx],
             )
             np.add.at(trace.occurrences, idx, 1)
             np.add.at(trace.theta_sum, idx, weighting.alignments)
-            np.add.at(trace.theta_sq_sum, idx, weighting.alignments**2)
-            np.add.at(trace.loss_sum, idx, losses)
             np.add.at(trace.entropy_sum, idx, entropy_scores(softmax(outputs)))
-            np.add.at(trace.correct_count, idx, np.argmax(outputs, axis=1) == labels[idx])
         return trace
 
     @pytest.mark.parametrize("strategy", ["gradtail", "uniform", "focal"])
