@@ -16,6 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_finite(config) -> None:
+    """Refuse NaN and +-inf in a config's float fields (range checks pass NaN)."""
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GradTailConfig:
     """Hyperparameters for alignment-based example weighting.
@@ -33,6 +40,7 @@ class GradTailConfig:
     epsilon_norm: float = 1e-12
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not 0.0 < self.decay < 1.0:
             raise ValueError(f"decay must lie in (0,1), got {self.decay}")
         if self.amplitude < 0.0:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset2D, GaussianSpec, analytic_boundary_side
+from .datasets import EQUAL_DENSITY_TOLERANCE, Dataset2D, GaussianSpec, log_density
 from .engine import TraceTable, TrainResult
 from .mlp import MlpModel, _row_argmax, forward_batch
 
@@ -114,26 +114,38 @@ def class_metrics(model: MlpModel, dataset: Dataset2D) -> ClassMetrics:
     return metrics_from_predictions(preds, dataset.labels)
 
 
-def _eval_grid(
-    bounds: tuple[float, float] = EVAL_BOUNDS, resolution: int = EVAL_RESOLUTION
-) -> np.ndarray:
-    axis = np.linspace(bounds[0], bounds[1], resolution)
+def _eval_grid() -> np.ndarray:
+    axis = np.linspace(EVAL_BOUNDS[0], EVAL_BOUNDS[1], EVAL_RESOLUTION)
     xx, yy = np.meshgrid(axis, axis)
     return np.stack([xx.ravel(), yy.ravel()], axis=-1)
 
 
-def boundary_disagreement(
-    model: MlpModel,
-    common: GaussianSpec,
-    uncommon: GaussianSpec,
-    bounds: tuple[float, float] = EVAL_BOUNDS,
-    resolution: int = EVAL_RESOLUTION,
-) -> float:
+@dataclass(frozen=True, eq=False)
+class BoundaryGrid:
+    """A model's ``logits`` and log phi_common - log phi_uncommon (``log_gap``) at
+    the ``_eval_grid`` nodes, computed once for the disagreement and both
+    boundary contours; row i * len(axis) + j is node (axis[j], axis[i])."""
+
+    axis: np.ndarray
+    logits: np.ndarray
+    log_gap: np.ndarray
+    common_label: int
+
+
+def boundary_grid(model: MlpModel, common: GaussianSpec, uncommon: GaussianSpec) -> BoundaryGrid:
+    pts = _eval_grid()
+    log_gap = log_density(pts, common) - log_density(pts, uncommon)
+    axis = pts[:EVAL_RESOLUTION, 0]  # the first row of nodes
+    return BoundaryGrid(axis, forward_batch(model, pts), log_gap, common.label)
+
+
+def boundary_disagreement(grid: BoundaryGrid) -> float:
     """Fraction of grid nodes where the model's class differs from the
-    equal-density oracle. Nodes exactly on the oracle curve never disagree."""
-    pts = _eval_grid(bounds, resolution)
-    oracle = analytic_boundary_side(pts, common, uncommon)
-    model_side = np.where(_row_argmax(forward_batch(model, pts)) == common.label, 1.0, -1.0)
+    equal-density oracle (``analytic_boundary_side``). Nodes exactly on the
+    oracle curve never disagree. The class is the argmax, which holds for NaN
+    logits and any class count."""
+    oracle = np.where(np.abs(grid.log_gap) <= EQUAL_DENSITY_TOLERANCE, 0.0, np.sign(grid.log_gap))
+    model_side = np.where(_row_argmax(grid.logits) == grid.common_label, 1.0, -1.0)
     return float(((oracle != 0.0) & (model_side != oracle)).mean())
 
 
@@ -253,12 +265,12 @@ class ExperimentReport:
 def experiment_report(
     result: TrainResult,
     dataset: Dataset2D,
+    grid: BoundaryGrid,
     band_half_width: float = DEFAULT_BAND_HALF_WIDTH,
 ) -> ExperimentReport:
-    """Assemble the full classification report from a finished run."""
+    """Assemble the full classification report from a finished run and its grid."""
     if result.trace is None:
         raise ValueError("run has no traces; rerun with trace_logging")
-    common, uncommon = dataset.specs[0], dataset.specs[1]
     labels, seen, excluded = label_examples(result.trace, band_half_width)
     preds = _row_argmax(forward_batch(result.model, dataset.points))
     metrics = metrics_from_predictions(preds, dataset.labels)
@@ -272,8 +284,8 @@ def experiment_report(
         metrics.balanced_accuracy,
         metrics.per_class_recall,
         quart,
-        boundary_disagreement(result.model, common, uncommon),
-        rare_set_stats(labels, dataset, common, uncommon),
+        boundary_disagreement(grid),
+        rare_set_stats(labels, dataset, *dataset.specs[:2]),
         tail_counts,
         excluded,
     )

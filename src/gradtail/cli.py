@@ -21,8 +21,8 @@ import numpy as np
 from .algorithm import GradTailConfig
 from .analysis import (
     DENSE_BAND_EDGES,
-    ExperimentReport,
     boundary_disagreement,
+    boundary_grid,
     class_metrics,
     dense_band_mre,
     experiment_report,
@@ -247,11 +247,11 @@ def _dense_mre(model, grid: DenseGrid) -> tuple[float | None, float | None, floa
     return bands.bands[0].mre, bands.bands[1].mre, bands.total_mre
 
 
-def _report_for_run(
-    run_dir: Path,
-) -> tuple[ExperimentReport | None, dict, Dataset2D | None, TrainResult | None]:
-    """The report of one run dir. A dense run reports its band errors only,
-    with no dataset or result for the toy figures."""
+def _analyze_run(run_dir: Path, fig_dir: Path) -> dict:
+    """Write one run dir's report into ``fig_dir``, with the five figures of a
+    toy run, and return the report's fields. A dense run reports its band
+    errors only; a toy run with fewer than four seen examples gets a degraded
+    report."""
     config, model_seed, dataset = _read_run_manifest(run_dir)
     model = load_model(run_dir / "model.txt")
     shape = (tuple(model.layer_dims), model.hidden_activation)
@@ -267,31 +267,50 @@ def _report_for_run(
         )
     if isinstance(dataset, DenseGrid):
         _, rare, total = _dense_mre(model, dataset)
-        return None, {"rare_mre": _value_repr(rare), "total_mre": repr(total)}, None, None
+        fields = {"rare_mre": _value_repr(rare), "total_mre": repr(total)}
+        fig_dir.mkdir(parents=True, exist_ok=True)
+        write_record(fig_dir / "report.txt", "experiment-report", fields, {})
+        return fields
     trace_path = run_dir / "trace.csv"
     trace = load_trace(trace_path) if trace_path.exists() else None
     if trace is not None and trace.n != dataset.n:
         raise RecordFormatError(f"{trace_path}: {trace.n} rows for {dataset.n} examples")
-    result = TrainResult(model, trace, step_log, None, config, model_seed)
+    grid = boundary_grid(model, *dataset.specs[:2])
     seen = 0 if trace is None else int(trace.seen().sum())
+    fig_dir.mkdir(parents=True, exist_ok=True)
+    glyphs = point_glyphs(dataset, grid)
     if seen < 4:  # quartiles need four seen examples
         # degraded report: model-level metrics only, gaps called out
         metrics = class_metrics(model, dataset)
         fields = {
             "total_accuracy": repr(metrics.total_accuracy),
             "balanced_accuracy": repr(metrics.balanced_accuracy),
-            "boundary_disagreement": repr(
-                boundary_disagreement(model, dataset.specs[0], dataset.specs[1])
-            ),
+            "boundary_disagreement": repr(boundary_disagreement(grid)),
             "trace": "absent" if trace is None else f"{seen} examples seen",
             "quartile": "absent",
             "rare_set": "absent",
         }
         for label, recall in sorted(metrics.per_class_recall.items()):
             fields[f"recall.class{label}"] = repr(recall)
-        return None, fields, dataset, result
-    report = experiment_report(result, dataset)
-    return report, report_fields(report), dataset, result
+        print(
+            f"warning: {run_dir} has no usable traces (trace: {fields['trace']});"
+            " writing a degraded report",
+            file=sys.stderr,
+        )
+        write_record(fig_dir / "report.txt", "experiment-report", fields, {})
+    else:
+        result = TrainResult(model, trace, step_log, None, config, model_seed)
+        report = experiment_report(result, dataset, grid)
+        fields = report_fields(report)
+        save_report(fig_dir / "report.txt", report)
+        (fig_dir / "report_table.txt").write_text(report_table(report))
+        labels, _, _ = label_examples(trace)
+        tail_figure(glyphs, labels, fig_dir / "tail.svg")
+        tail_figure(glyphs, labels, fig_dir / "rare.svg", rare_only=True)
+        entropy_figure(glyphs, trace.mean_entropy(), fig_dir / "entropy.svg")
+    scatter_figure(glyphs, fig_dir / "data.svg")
+    prediction_figure(grid, glyphs, fig_dir / "predictions.svg")
+    return fields
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -306,30 +325,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for run_dir, name in zip(run_dirs, names):
         if not (run_dir / "manifest.txt").exists():
             raise FileNotFoundError(f"{run_dir}/manifest.txt")
-        report, fields, dataset, result = _report_for_run(run_dir)
-        fig_dir = out / name
-        fig_dir.mkdir(parents=True, exist_ok=True)
-        glyphs = None if dataset is None else point_glyphs(dataset)
-        if report is not None:
-            save_report(fig_dir / "report.txt", report)
-            (fig_dir / "report_table.txt").write_text(report_table(report))
-            labels, _, _ = label_examples(result.trace)
-            tail_figure(glyphs, labels, fig_dir / "tail.svg")
-            tail_figure(glyphs, labels, fig_dir / "rare.svg", rare_only=True)
-            entropy_figure(glyphs, result.trace.mean_entropy(), fig_dir / "entropy.svg")
-        else:
-            if "trace" in fields:
-                print(
-                    f"warning: {run_dir} has no usable traces (trace: {fields['trace']});"
-                    " writing a degraded report",
-                    file=sys.stderr,
-                )
-            write_record(fig_dir / "report.txt", "experiment-report", fields, {})
-        if glyphs is not None:
-            scatter_figure(glyphs, fig_dir / "data.svg")
-            prediction_figure(result.model, glyphs, fig_dir / "predictions.svg")
+        fields = _analyze_run(run_dir, out / name)  # one run's arrays are freed before the next
         rows.append({"run": name, **{k: str(v) for k, v in fields.items()}})
-        print(f"analyzed {run_dir} -> {fig_dir}")
+        print(f"analyzed {run_dir} -> {out / name}")
 
     columns = ["run", "total_accuracy", "balanced_accuracy", "boundary_disagreement", "rare.size"]
     if any("total_mre" in row for row in rows):
@@ -382,18 +380,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows, panels = [], []
     for value, value_config in zip(values, value_configs):
         balanced, total, disagreement, recall_uncommon = [], [], [], []
-        panel_model = None
         for k in range(args.seeds):
             dataset = _dataset_for(kind, data_seed + k)
             result = train(dataset, model_seed + k, replace(value_config, seed=config.seed + k))
-            report = experiment_report(result, dataset)
+            grid = boundary_grid(result.model, *dataset.specs[:2])
+            report = experiment_report(result, dataset, grid)
             balanced.append(report.balanced_accuracy)
             total.append(report.total_accuracy)
             disagreement.append(report.boundary_disagreement)
-            uncommon_label = dataset.specs[1].label
-            recall_uncommon.append(report.per_class_recall[uncommon_label])
-            if k == 0:
-                panel_model = result.model
+            recall_uncommon.append(report.per_class_recall[dataset.specs[1].label])
+            if k == 0:  # the panel shows the first seed
+                panels.append((f"{args.param}={value:g}", grid, dataset))
         rows.append({
             "value": repr(value),
             "median_balanced": repr(float(np.median(balanced))),
@@ -401,7 +398,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "median_disagreement": repr(float(np.median(disagreement))),
             "median_recall_uncommon": repr(float(np.median(recall_uncommon))),
         })
-        panels.append((f"{args.param}={value:g}", panel_model, _dataset_for(kind, data_seed)))
     table = summary_table(
         rows,
         ["value", "median_balanced", "median_total", "median_disagreement",

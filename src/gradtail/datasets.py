@@ -32,6 +32,7 @@ class GaussianSpec:
 DEFAULT_COMMON = GaussianSpec(mean=(0.0, 0.0), cov_scale=1.0, count=10_000, label=COMMON)
 DEFAULT_UNCOMMON = GaussianSpec(mean=(2.2, 2.2), cov_scale=0.5, count=400, label=UNCOMMON)
 HARD_UNCOMMON = GaussianSpec(mean=(1.0, 1.0), cov_scale=0.5, count=400, label=UNCOMMON)
+EQUAL_DENSITY_TOLERANCE = 1e-12  # |log-density gap| on the equal-density curve
 
 
 @dataclass
@@ -159,7 +160,7 @@ def analytic_boundary_side(
     common: GaussianSpec = DEFAULT_COMMON,
     uncommon: GaussianSpec = DEFAULT_UNCOMMON,
     use_priors: bool = False,
-    tolerance: float = 1e-12,
+    tolerance: float = EQUAL_DENSITY_TOLERANCE,
 ):
     """+1 where the common density wins, -1 where the uncommon one does, 0 on
     the equal-density curve, where |log phi_common - log phi_uncommon| <=

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithm import GradTailConfig, GradTailState, step_arrays
+from .algorithm import GradTailConfig, GradTailState, check_finite, step_arrays
 from .baselines import FrequencyWeights, entropy_scores
 from .datasets import Dataset2D, DenseGrid
 from .mlp import (
@@ -71,6 +71,7 @@ class TrainConfig:
     reference_mode: bool = False
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
         if self.learning_rate <= 0.0:

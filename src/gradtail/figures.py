@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import EVAL_BOUNDS, RARE, UNVISITED
-from .datasets import Dataset2D, GaussianSpec, log_density
-from .mlp import MlpModel, forward_batch
+from .analysis import EVAL_BOUNDS, RARE, UNVISITED, BoundaryGrid
+from .datasets import Dataset2D
+from .mlp import forward_batch  # noqa: F401  (perfbench/tracing.py rebinds it here)
 
 COMMON_COLOR = "#2ca02c"   # green crosses
 UNCOMMON_COLOR = "#9467bd"  # purple circles
@@ -214,37 +214,18 @@ def contour_segments(
     return [((ax, ay), (bx, by)) for (ax, ay), (bx, by) in segs]
 
 
-def _grid(bounds: tuple[float, float], resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lo, hi = bounds
-    xs = np.linspace(lo, hi, resolution)
-    ys = np.linspace(lo, hi, resolution)
-    gx, gy = np.meshgrid(xs, ys)
-    return xs, ys, np.stack([gx.ravel(), gy.ravel()], axis=1)
-
-
-def analytic_boundary_contour(
-    common: GaussianSpec,
-    uncommon: GaussianSpec,
-    bounds: tuple[float, float] = EVAL_BOUNDS,
-    resolution: int = 200,
-) -> list:
+def analytic_boundary_contour(grid: BoundaryGrid) -> list:
     """Equal-density curve of the two generators (log densities: same zeros,
     no far-field underflow)."""
-    xs, ys, pts = _grid(bounds, resolution)
-    diff = log_density(pts, common) - log_density(pts, uncommon)
-    return contour_segments(xs, ys, diff.reshape(resolution, resolution))
+    return contour_segments(grid.axis, grid.axis, grid.log_gap.reshape(grid.axis.size, -1))
 
 
-def model_boundary_contour(
-    model: MlpModel, bounds: tuple[float, float] = EVAL_BOUNDS, resolution: int = 200
-) -> list:
+def model_boundary_contour(grid: BoundaryGrid) -> list:
     """Two-class decision boundary: zero crossing of logit(common) - logit(rare)."""
-    xs, ys, pts = _grid(bounds, resolution)
-    logits = forward_batch(model, pts)
-    if logits.shape[1] != 2:
+    if grid.logits.shape[1] != 2:
         raise ValueError("decision contour needs a two-logit classifier")
-    diff = logits[:, 0] - logits[:, 1]
-    return contour_segments(xs, ys, diff.reshape(resolution, resolution))
+    diff = grid.logits[:, 0] - grid.logits[:, 1]
+    return contour_segments(grid.axis, grid.axis, diff.reshape(grid.axis.size, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +269,12 @@ class PointGlyphs:
             )
 
 
-def point_glyphs(dataset: Dataset2D, arm: float = 2.5, **geometry) -> PointGlyphs:
-    """The glyphs of every point on ``SvgCanvas(**geometry)``: crosses with arm
-    ``arm`` and circles of that radius, from one formatting pass over the six
-    pixel columns of a cross (its centre's x and y among them)."""
+def point_glyphs(
+    dataset: Dataset2D, grid: BoundaryGrid, arm: float = 2.5, **geometry
+) -> PointGlyphs:
+    """The glyphs of every point on ``SvgCanvas(**geometry)`` and the analytic
+    boundary of ``grid``: crosses with arm ``arm`` and circles of that radius,
+    from one formatting pass over the six pixel columns of a cross."""
     canvas = SvgCanvas(**geometry)
     x, y = canvas.px(dataset.points[:, 0], dataset.points[:, 1])
     columns = np.concatenate([x - arm, y, x + arm, x, y - arm, y + arm])
@@ -301,7 +284,7 @@ def point_glyphs(dataset: Dataset2D, arm: float = 2.5, **geometry) -> PointGlyph
         b"M", centre, b" ", top, b"L", centre, b" ", bottom,
     )
     circle = _rows(b'<circle cx="', centre, b'" cy="', mid, f'" r="{arm}"'.encode())
-    canvas.segments(analytic_boundary_contour(*dataset.specs[:2]), BOUNDARY_COLOR, dashed=True)
+    canvas.segments(analytic_boundary_contour(grid), BOUNDARY_COLOR, dashed=True)
     return PointGlyphs(
         geometry,
         np.array(cross, dtype=object),
@@ -319,14 +302,14 @@ def _first_appearance(codes: np.ndarray, colors, keep: np.ndarray | None = None)
     return [(keep & (codes == code), colors[code]) for code in dict.fromkeys(codes[keep].tolist())]
 
 
-def _data_canvas(glyphs: PointGlyphs, title: str, model: MlpModel | None = None) -> SvgCanvas:
+def _data_canvas(glyphs: PointGlyphs, title: str, grid: BoundaryGrid | None = None) -> SvgCanvas:
     """Green crosses (common), purple circles (uncommon), the dotted
-    equal-density boundary, and the model's decision boundary if given."""
+    equal-density boundary, and the decision boundary of the grid's model if given."""
     canvas = glyphs.canvas(title)
     glyphs.draw(canvas, [(glyphs.common, COMMON_COLOR), (~glyphs.common, UNCOMMON_COLOR)])
     canvas.elements += glyphs.boundary
-    if model is not None:
-        canvas.segments(model_boundary_contour(model), MODEL_COLOR, width=2.0)
+    if grid is not None:
+        canvas.segments(model_boundary_contour(grid), MODEL_COLOR, width=2.0)
     return canvas
 
 
@@ -336,10 +319,10 @@ def scatter_figure(glyphs: PointGlyphs, path: str | Path, title: str = "data") -
 
 
 def prediction_figure(
-    model: MlpModel, glyphs: PointGlyphs, path: str | Path, title: str = "predictions"
+    grid: BoundaryGrid, glyphs: PointGlyphs, path: str | Path, title: str = "predictions"
 ) -> None:
-    """Data plus the model's decision boundary, analytic curve dotted behind."""
-    render_svg([_data_canvas(glyphs, title, model)], path)
+    """Data plus the decision boundary of the grid's model, analytic curve dotted behind."""
+    render_svg([_data_canvas(glyphs, title, grid)], path)
 
 
 def tail_figure(
@@ -371,16 +354,14 @@ def entropy_figure(
     render_svg([canvas], path)
 
 
-def panel_figure(
-    panels: list[tuple[str, MlpModel | None, Dataset2D]], path: str | Path
-) -> None:
-    """Side-by-side decision-boundary panels (one column per swept value)."""
+def panel_figure(panels: list[tuple[str, BoundaryGrid, Dataset2D]], path: str | Path) -> None:
+    """Side-by-side decision-boundary panels: one (title, grid, dataset) per column."""
     if not panels:
         raise ValueError("panel_figure needs at least one panel")
     size, margin = 300, 36
     canvases = []
-    for k, (title, model, dataset) in enumerate(panels):
+    for k, (title, grid, dataset) in enumerate(panels):
         origin = (k * (size + 2 * margin), 0)
-        glyphs = point_glyphs(dataset, arm=1.8, size=size, margin=margin, origin=origin)
-        canvases.append(_data_canvas(glyphs, title, model))
+        glyphs = point_glyphs(dataset, grid, arm=1.8, size=size, margin=margin, origin=origin)
+        canvases.append(_data_canvas(glyphs, title, grid))
     render_svg(canvases, path)

@@ -338,14 +338,14 @@ def _read_columns(path: str | Path, header: list[str], kinds: list, name: str) -
         raise RecordFormatError(f"{path}: not a {name}")
     if not text.endswith("\n"):
         raise RecordFormatError(f"{path}: cut short inside its last row")
-    if "\n\n" in text or "\n\r\n" in text:  # np.loadtxt would skip it
-        raise RecordFormatError(f"{path}: blank line")
     dtype = np.dtype(list(zip(header, kinds)))  # int -> int64, float -> float64
     rows = np.loadtxt(
         io.StringIO(body), dtype, comments=None, delimiter=",", quotechar=None, ndmin=1
     ) if body else np.empty(0, dtype)  # np.loadtxt warns on a header-only file
     n = rows.shape[0]
-    if rows[header[0]].tolist() != list(range(n)):
+    if n != body.count("\n"):  # np.loadtxt skipped an empty line
+        raise RecordFormatError(f"{path}: blank line")
+    if not np.array_equal(rows[header[0]], np.arange(n)):
         raise RecordFormatError(f"{path}: {header[0]} column is not 0..{n - 1} in order")
     return [rows[col].copy() for col in header]
 

@@ -32,6 +32,7 @@ from gradtail.algorithm import (
 )
 from gradtail.analysis import (
     DENSE_BAND_EDGES,
+    boundary_grid,
     dense_band_mre,
     experiment_report,
 )
@@ -119,14 +120,15 @@ def _toy_run(task):
     kind, seed = task
     if kind == "hard":
         hard = gen_hard_variant(seed)
-        report = experiment_report(train(hard, seed, TrainConfig(strategy="gradtail", seed=seed)), hard)
+        result = train(hard, seed, TrainConfig(strategy="gradtail", seed=seed))
+        report = experiment_report(result, hard, boundary_grid(result.model, *hard.specs[:2]))
         return {
             "rare_size": report.rare_set.rare_size,
             "dominance": dominance_holds(hard.specs[0], hard.specs[1]),
         }
     dataset = gen_two_gaussians(seed)
     result = train(dataset, seed, TrainConfig(strategy=kind, seed=seed))
-    report = experiment_report(result, dataset)
+    report = experiment_report(result, dataset, boundary_grid(result.model, *dataset.specs[:2]))
     return {
         "model": result.model,
         "balanced": report.balanced_accuracy,
@@ -146,9 +148,8 @@ def _sweep_run(task):
     """One sweep-corpus run: (SWEEP_SETTINGS label, seed)."""
     label, seed = task
     dataset = gen_two_gaussians(seed)
-    report = experiment_report(
-        train(dataset, seed, TrainConfig(seed=seed, **SWEEP_SETTINGS[label])), dataset
-    )
+    result = train(dataset, seed, TrainConfig(seed=seed, **SWEEP_SETTINGS[label]))
+    report = experiment_report(result, dataset, boundary_grid(result.model, *dataset.specs[:2]))
     return {"disagree": report.boundary_disagreement, "recall_u": report.per_class_recall[1]}
 
 

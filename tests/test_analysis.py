@@ -1,5 +1,7 @@
 """Analysis oracles: labeling bands, quartiles, metrics, boundary distances, MRE."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from gradtail.analysis import (
     RARE,
     TAIL_NAMES,
     UNVISITED,
+    _eval_grid,
     boundary_disagreement,
     boundary_distance,
+    boundary_grid,
     class_metrics,
     dense_band_mre,
     experiment_report,
@@ -23,11 +27,13 @@ from gradtail.datasets import (
     DEFAULT_COMMON,
     DEFAULT_UNCOMMON,
     GaussianSpec,
+    analytic_boundary_side,
+    gen_hard_variant,
     gen_two_gaussians,
     log_density,
 )
 from gradtail.engine import TraceTable
-from gradtail.mlp import MlpModel
+from gradtail.mlp import MlpModel, _row_argmax, forward_batch
 
 
 def trace_with_alignments(means, occurrences=10):
@@ -160,23 +166,43 @@ class TestBoundaryDisagreement:
     def test_exact_oracle_model_scores_zero(self):
         common = GaussianSpec((0.0, 0.0), 1.0, 10_000, 0)
         uncommon = GaussianSpec((2.2, 2.2), 1.0, 400, 1)
-        assert boundary_disagreement(oracle_model(), common, uncommon) == 0.0
+        assert boundary_disagreement(boundary_grid(oracle_model(), common, uncommon)) == 0.0
 
     def test_majority_model_equals_uncommon_area(self):
         m = MlpModel([2, 2], [np.zeros((2, 2))], [np.array([1.0, 0.0])])  # always class 0
-        from gradtail.datasets import analytic_boundary_side
-        from gradtail.analysis import _eval_grid
-
-        frac = boundary_disagreement(m, DEFAULT_COMMON, DEFAULT_UNCOMMON)
+        frac = boundary_disagreement(boundary_grid(m, DEFAULT_COMMON, DEFAULT_UNCOMMON))
         oracle = analytic_boundary_side(_eval_grid(), DEFAULT_COMMON, DEFAULT_UNCOMMON)
         assert frac == pytest.approx((oracle == -1.0).mean(), abs=1e-12)
         assert 0.0 < frac < 0.5
 
     def test_deterministic(self):
         m = MlpModel.initialize([2, 5, 2], 3)
-        a = boundary_disagreement(m, DEFAULT_COMMON, DEFAULT_UNCOMMON)
-        b = boundary_disagreement(m, DEFAULT_COMMON, DEFAULT_UNCOMMON)
+        a = boundary_disagreement(boundary_grid(m, DEFAULT_COMMON, DEFAULT_UNCOMMON))
+        b = boundary_disagreement(boundary_grid(m, DEFAULT_COMMON, DEFAULT_UNCOMMON))
         assert a == b
+
+    @pytest.mark.parametrize("gen", [gen_two_gaussians, gen_hard_variant])
+    @pytest.mark.parametrize("dims", [(2, 5, 2), (2, 5, 3)], ids=["2logit", "3logit"])
+    def test_shared_grid_matches_standalone(self, gen, dims):
+        """The disagreement read off a shared grid equals, bit for bit, the one
+        that forwards the model and places the oracle on its own grid."""
+        common, uncommon = gen(0).specs[:2]
+        for seed in range(3):
+            model = MlpModel.initialize(dims, seed)
+            pts = _eval_grid()
+            oracle = analytic_boundary_side(pts, common, uncommon)
+            side = np.where(_row_argmax(forward_batch(model, pts)) == common.label, 1.0, -1.0)
+            want = float(((oracle != 0.0) & (side != oracle)).mean())
+            assert boundary_disagreement(boundary_grid(model, common, uncommon)) == want
+            assert 0.0 < want < 1.0
+
+    def test_nan_logits_disagree_off_the_curve(self):
+        """argmax of an all-NaN row picks class 0, the common class: the model
+        sides with the common density everywhere."""
+        grid = boundary_grid(MlpModel.initialize([2, 5, 2], 0), DEFAULT_COMMON, DEFAULT_UNCOMMON)
+        frac = boundary_disagreement(replace(grid, logits=np.full((grid.log_gap.size, 2), np.nan)))
+        oracle = analytic_boundary_side(_eval_grid(), DEFAULT_COMMON, DEFAULT_UNCOMMON)
+        assert frac == (oracle == -1.0).mean()
 
 
 class TestBoundaryDistance:
@@ -401,7 +427,7 @@ class TestExperimentReport:
         cfg = TrainConfig(steps=150, batch_size=64, strategy="gradtail",
                           gradtail=GradTailConfig(warmup_batches=5))
         res = train(ds, 0, cfg)
-        rep = experiment_report(res, ds)
+        rep = experiment_report(res, ds, boundary_grid(res.model, *ds.specs[:2]))
         assert 0.0 <= rep.total_accuracy <= 1.0
         assert 0.0 <= rep.balanced_accuracy <= 1.0
         assert 0.0 <= rep.boundary_disagreement <= 1.0

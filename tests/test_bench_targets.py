@@ -65,7 +65,9 @@ def test_traced_dense_demo_records_every_writer(tmp_path):
 
 def test_traced_analyze_records_every_figure_and_reader(tmp_path):
     """analyze calls every figure writer and both CSV readers through the
-    rebound names, and the figure counter sees every SVG it writes."""
+    rebound names, and the figure counter sees every SVG it writes. The model
+    is forwarded once over the dataset and once over the evaluation grid,
+    which the disagreement and both contours share."""
     config = tmp_path / "config.txt"
     config.write_text("train.steps: 40\n")
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "runs")]) == 0
@@ -83,5 +85,6 @@ def test_traced_analyze_records_every_figure_and_reader(tmp_path):
     for name in (*figures, "records.load_trace", "records.load_step_log"):
         assert calls[name] >= 1, name
     assert calls["figures.tail_figure"] == 2  # tail.svg and rare.svg
+    assert tracer.counts["mlp.forward_batch"]["rows"] == 10_400 + 200 * 200
     svg_bytes = sum(path.stat().st_size for path in out.rglob("*.svg"))
     assert tracing.layer_metrics(tracer, 1)["figures.svg_bytes"] == svg_bytes > 0

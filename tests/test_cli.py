@@ -314,6 +314,28 @@ def test_analyze_missing_trace_degrades_explicitly(trained_runs, tmp_path, capsy
     assert "balanced_accuracy" in report
 
 
+def test_degraded_disagreement_matches_standalone(trained_runs, tmp_path):
+    """The trace-less report's disagreement, read off the run's shared grid,
+    equals the one that forwards the model over its own grid."""
+    from gradtail.analysis import _eval_grid
+    from gradtail.datasets import analytic_boundary_side
+    from gradtail.mlp import _row_argmax, forward_batch
+
+    clone = tmp_path / "run-clone"
+    shutil.copytree(sorted(trained_runs.iterdir())[0], clone)
+    (clone / "trace.csv").unlink()
+    assert main(["analyze", "--out", str(tmp_path / "analysis"), str(clone)]) == 0
+    _, fields, _ = read_record(tmp_path / "analysis" / "run-clone" / "report.txt")
+    _, _, dataset = cli._read_run_manifest(clone)
+    common, uncommon = dataset.specs[:2]
+    pts = _eval_grid()
+    oracle = analytic_boundary_side(pts, common, uncommon)
+    side = np.where(
+        _row_argmax(forward_batch(load_model(clone / "model.txt"), pts)) == common.label, 1.0, -1.0
+    )
+    assert fields["boundary_disagreement"] == repr(float(((oracle != 0.0) & (side != oracle)).mean()))
+
+
 def test_analyze_zero_step_run_degrades(tmp_path, capsys):
     config = write_config(tmp_path, "train.steps: 0\n")
     runs = tmp_path / "runs"
@@ -377,6 +399,28 @@ def test_sweep_bad_later_value_fails_before_any_run(tmp_path, capsys, monkeypatc
                "--seeds", "2", "--out", str(out)])
     assert rv == 2
     assert "config error" in capsys.readouterr().err
+    assert trained == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text", [
+    (["train"], "train.learning_rate: nan\n"),
+    (["train"], "gradtail.pivot: nan\n"),
+    (["train"], "train.weight_scale: inf\n"),
+    (["dense-demo"], "train.learning_rate: nan\n"),
+    (["dense-demo"], "gradtail.pivot: -inf\n"),
+    (["sweep", "--param", "pivot", "--values", "nan"], ""),
+], ids=["train-lr", "train-pivot", "train-scale", "dense-lr", "dense-pivot", "sweep-pivot"])
+def test_non_finite_config_value_exits_2_before_any_step(
+    tmp_path, capsys, monkeypatch, command, text
+):
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+    monkeypatch.setattr(cli, "train_dense", lambda *args, **kwargs: trained.append(args))
+    config = write_config(tmp_path, text + "train.steps: 20\n")
+    out = tmp_path / "out"
+    assert main([*command, "--config", config, "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
     assert trained == []
     assert not out.exists()
 

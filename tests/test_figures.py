@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from gradtail import figures
-from gradtail.analysis import COMMON, EVAL_BOUNDS, HARD, RARE, UNVISITED
+from gradtail.analysis import COMMON, EVAL_BOUNDS, HARD, RARE, UNVISITED, boundary_grid
 from gradtail.datasets import (
+    DEFAULT_COMMON,
+    DEFAULT_UNCOMMON,
     Dataset2D,
     GaussianSpec,
     gen_hard_variant,
@@ -33,7 +35,7 @@ from gradtail.figures import (
     scatter_figure,
     tail_figure,
 )
-from gradtail.mlp import MlpModel
+from gradtail.mlp import MlpModel, forward_batch
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -52,6 +54,39 @@ def parse(path):
 
 def count_tags(root, tag):
     return len(root.findall(f".//{SVG}{tag}"))
+
+
+# the model of a grid whose decision boundary a figure does not draw
+ANY_MODEL = MlpModel.initialize((2, 5, 2), seed=0)
+
+
+def grid_for(ds, model=ANY_MODEL):
+    return boundary_grid(model, *ds.specs[:2])
+
+
+def glyphs_for(ds, **kwargs):
+    return point_glyphs(ds, grid_for(ds), **kwargs)
+
+
+def standalone_contour(field_of_points):
+    """Reference: the zero contour of ``field_of_points(nodes)`` on a 200x200
+    EVAL_BOUNDS grid that it builds and evaluates on its own."""
+    xs = ys = np.linspace(*EVAL_BOUNDS, 200)
+    gx, gy = np.meshgrid(xs, ys)
+    field = field_of_points(np.stack([gx.ravel(), gy.ravel()], axis=1))
+    return contour_segments(xs, ys, field.reshape(200, 200))
+
+
+def analytic_reference(common, uncommon):
+    return standalone_contour(lambda pts: log_density(pts, common) - log_density(pts, uncommon))
+
+
+def model_reference(model):
+    def logit_gap(pts):
+        logits = forward_batch(model, pts)
+        return logits[:, 0] - logits[:, 1]
+
+    return standalone_contour(logit_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +146,7 @@ def cross_reference(canvas, x, y, arm):
 
 def test_crosses_match_per_point_reference():
     for arm in (2.5, 1.8):
-        glyphs = point_glyphs(glyph_dataset(), arm=arm, **GLYPH_GEOMETRY)
+        glyphs = glyphs_for(glyph_dataset(), arm=arm, **GLYPH_GEOMETRY)
         canvas = SvgCanvas(**GLYPH_GEOMETRY)
         want = [cross_reference(canvas, x, y, arm) for x, y in GLYPH_POINTS]
         assert glyphs.cross.tolist() == want
@@ -119,7 +154,7 @@ def test_crosses_match_per_point_reference():
         assert canvas.elements[0] == (
             f'<path d="{"".join(want[::2])}" stroke="#123456" stroke-width="1" fill="none"/>'
         )
-    glyphs = point_glyphs(glyph_dataset(), **GLYPH_GEOMETRY)
+    glyphs = glyphs_for(glyph_dataset(), **GLYPH_GEOMETRY)
     assert "".join(glyphs.cross[1:5]) == (
         "M12.62 10.12L17.62 10.12M15.12 7.62L15.12 12.62"
         "M13.5 60L18.5 60M16 57.5L16 62.5M-17.5 -10L-12.5 -10M-15 -12.5L-15 -7.5"
@@ -128,7 +163,7 @@ def test_crosses_match_per_point_reference():
 
 
 def test_circles_match_per_point_reference():
-    glyphs = point_glyphs(glyph_dataset(), arm=1.8, **GLYPH_GEOMETRY)
+    glyphs = glyphs_for(glyph_dataset(), arm=1.8, **GLYPH_GEOMETRY)
     canvas = SvgCanvas(**GLYPH_GEOMETRY)
     want = []
     for x, y in GLYPH_POINTS:
@@ -147,7 +182,7 @@ def test_circles_match_per_point_reference():
 
 
 def test_glyphs_accept_empty_input():
-    glyphs = point_glyphs(glyph_dataset(), **GLYPH_GEOMETRY)
+    glyphs = glyphs_for(glyph_dataset(), **GLYPH_GEOMETRY)
     canvas = SvgCanvas(**GLYPH_GEOMETRY)
     glyphs.draw(canvas, [(np.zeros(7, dtype=bool), "#123456")])
     glyphs.draw(canvas, [])
@@ -211,7 +246,7 @@ def test_full_size_glyphs_match_per_point_reference(gen, geometry):
     geometry = dict(geometry)
     arm = geometry.pop("arm", 2.5)
     ds = gen(0)
-    glyphs = point_glyphs(ds, arm=arm, **geometry)
+    glyphs = glyphs_for(ds, arm=arm, **geometry)
     canvas = SvgCanvas(**geometry)
     crosses, circles = [], []
     for x, y in ds.points.tolist():
@@ -232,7 +267,7 @@ def test_default_glyphs_rarely_use_scalar_fallback(monkeypatch):
     monkeypatch.setattr(figures, "_fmt", lambda v: calls.append(v) or scalar(v))
     for gen in (gen_two_gaussians, gen_hard_variant):
         calls.clear()
-        glyphs = point_glyphs(gen(0))
+        glyphs = glyphs_for(gen(0))
         assert 6 * len(glyphs.cross) == 62_400
         assert len(calls) < 10
     assert format_rows([0.125, 1.0]) == ["0.12", "1"] and calls[-1] == 0.125
@@ -376,13 +411,27 @@ def test_contour_matches_per_cell_reference_on_default_boundaries(gen):
     field = (log_density(pts, common) - log_density(pts, uncommon)).reshape(200, 200)
     segs = assert_same_segments(xs, ys, field)
     assert len(segs) > 100
-    assert segs == analytic_boundary_contour(common, uncommon)
+    assert segs == analytic_boundary_contour(boundary_grid(ANY_MODEL, common, uncommon))
+
+
+@pytest.mark.parametrize("gen", [gen_two_gaussians, gen_hard_variant])
+def test_shared_grid_contours_match_standalone(gen):
+    """Both contours read off one shared grid equal, bit for bit, the ones
+    that build their own grid, forward the model and evaluate the densities."""
+    common, uncommon = gen(0).specs[:2]
+    for seed in range(3):
+        model = MlpModel.initialize((2, 5, 2), seed)
+        grid = boundary_grid(model, common, uncommon)
+        want = model_reference(model)
+        assert len(want) > 0
+        assert model_boundary_contour(grid) == want
+        assert analytic_boundary_contour(grid) == analytic_reference(common, uncommon)
 
 
 def test_analytic_contour_matches_closed_form_circle():
     common = GaussianSpec((0.0, 0.0), 1.0, 10, 0)
     uncommon = GaussianSpec((2.2, 2.2), 0.5, 5, 1)
-    segs = analytic_boundary_contour(common, uncommon, bounds=(-4.0, 5.0), resolution=300)
+    segs = analytic_boundary_contour(boundary_grid(ANY_MODEL, common, uncommon))
     pts = np.array([p for seg in segs for p in seg])
     mu = np.array([2.2, 2.2])
     radius = np.sqrt(2.0 * mu @ mu + 2.0 * np.log(2.0))
@@ -397,7 +446,7 @@ def test_model_contour_matches_linear_decision_rule():
         [np.array([[0.5, 0.5], [-0.5, -0.5]])],
         [np.array([-1.0, 1.0])],
     )
-    segs = model_boundary_contour(model, bounds=(-4.0, 5.0), resolution=200)
+    segs = model_boundary_contour(boundary_grid(model, DEFAULT_COMMON, DEFAULT_UNCOMMON))
     pts = np.array([p for seg in segs for p in seg])
     assert np.max(np.abs(pts.sum(axis=1) - 2.0)) < 1e-6
 
@@ -405,7 +454,7 @@ def test_model_contour_matches_linear_decision_rule():
 def test_model_contour_rejects_regressor():
     model = MlpModel([2, 1], [np.ones((1, 2))], [np.zeros(1)])
     with pytest.raises(ValueError, match="two-logit"):
-        model_boundary_contour(model)
+        model_boundary_contour(boundary_grid(model, DEFAULT_COMMON, DEFAULT_UNCOMMON))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +465,7 @@ def test_model_contour_rejects_regressor():
 def test_scatter_figure_structure(tmp_path):
     ds = small_dataset()
     path = tmp_path / "scatter.svg"
-    scatter_figure(point_glyphs(ds), path)
+    scatter_figure(glyphs_for(ds), path)
     root = parse(path)
     assert root.tag == f"{SVG}svg"
     # 10 uncommon circles; crosses share one batched path, boundary one more
@@ -431,7 +480,7 @@ def test_prediction_figure_adds_model_curve(tmp_path):
     ds = small_dataset()
     model = MlpModel.initialize((2, 5, 2), seed=1)
     path = tmp_path / "pred.svg"
-    prediction_figure(model, point_glyphs(ds), path)
+    prediction_figure(grid_for(ds, model), glyphs_for(ds), path)
     root = parse(path)
     strokes = {p.get("stroke") for p in root.findall(f".//{SVG}path")}
     assert "#1f77b4" in strokes  # model boundary drawn in its own color
@@ -441,7 +490,7 @@ def test_tail_figure_uses_three_colors(tmp_path):
     ds = small_dataset()
     codes = np.array([COMMON] * 20 + [RARE] * 10 + [HARD] * 9 + [UNVISITED])
     path = tmp_path / "tail.svg"
-    tail_figure(point_glyphs(ds), codes, path)
+    tail_figure(glyphs_for(ds), codes, path)
     root = parse(path)
     strokes = {el.get("stroke") for el in root.iter()} - {None}
     assert {"#2ca02c", "#e6b800", "#d62728", "#bbbbbb"} <= strokes
@@ -451,7 +500,7 @@ def test_tail_figure_rare_only_drops_other_points(tmp_path):
     ds = small_dataset()
     codes = np.array([HARD] * 30 + [RARE] * 10)
     path = tmp_path / "rare.svg"
-    tail_figure(point_glyphs(ds), codes, path, rare_only=True)
+    tail_figure(glyphs_for(ds), codes, path, rare_only=True)
     root = parse(path)
     # the 10 rare examples are uncommon-class -> circles; nothing else drawn
     assert count_tags(root, "circle") == 10
@@ -463,7 +512,7 @@ def test_entropy_figure_median_split(tmp_path):
     ds = small_dataset()
     entropy = np.linspace(0.0, 0.6, ds.n)
     path = tmp_path / "entropy.svg"
-    entropy_figure(point_glyphs(ds), entropy, path)
+    entropy_figure(glyphs_for(ds), entropy, path)
     text = path.read_text()
     assert "#d62728" in text and "#2ca02c" in text
 
@@ -473,7 +522,7 @@ def test_entropy_figure_handles_unvisited(tmp_path):
     entropy = np.full(ds.n, np.nan)
     entropy[:5] = 0.3
     path = tmp_path / "entropy.svg"
-    entropy_figure(point_glyphs(ds), entropy, path)
+    entropy_figure(glyphs_for(ds), entropy, path)
     assert "#bbbbbb" in path.read_text()
 
 
@@ -481,7 +530,8 @@ def test_panel_figure_lays_out_columns(tmp_path):
     ds = small_dataset()
     model = MlpModel.initialize((2, 5, 2), seed=2)
     path = tmp_path / "panel.svg"
-    panel_figure([("w=1", None, ds), ("w=5", model, ds), ("w=25", model, ds)], path)
+    grid = grid_for(ds, model)
+    panel_figure([("w=1", grid_for(ds), ds), ("w=5", grid, ds), ("w=25", grid, ds)], path)
     root = parse(path)
     titles = [t.text for t in root.findall(f".//{SVG}text") if t.get("font-weight") == "bold"]
     assert titles == ["w=1", "w=5", "w=25"]
@@ -496,7 +546,7 @@ def test_panel_figure_rejects_empty():
 def test_render_svg_is_valid_xml(tmp_path):
     canvas = SvgCanvas(bounds=(0.0, 1.0), size=50, margin=5)
     canvas.frame("t")
-    glyphs = point_glyphs(glyph_dataset(), bounds=(0.0, 1.0), size=50, margin=5)
+    glyphs = glyphs_for(glyph_dataset(), bounds=(0.0, 1.0), size=50, margin=5)
     glyphs.draw(canvas, [(glyphs.common, "#000000"), (~glyphs.common, "#ff0000")])
     canvas.polyline([(0.0, 0.0), (1.0, 1.0)], "#00ff00")
     path = tmp_path / "mini.svg"
@@ -531,9 +581,9 @@ def reference_canvas(ds, title, groups, arm=2.5, boundary=True, model=None, **ge
                 f' stroke="{color}" fill="none" stroke-width="1"/>'
             )
     if boundary:
-        canvas.segments(analytic_boundary_contour(*ds.specs[:2]), "#333333", dashed=True)
+        canvas.segments(analytic_reference(*ds.specs[:2]), "#333333", dashed=True)
     if model is not None:
-        canvas.segments(model_boundary_contour(model), "#1f77b4", width=2.0)
+        canvas.segments(model_reference(model), "#1f77b4", width=2.0)
     return canvas
 
 
@@ -566,13 +616,13 @@ def test_figures_match_per_point_reference(tmp_path, order):
     if order == "uncommon_first":
         ds = uncommon_first(ds)
         assert ds.labels[0] != ds.specs[0].label
-    glyphs = point_glyphs(ds)
+    glyphs = glyphs_for(ds)
     model = MlpModel.initialize((2, 5, 2), seed=4)
     path = tmp_path / "figure.svg"
 
     scatter_figure(glyphs, path)
     assert_same_file(tmp_path, path, [reference_canvas(ds, "data", class_groups(ds))])
-    prediction_figure(model, glyphs, path)
+    prediction_figure(grid_for(ds, model), glyphs, path)
     assert_same_file(
         tmp_path, path, [reference_canvas(ds, "predictions", class_groups(ds), model=model)]
     )
@@ -604,13 +654,14 @@ def test_figures_match_per_point_reference(tmp_path, order):
 
 def test_panel_figure_matches_per_point_reference(tmp_path):
     ds, other = small_dataset(6), uncommon_first(small_dataset(7))
-    model = MlpModel.initialize((2, 5, 2), seed=8)
+    model, other_model = MlpModel.initialize((2, 5, 2), seed=8), MlpModel.initialize((2, 5, 2), 9)
+    panels = [("a", model, ds), ("b", other_model, other), ("c", model, ds)]
     path = tmp_path / "panel.svg"
-    panel_figure([("a", model, ds), ("b", None, other), ("c", model, ds)], path)
+    panel_figure([(title, grid_for(d, m), d) for title, m, d in panels], path)
     canvases = [
         reference_canvas(
             d, title, class_groups(d), arm=1.8, model=m, size=300, margin=36, origin=(k * 372, 0)
         )
-        for k, (title, m, d) in enumerate([("a", model, ds), ("b", None, other), ("c", model, ds)])
+        for k, (title, m, d) in enumerate(panels)
     ]
     assert_same_file(tmp_path, path, canvases)

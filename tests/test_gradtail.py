@@ -65,6 +65,10 @@ class TestConfig:
             GradTailConfig(sigma_floor=0.0)
         with pytest.raises(ValueError):
             GradTailConfig(warmup_batches=-1)
+        for name in ("pivot", "amplitude", "slope", "sigma_floor", "epsilon_norm", "decay"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=name):
+                    GradTailConfig(**{name: value})
         # amplitude 0 is legal: the explicit no-op configuration
         assert GradTailConfig(amplitude=0.0).max_weight == 1.0
 

@@ -323,11 +323,15 @@ def edit_row(line: str, edit: str) -> str:
     raise AssertionError(edit)
 
 
+# lines inserted between two rows; np.loadtxt skips the empty one
+INSERTED_LINES = {"blank_line": "", "whitespace_line": " \t ", "lone_cr_line": "\r"}
+
+
 @pytest.mark.parametrize("name", ["trace.csv", "steps.csv"])
 @pytest.mark.parametrize(
     "edit",
     ["extra_field", "missing_field", "non_integer", "int64_overflow", "empty_field", "quoted",
-     "blank_line"],
+     "blank_line", "whitespace_line", "lone_cr_line"],
 )
 def test_analyze_refuses_malformed_rows(run_dir, tmp_path, capsys, name, edit):
     """One bad row of a log makes analyze exit 4 with the file named. A quoted
@@ -339,8 +343,8 @@ def test_analyze_refuses_malformed_rows(run_dir, tmp_path, capsys, name, edit):
     clone = tmp_path / "run"
     shutil.copytree(run_dir, clone)
     lines = (clone / name).read_bytes().decode().split("\r\n")
-    if edit == "blank_line":
-        lines.insert(3, "")
+    if edit in INSERTED_LINES:
+        lines.insert(3, INSERTED_LINES[edit])
     else:
         lines[2] = edit_row(lines[2], edit)
     (clone / name).write_bytes("\r\n".join(lines).encode())

@@ -109,6 +109,10 @@ class TestConfig:
             TrainConfig(momentum=1.0)
         with pytest.raises(ValueError):
             TrainConfig(focal_gamma=-1.0)
+        for name in ("learning_rate", "momentum", "focal_gamma", "weight_scale"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=name):
+                    TrainConfig(**{name: value})
 
     def test_subset_specs(self):
         assert parse_subset_spec("all") == ("all", None)
