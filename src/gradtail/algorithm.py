@@ -115,7 +115,7 @@ def activation_f(distance, amplitude: float, slope: float):
     Monotonically decreasing from 1 + amplitude/2 at d = 0 toward 1 at
     infinity. Accepts scalars or arrays.
     """
-    d = np.asarray(distance, dtype=np.float64)
+    d = np.array(distance, dtype=np.float64)  # a copy: the formula runs in place
     if np.any(d < 0.0):
         raise ValueError("distance must be nonnegative")
     out = _activation(d, amplitude, slope)
@@ -123,8 +123,14 @@ def activation_f(distance, amplitude: float, slope: float):
 
 
 def _activation(d: np.ndarray, amplitude: float, slope: float) -> np.ndarray:
-    """activation_f's formula on an array already known to be nonnegative."""
-    return 1.0 + amplitude / (1.0 + np.exp(slope * d))
+    """activation_f's formula, 1 + amplitude / (1 + exp(slope * d)), overwriting
+    the array ``d``, already known to be nonnegative, and returning it."""
+    d *= slope
+    np.exp(d, out=d)
+    d += 1.0
+    np.divide(amplitude, d, out=d)
+    d += 1.0
+    return d
 
 
 def ema_update(current, observation, decay: float):
@@ -157,37 +163,43 @@ def step_arrays(
     if grads.shape[1] != ema.shape[0]:
         raise ValueError("gradient layout does not match state")
 
-    # np.linalg.norm's formulas without its dispatch, so the same bits
+    # np.linalg.norm's formulas without its dispatch, so the same bits; the
+    # reductions call their ufunc's reduce, which is what the ndarray methods
+    # run after a Python-level wrapper
     ema_norm = math.sqrt(ema.dot(ema))
     grad_norms = np.sqrt(np.add.reduce(grads * grads, axis=1))
     ema_defined = ema_norm >= config.epsilon_norm
-    defined = (grad_norms >= config.epsilon_norm) & ema_defined
+    if ema_defined:
+        defined = grad_norms >= config.epsilon_norm
+    else:
+        defined = np.zeros(grads.shape[0], dtype=bool)
 
     # means are written sum / count: what ndarray.mean computes, minus its dispatch
     sigma = state.sigma
-    if defined.all():  # the common case: no masks to gather through
-        alignments = np.minimum(np.maximum((grads @ ema) / (grad_norms * ema_norm), -1.0), 1.0)
-        sigma = _ema(sigma, float(np.abs(alignments).sum() / alignments.size), config.decay)
+    if np.logical_and.reduce(defined):  # the common case: no masks to gather through
+        alignments = grads @ ema
+        alignments /= grad_norms * ema_norm
+        np.minimum(np.maximum(alignments, -1.0, out=alignments), 1.0, out=alignments)
+        magnitudes = np.abs(alignments)
     else:
         alignments = np.zeros(grads.shape[0])
         if ema_defined:
             with np.errstate(invalid="ignore", divide="ignore"):
                 cos = (grads @ ema) / (grad_norms * ema_norm)
             alignments[defined] = np.minimum(np.maximum(cos[defined], -1.0), 1.0)
-        if defined.any():
-            magnitudes = np.abs(alignments[defined])
-            sigma = _ema(sigma, float(magnitudes.sum() / magnitudes.size), config.decay)
+        magnitudes = np.abs(alignments[defined])
+    if magnitudes.size:
+        sigma = _ema(sigma, float(np.add.reduce(magnitudes) / magnitudes.size), config.decay)
 
-    new_ema = _ema(ema, grads.sum(axis=0) / grads.shape[0], config.decay)
+    new_ema = _ema(ema, np.add.reduce(grads, axis=0) / grads.shape[0], config.decay)
 
     warmup = state.updates_seen < config.warmup_batches or not ema_defined
     if warmup:
         weights = np.ones(grads.shape[0])
-    else:
-        scale = max(sigma, config.sigma_floor)
-        weights = _activation(
-            np.abs(alignments / scale - config.pivot), config.amplitude, config.slope
-        )
+    else:  # |alignment / scale - pivot| into a new buffer, then the activation in place
+        weights = alignments / max(sigma, config.sigma_floor)
+        weights -= config.pivot
+        weights = _activation(np.abs(weights, out=weights), config.amplitude, config.slope)
 
     new_state = GradTailState(new_ema, state.layout, sigma, state.updates_seen + 1)
     return BatchWeighting(alignments, weights, warmup, defined), new_state

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import EQUAL_DENSITY_TOLERANCE, Dataset2D, GaussianSpec, log_density
-from .engine import TraceTable, TrainResult
+from .engine import StepLog, TraceTable, TrainResult
 from .mlp import MlpModel, _row_argmax, forward_batch
 
 DEFAULT_BAND_HALF_WIDTH = 0.07
@@ -248,6 +248,13 @@ def dense_band_mre(
     return BandMreReport(tuple(bands), float(rel.mean()), int(t.size))
 
 
+def mean_weight_after_warmup(step_log: StepLog, warmup_batches: int) -> float | None:
+    """Mean of the step log's batch-mean weights over the steps at or after
+    ``warmup_batches``; None when no step is past warm-up."""
+    after = step_log.mean_weight[warmup_batches:]
+    return float(after.mean()) if after.size else None
+
+
 @dataclass
 class ExperimentReport:
     """Everything the toy study reports for one trained run."""
@@ -260,6 +267,7 @@ class ExperimentReport:
     rare_set: RareSetReport
     tail_counts: dict[str, int]
     excluded_examples: int
+    mean_weight_after_warmup: float | None
 
 
 def experiment_report(
@@ -288,4 +296,5 @@ def experiment_report(
         rare_set_stats(labels, dataset, *dataset.specs[:2]),
         tail_counts,
         excluded,
+        mean_weight_after_warmup(result.step_log, result.config.gradtail.warmup_batches),
     )

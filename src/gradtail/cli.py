@@ -12,6 +12,7 @@ record-format error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +28,7 @@ from .analysis import (
     dense_band_mre,
     experiment_report,
     label_examples,
+    mean_weight_after_warmup,
 )
 from .datasets import (
     Dataset2D,
@@ -37,11 +39,13 @@ from .datasets import (
     gen_two_gaussians,
 )
 from .engine import (
+    StepLog,
     TrainConfig,
     TrainingDiverged,
     TrainResult,
     dense_config,
     dense_predictions,
+    subset_selectors,
     train,
     train_dense,
 )
@@ -59,6 +63,7 @@ from .records import (
     config_from_manifest,
     format_manifest,
     format_value,
+    load_gradtail_state,
     load_model,
     load_step_log,
     load_trace,
@@ -247,11 +252,38 @@ def _dense_mre(model, grid: DenseGrid) -> tuple[float | None, float | None, floa
     return bands.bands[0].mre, bands.bands[1].mre, bands.total_mre
 
 
+def _check_state(path: Path, config: TrainConfig, step_log: StepLog) -> None:
+    """Refuse a weighting-state snapshot unless its update count is the step
+    log's row count, its sigma and EMA-gradient norm are the last row's, bit
+    for bit, and its config and layout are the manifest's gradtail.* keys and
+    train.subset."""
+    state, gradtail = load_gradtail_state(path)
+    rows = step_log.step.shape[0]
+    if state.updates_seen != rows:
+        raise RecordFormatError(f"{path}: updates_seen {state.updates_seen} for {rows} step rows")
+    ema_norm = math.sqrt(state.ema_grad.dot(state.ema_grad))  # the step log's formula
+    if rows and state.sigma != step_log.sigma[-1]:
+        raise RecordFormatError(
+            f"{path}: sigma {state.sigma!r} is not the last step row's"
+            f" sigma {float(step_log.sigma[-1])!r}"
+        )
+    if rows and ema_norm != step_log.ema_norm[-1]:
+        raise RecordFormatError(
+            f"{path}: ema_grad norm {ema_norm!r} is not the last step row's"
+            f" ema_norm {float(step_log.ema_norm[-1])!r}"
+        )
+    if gradtail != config.gradtail:
+        raise RecordFormatError(f"{path}: config.* differs from the manifest's gradtail.* keys")
+    if state.layout != subset_selectors(config.subset_spec, len(config.model_dims) - 1):
+        raise RecordFormatError(f"{path}: layout is not the manifest's train.subset")
+
+
 def _analyze_run(run_dir: Path, fig_dir: Path) -> dict:
     """Write one run dir's report into ``fig_dir``, with the five figures of a
     toy run, and return the report's fields. A dense run reports its band
-    errors only; a toy run with fewer than four seen examples gets a degraded
-    report."""
+    errors and mean weight only; a toy run with fewer than four seen examples
+    gets a degraded report. A state.txt, when the run has one, must agree
+    with the step log and the manifest."""
     config, model_seed, dataset = _read_run_manifest(run_dir)
     model = load_model(run_dir / "model.txt")
     shape = (tuple(model.layer_dims), model.hidden_activation)
@@ -265,9 +297,16 @@ def _analyze_run(run_dir: Path, fig_dir: Path) -> dict:
         raise RecordFormatError(
             f"{run_dir / 'steps.csv'}: {step_log.step.shape[0]} rows for {config.steps} steps"
         )
+    if (run_dir / "state.txt").exists():
+        _check_state(run_dir / "state.txt", config, step_log)
+    weight = _value_repr(mean_weight_after_warmup(step_log, config.gradtail.warmup_batches))
     if isinstance(dataset, DenseGrid):
         _, rare, total = _dense_mre(model, dataset)
-        fields = {"rare_mre": _value_repr(rare), "total_mre": repr(total)}
+        fields = {
+            "rare_mre": _value_repr(rare),
+            "total_mre": repr(total),
+            "weight.mean_after_warmup": weight,
+        }
         fig_dir.mkdir(parents=True, exist_ok=True)
         write_record(fig_dir / "report.txt", "experiment-report", fields, {})
         return fields
@@ -292,6 +331,7 @@ def _analyze_run(run_dir: Path, fig_dir: Path) -> dict:
         }
         for label, recall in sorted(metrics.per_class_recall.items()):
             fields[f"recall.class{label}"] = repr(recall)
+        fields["weight.mean_after_warmup"] = weight
         print(
             f"warning: {run_dir} has no usable traces (trace: {fields['trace']});"
             " writing a degraded report",

@@ -222,10 +222,14 @@ class _Run:
     velocity: np.ndarray
     state: GradTailState | None
     log: StepLog
+    ws: Workspace  # every step's forward and backward pass runs in it
 
 
-def _start_run(config: TrainConfig, model_seed: int, class_weights: np.ndarray | None) -> _Run:
-    """Seeded model, the weighting subset's columns, and the optimiser state."""
+def _start_run(
+    config: TrainConfig, model_seed: int, class_weights: np.ndarray | None, rows: int
+) -> _Run:
+    """Seeded model, the weighting subset's columns, the optimiser state, and
+    the workspace of a pass over ``rows`` inputs (a batch, or every pixel)."""
     model = MlpModel.initialize(
         list(config.model_dims), model_seed, config.hidden_activation, config.weight_scale
     )
@@ -237,6 +241,7 @@ def _start_run(config: TrainConfig, model_seed: int, class_weights: np.ndarray |
     return _Run(
         config, model, LOSSES[config.loss], subset_idx, class_weights,
         params, np.zeros_like(params), state, StepLog.zeros(config.steps),
+        Workspace(model.layer_dims, rows),
     )
 
 
@@ -252,7 +257,7 @@ def _step(run: _Run, step: int, labels, row_ids, gradients, *args):
     cfg = run.config
     np.add(run.params, cfg.momentum * run.velocity, out=run.model.params)  # look-ahead, in place
     rows, losses, outputs, update = gradients(run, *args)
-    if not np.isfinite(losses).all():
+    if not np.logical_and.reduce(np.isfinite(losses)):
         raise TrainingDiverged(
             f"non-finite loss at step {step}",
             {
@@ -278,8 +283,8 @@ def _step(run: _Run, step: int, labels, row_ids, gradients, *args):
     run.params, run.velocity = nesterov_update(
         run.params, run.velocity, update(weights), cfg.learning_rate, cfg.momentum
     )
-    run.log.mean_loss[step] = losses.sum() / losses.size  # .mean() without its dispatch
-    run.log.mean_weight[step] = weights.sum() / weights.size
+    run.log.mean_loss[step] = np.add.reduce(losses) / losses.size  # .mean() without its dispatch
+    run.log.mean_weight[step] = np.add.reduce(weights) / weights.size
     if run.state is not None:
         ema = run.state.ema_grad
         run.log.sigma[step] = run.state.sigma
@@ -331,7 +336,9 @@ class _TraceBuffer:
 def _example_gradients(run: _Run, inputs, targets, regions=None):
     """``gradients`` from materialised per-example rows (serial in reference
     mode), or their means per ``regions``; the update is their weighted mean."""
-    bg = batch_gradients(run.model, inputs, targets, run.loss_fn, serial=run.config.reference_mode)
+    bg = batch_gradients(
+        run.model, inputs, targets, run.loss_fn, ws=run.ws, serial=run.config.reference_mode
+    )
     rows = bg.grads if regions is None else np.stack([bg.grads[sel].mean(axis=0) for sel in regions])
     return rows[:, run.subset_idx], bg.losses, bg.outputs, lambda w: weighted_mean(w, rows)
 
@@ -350,7 +357,7 @@ def train(dataset: Dataset2D, model_seed: int, config: TrainConfig) -> TrainResu
     else:
         freq = FrequencyWeights.from_counts(dataset.class_counts())
         class_weights = np.array([freq.table.get(c, 1.0) for c in range(int(labels.max()) + 1)])
-    run = _start_run(config, model_seed, class_weights)
+    run = _start_run(config, model_seed, class_weights, config.batch_size)
     rng = _batch_stream(config, model_seed)
     trace = buffer = None
     if config.trace_logging:
@@ -455,16 +462,15 @@ def train_dense(
         raise ValueError(f"dense training supports uniform/gradtail, not {config.strategy!r}")
     if config.model_dims[0] != grid.inputs.shape[-1] or config.model_dims[-1] != 1:
         raise ValueError("dense model dims must map pixel features to one output")
-    run = _start_run(config, model_seed, None)
+    n_pix = grid.height * grid.width
+    run = _start_run(config, model_seed, None, n_pix)
     rng = _batch_stream(config, model_seed)
 
-    n_pix = grid.height * grid.width
     feats = grid.inputs.reshape(n_pix, -1)
     targets = grid.targets.reshape(n_pix, 1)
     valid = grid.valid_mask.ravel()
     rare = grid.rare_mask.ravel()
     patch_log = PatchLog.empty()
-    ws = Workspace(run.model.layer_dims, n_pix)
     every_block = subset_selectors("all", run.model.n_layers)
 
     def region_gradients(run, sels):
@@ -474,6 +480,7 @@ def train_dense(
             m = np.zeros((len(sels), n_pix))
             for row, sel in zip(m, sels):
                 row[sel] = 1.0 / sel.size
+            ws = run.ws
             losses, outputs = backprop(run.model, feats, targets, run.loss_fn, ws)
             rows = coefficient_gradients(m, ws, run.state.layout) if run.state else None
             update = lambda w: coefficient_gradients(((w / w.size) @ m)[None], ws, every_block)[0]
@@ -496,7 +503,7 @@ def train_dense(
             patch_log.step.append(step)
             patch_log.patch_index.append(j)
             patch_log.pixels.append(int(sel.size))
-            patch_log.rare_fraction.append(float(rare[sel].mean()))
+            patch_log.rare_fraction.append(np.count_nonzero(rare[sel]) / sel.size)
             patch_log.alignment.append(float(weighting.alignments[k]) if weighting else 0.0)
             patch_log.weight.append(float(weights[k]))
             patch_log.loss.append(float(losses[k]))

@@ -7,7 +7,6 @@ batch, so each example's gradient is independent of the rest of the batch.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -159,14 +158,20 @@ def loss_softmax_xent(logits: np.ndarray, label: int) -> float:
 
 def _row_max(x: np.ndarray) -> np.ndarray:
     """``x.max(axis=-1)`` column by column: numpy reduces a short last axis row by row."""
-    return functools.reduce(np.maximum, [x[..., k] for k in range(x.shape[-1])])
+    top = x[..., 0]
+    for k in range(1, x.shape[-1]):
+        top = np.maximum(top, x[..., k])
+    return top
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
     """``x.sum(axis=-1)`` column by column, as numpy adds: from +0.0, left to right.
     The row helpers give numpy's bits for K <= 7 (numpy 2.4); on longer rows numpy's
     unrolled loops can round the sum and pick the max's signed zero differently."""
-    return functools.reduce(np.add, [x[..., k] for k in range(x.shape[-1])], 0.0)
+    total = np.add(0.0, x[..., 0])  # new (a numpy scalar when x is one row): += may write it
+    for k in range(1, x.shape[-1]):
+        total += x[..., k]
+    return total
 
 
 def _row_argmax(x: np.ndarray) -> np.ndarray:
@@ -299,10 +304,10 @@ def coefficient_gradients(coeffs: np.ndarray, ws: Workspace, selectors) -> np.nd
     return np.concatenate(parts, axis=1)
 
 
-def _example_rows(model: MlpModel, inputs: np.ndarray, targets, loss_fn: Loss):
-    """(grads (B, P) in ``MlpModel.params`` order, losses (B,), outputs (B, K))."""
+def _example_rows(model: MlpModel, inputs: np.ndarray, targets, loss_fn: Loss, ws: Workspace):
+    """(grads (B, P) in ``MlpModel.params`` order, losses (B,), outputs (B, K)),
+    from one pass into ``ws``; the outputs are ``ws.acts[-1]``."""
     bsz = inputs.shape[0]
-    ws = Workspace(model.layer_dims, bsz)
     losses, out = backprop(model, inputs, targets, loss_fn, ws)
     parts = []
     for delta, act in zip(ws.deltas, ws.acts):
@@ -325,12 +330,16 @@ def batch_gradients(
     inputs: np.ndarray,
     targets,
     loss_fn: Loss,
+    ws: Workspace | None = None,
     serial: bool = False,
 ) -> BatchGradients:
     """Vectorized per-example gradients; `serial` forces a per-example loop.
 
     The columns are every parameter in ``MlpModel.params`` order, and every
-    row depends only on its own example; batch order is preserved.
+    row depends only on its own example; batch order is preserved. The pass
+    runs in ``ws`` (a fresh workspace when None), as `backprop` does, so the
+    outputs are its ``acts[-1]`` and stay valid until the next pass into it;
+    ``grads`` and ``losses`` are new arrays. The serial loop ignores ``ws``.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2:
@@ -338,11 +347,14 @@ def batch_gradients(
     if inputs.shape[0] == 0:
         raise ValueError("empty batch")
 
-    if serial:
-        per = [_example_rows(model, inputs[i : i + 1], targets[i : i + 1], loss_fn)
+    if serial:  # one workspace per example: the rows' outputs are its buffers
+        per = [_example_rows(model, inputs[i : i + 1], targets[i : i + 1], loss_fn,
+                             Workspace(model.layer_dims, 1))
                for i in range(inputs.shape[0])]
         return BatchGradients(*(np.concatenate(part) for part in zip(*per)))
-    return BatchGradients(*_example_rows(model, inputs, targets, loss_fn))
+    if ws is None:
+        ws = Workspace(model.layer_dims, inputs.shape[0])
+    return BatchGradients(*_example_rows(model, inputs, targets, loss_fn, ws))
 
 
 def finite_diff_gradient(

@@ -311,17 +311,16 @@ CHUNK_ROWS = 1024  # rows formatted and written per write call
 def _write_columns(path: str | Path, header: list[str], columns: list) -> None:
     """The bytes csv.writer writes for ``header`` and one row per entry of the
     equally long ``columns``: ints as ``str``, floats as ``repr``, CRLF line
-    ends. Rows are formatted and written CHUNK_ROWS at a time, so the whole
-    file is never held in memory."""
+    ends. Each row is one ``%`` format (``%d`` per int column, ``%r`` per
+    float column). Rows are formatted and written CHUNK_ROWS at a time, so
+    the whole file is never held in memory."""
+    line = ",".join("%d" if col.dtype.kind in "iu" else "%r" for col in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         n = len(columns[0])
         for lo in range(0, n, CHUNK_ROWS):
-            cells = [
-                map(str if col.dtype.kind in "iu" else repr, col[lo : lo + CHUNK_ROWS].tolist())
-                for col in columns
-            ]
-            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
+            rows = zip(*[col[lo : lo + CHUNK_ROWS].tolist() for col in columns])
+            fh.write("".join([line % row for row in rows]))
 
 
 def _read_columns(path: str | Path, header: list[str], kinds: list, name: str) -> list:
@@ -434,6 +433,8 @@ def report_fields(report) -> dict[str, str]:
         "absent" if rare.mean_distance_rare is None else repr(rare.mean_distance_rare)
     )
     fields["rare.mean_distance_all"] = repr(rare.mean_distance_all)
+    weight = report.mean_weight_after_warmup
+    fields["weight.mean_after_warmup"] = "absent" if weight is None else repr(weight)
     return fields
 
 

@@ -6,13 +6,21 @@ lives in the acceptance suite.
 
 import random
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gradtail import cli
 from gradtail.cli import main
-from gradtail.records import load_model, parse_manifest, read_record
+from gradtail.records import (
+    load_gradtail_state,
+    load_model,
+    load_step_log,
+    parse_manifest,
+    read_record,
+    save_gradtail_state,
+)
 
 QUICK_TRAIN = """\
 # short schedule for tests
@@ -673,6 +681,59 @@ def test_analyze_corrupt_manifest_exits_4(trained_runs, tmp_path, capsys, edit):
     assert "record format error" in err and "manifest.txt" in err
 
 
+@pytest.mark.parametrize("edit, says", [
+    ("updates_seen", "updates_seen"), ("sigma", "sigma"), ("ema_grad", "ema_grad norm"),
+    ("config", "gradtail.* keys"), ("layout", "train.subset"),
+])
+def test_analyze_state_unlike_its_run_exits_4(
+    trained_runs, dense_runs, tmp_path, capsys, edit, says
+):
+    """state.txt must hold the step log's update count and its last sigma and
+    EMA-gradient norm to the bit, and the manifest's gradtail.* config and
+    train.subset layout."""
+    for runs, name in ((trained_runs, "run-state"), (dense_runs, "dense-state")):
+        clone = clone_run(runs, tmp_path, name)
+        state, config = load_gradtail_state(clone / "state.txt")
+        if edit == "updates_seen":
+            state.updates_seen += 1
+        elif edit == "sigma":  # one ulp
+            state.sigma = float(np.nextafter(state.sigma, np.inf))
+        elif edit == "ema_grad":
+            state.ema_grad *= 1.0 + 2.0**-40
+        elif edit == "config":
+            config = replace(config, decay=0.5)
+        else:  # the same blocks in another order
+            state = replace(state, layout=state.layout[::-1])
+        save_gradtail_state(clone / "state.txt", state, config)
+        out = tmp_path / "analysis"
+        rv = main(["analyze", "--out", str(out), str(clone)])
+        assert rv == 4, name
+        err = capsys.readouterr().err
+        assert "record format error" in err and "state.txt" in err and says in err, name
+        assert not (out / name).exists()  # refused before any report
+
+
+@pytest.mark.parametrize("warmup", [0, 7, 40])  # 40: no step of a 40-step run is past warm-up
+def test_report_mean_weight_after_warmup(tmp_path, warmup):
+    """Every report gives the mean of steps.csv's mean_weight from step
+    gradtail.warmup_batches on, the degraded report of a trace-less run too."""
+    config = write_config(tmp_path, QUICK_TRAIN + f"gradtail.warmup_batches: {warmup}\n")
+    runs = tmp_path / "runs"
+    assert main(["train", "--config", config, "--out", str(runs)]) == 0
+    run = runs / "run-gradtail-s000"
+    weights = load_step_log(run / "steps.csv").mean_weight
+    want = repr(float(weights[warmup:].mean())) if warmup < weights.size else "absent"
+    shutil.copytree(run, tmp_path / "no-trace")
+    (tmp_path / "no-trace" / "trace.csv").unlink()
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--out", str(out), str(run), str(tmp_path / "no-trace")]) == 0
+    for name in ("run-gradtail-s000", "no-trace"):
+        _, fields, _ = read_record(out / name / "report.txt")
+        assert fields["weight.mean_after_warmup"] == want, name
+    table = (out / "run-gradtail-s000" / "report_table.txt").read_text().splitlines()
+    assert table[-1].split() == ["weight.mean_after_warmup", want]
+
+
 def test_duplicated_config_key_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path, "train.steps: 5\ntrain.steps: 6\n")
     rv = main(["gen-data", "--config", config, "--out", str(tmp_path / "d")])
@@ -682,7 +743,8 @@ def test_duplicated_config_key_is_config_error(tmp_path, capsys):
 
 
 def test_analyze_dense_run_dir(trained_runs, tmp_path):
-    config = write_config(tmp_path, "train.steps: 10\ndense.height: 16\ndense.width: 16\n")
+    # 15 steps: five past the dense schedule's 10 warm-up batches
+    config = write_config(tmp_path, "train.steps: 15\ndense.height: 16\ndense.width: 16\n")
     dense = tmp_path / "dense"
     assert main(["dense-demo", "--config", config, "--out", str(dense)]) == 0
     demo = read_table(dense / "dense.txt")[0]
@@ -693,9 +755,11 @@ def test_analyze_dense_run_dir(trained_runs, tmp_path):
     for strategy in ("uniform", "gradtail"):
         kind, fields, _ = read_record(out / f"dense-{strategy}-s000" / "report.txt")
         assert kind == "experiment-report"
+        weights = load_step_log(dense / f"dense-{strategy}-s000" / "steps.csv").mean_weight
         assert fields == {
             "rare_mre": demo[f"{strategy}_rare_mre"],
             "total_mre": demo[f"{strategy}_total_mre"],
+            "weight.mean_after_warmup": repr(float(weights[10:].mean())),
         }
     summary = read_table(out / "summary.txt")
     assert [row["run"] for row in summary] == [
@@ -709,7 +773,8 @@ def test_analyze_dense_run_dir(trained_runs, tmp_path):
 
 FUZZ_FILES = [
     ("toy", "manifest.txt"), ("toy", "model.txt"), ("toy", "steps.csv"), ("toy", "trace.csv"),
-    ("dense", "manifest.txt"), ("dense", "model.txt"), ("dense", "steps.csv"),
+    ("toy", "state.txt"), ("dense", "manifest.txt"), ("dense", "model.txt"),
+    ("dense", "steps.csv"), ("dense", "state.txt"),
 ]
 FUZZ_EDITS = ["truncate", "bit_flip", "drop_line", "duplicate_line"]
 
@@ -738,7 +803,7 @@ def test_analyze_survives_seeded_corruption(trained_runs, dense_runs, tmp_path, 
     breaks the row checks."""
     sources = {"toy": trained_runs, "dense": dense_runs}
     rng = random.Random(0)
-    for i in range(40):
+    for i in range(2 * len(FUZZ_FILES) * len(FUZZ_EDITS)):  # every (file, edit) pair twice
         kind, name = FUZZ_FILES[i % len(FUZZ_FILES)]
         edit = FUZZ_EDITS[i % len(FUZZ_EDITS)]
         clone = clone_run(sources[kind], tmp_path, f"fuzz-{i:02d}")

@@ -116,6 +116,7 @@ class TestActivation:
         d = np.linspace(0.0, 20.0, 1000)
         f = activation_f(d, 28.0, 1.0)
         assert np.all(np.diff(f) < 0.0)
+        np.testing.assert_array_equal(d, np.linspace(0.0, 20.0, 1000))  # input left as it was
 
     def test_bounds_bulk(self):
         rng = np.random.default_rng(1)
@@ -332,6 +333,26 @@ class TestStep:
             np.testing.assert_allclose(w.weights, expect_w, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(state.ema_grad, ema, rtol=1e-12, atol=1e-16)
             assert state.sigma == pytest.approx(sigma, rel=1e-12, abs=1e-16)
+
+    @pytest.mark.parametrize("zero_rows", [0, 3])  # 3: undefined cosines, the masked branch
+    def test_weights_are_activation_f_bitwise(self, zero_rows):
+        """The weights, built in place in one buffer, are activation_f at
+        |alignment / sigma - pivot| bit for bit, and the input state is kept."""
+        rng = np.random.default_rng(17 + zero_rows)
+        cfg = GradTailConfig(pivot=0.3, warmup_batches=0, sigma_floor=0.02)
+        for _ in range(25):
+            state = state_with(rng.normal(size=5), sigma=rng.uniform(0.0, 0.6), updates_seen=3)
+            before = state.copy()
+            grads = rng.normal(size=(16, 5)) * rng.uniform(0.01, 5.0)
+            grads[rng.permutation(16)[:zero_rows]] = 0.0
+            w, new = step_arrays(state, grads, cfg)
+            assert not w.warmup_active and int(w.defined.sum()) == 16 - zero_rows
+            distance = np.abs(w.alignments / max(new.sigma, cfg.sigma_floor) - cfg.pivot)
+            want = activation_f(distance, cfg.amplitude, cfg.slope)
+            formula = 1.0 + cfg.amplitude / (1.0 + np.exp(cfg.slope * distance))
+            assert w.weights.tobytes() == want.tobytes() == formula.tobytes()
+            assert state.ema_grad.tobytes() == before.ema_grad.tobytes()
+            assert (state.sigma, state.updates_seen) == (before.sigma, before.updates_seen)
 
     def test_errors(self):
         state = state_with([0.0, 0.0])

@@ -422,6 +422,28 @@ class TestGradients:
         b = batch_gradients(m, xs, np.zeros(4, dtype=int), SOFTMAX_XENT)
         np.testing.assert_array_equal(a.grads, b.grads)
 
+    @pytest.mark.parametrize("loss", [SOFTMAX_XENT, SQUARED])
+    def test_shared_workspace_matches_fresh_calls(self, loss):
+        """Two passes into one workspace give the bits of two fresh calls, and
+        the second leaves the first call's grads and losses as they were; only
+        the outputs are the workspace's buffer."""
+        m = tiny_model(seed=13, dims=(2, 5, 4, 3))
+        rng = np.random.default_rng(14)
+        xs = rng.normal(size=(2, 6, 2))
+        labels = rng.integers(0, 3, size=(2, 6))
+        targets = labels if loss is SOFTMAX_XENT else np.eye(3)[labels]
+        fresh = [batch_gradients(m, xs[i], targets[i], loss) for i in range(2)]
+        ws = Workspace(m.layer_dims, 6)
+        first = batch_gradients(m, xs[0], targets[0], loss, ws=ws)
+        first_outputs = first.outputs.copy()
+        second = batch_gradients(m, xs[1], targets[1], loss, ws=ws)
+        assert second.outputs is ws.acts[-1]
+        for got, want in ((first, fresh[0]), (second, fresh[1])):
+            assert got.grads.tobytes() == want.grads.tobytes()
+            assert got.losses.tobytes() == want.losses.tobytes()
+        assert first_outputs.tobytes() == fresh[0].outputs.tobytes()
+        assert second.outputs.tobytes() == fresh[1].outputs.tobytes()
+
     def test_empty_batch_rejected(self):
         m = tiny_model()
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ bytes csv.writer would.
 
 import csv
 import shutil
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -374,7 +374,7 @@ def test_patch_log_columns(tmp_path):
     assert len(lines) == 3
 
 
-SPECIAL_FLOATS = [-0.0, 5e-324, 1e308, float("nan"), float("inf")]
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e16, 1e308, float("nan"), float("inf"), float("-inf")]
 ROW_COUNTS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
 
 
@@ -501,6 +501,7 @@ def _toy_report():
         rare_set=RareSetReport({0: 3, 1: 5}, 1.25, 2.5, False, 8),
         tail_counts={"common": 10000, "rare": 350, "hard": 50},
         excluded_examples=0,
+        mean_weight_after_warmup=9.75,
     )
 
 
@@ -509,6 +510,9 @@ def test_report_fields_mark_absent_metrics():
     assert fields["quartile.point_biserial"] == "absent"
     assert fields["quartile.correlation"] == repr(0.8)
     assert fields["rare.class1"] == 5
+    assert fields["weight.mean_after_warmup"] == repr(9.75)
+    no_step_past_warmup = replace(_toy_report(), mean_weight_after_warmup=None)
+    assert report_fields(no_step_past_warmup)["weight.mean_after_warmup"] == "absent"
 
 
 def test_report_record_and_table(tmp_path):

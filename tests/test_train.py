@@ -263,7 +263,7 @@ class TestTraceBuffer:
     @staticmethod
     def per_step_trace(dataset, model_seed, config):
         labels = dataset.labels
-        run = engine._start_run(config, model_seed, None)
+        run = engine._start_run(config, model_seed, None, config.batch_size)
         rng = engine._batch_stream(config, model_seed)
         trace = TraceTable.zeros(dataset.n)
         for step in range(config.steps):
@@ -307,9 +307,9 @@ class TestBatchDraw:
         assert cfg.steps % TRACE_FLUSH != 0
         batches, batch_gradients = [], engine.batch_gradients
 
-        def recording(model, inputs, targets, loss_fn, serial=False):
+        def recording(model, inputs, targets, loss_fn, **kwargs):
             batches.append((inputs.copy(), np.array(targets)))
-            return batch_gradients(model, inputs, targets, loss_fn, serial)
+            return batch_gradients(model, inputs, targets, loss_fn, **kwargs)
 
         monkeypatch.setattr(engine, "batch_gradients", recording)
         train(ds, 7, cfg)
