@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import pickle
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -181,6 +184,92 @@ def _divergence_exit(out: Path, exc: TrainingDiverged) -> int:
     return 3
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_share(fn, items) -> list:
+    """``(True, fn(item))`` per item, up to the first that raises, which ends
+    the list as ``(False, exception)``: the serial loop, stopped where it would
+    have stopped."""
+    outcomes = []
+    for item in items:
+        try:
+            outcomes.append((True, fn(item)))
+        except Exception as exc:  # raised again, in input order, by _spread
+            outcomes.append((False, exc))
+            break
+    return outcomes
+
+
+def _spread(fn, items, forkable=lambda item: True):
+    """Yield ``fn(item)`` for every item, in input order.
+
+    Up to (usable CPUs - 1) forked children each take a round-robin share of
+    the forkable items, while this process runs the rest in input order. A
+    child sends back one pickled outcome per item, and the warnings it
+    caught, through its own pipe and ends with ``os._exit``: it prints
+    nothing and runs no exit handler of this process. With one forkable
+    item, one CPU or no ``os.fork``, every item runs here. Every item runs
+    and every child is reaped before the first result is yielded; the
+    results before the first item, in input order, that raised are yielded
+    and then its exception is raised, whichever process ran it.
+
+    Raw ``os.fork`` rather than a ``multiprocessing`` pool: that pool
+    measured slower here, and importing it raised peak RSS (ROADMAP dead
+    ends). The only other threads in the process are OpenBLAS's, and
+    OpenBLAS stops its thread pool before a fork through its fork handler.
+    """
+    items = list(items)
+    forked = [i for i, item in enumerate(items) if forkable(item)]
+    workers = min(_usable_cpus(), len(forked)) if hasattr(os, "fork") else 1
+    shares = [forked[w::workers] for w in range(1, workers)]
+    in_children = {i for share in shares for i in share}
+    children = []  # (pid, the read end of its pipe, its share)
+    try:
+        for share in shares:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with warnings.catch_warnings(record=True) as caught:
+                        share_outcomes = _run_share(fn, [items[i] for i in share])
+                    caught = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps((share_outcomes, caught)))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb"), share))
+        own = [i for i in range(len(items)) if i not in in_children]
+        outcomes = dict(zip(own, _run_share(fn, [items[i] for i in own])))
+        payloads = [pipe.read() for _, pipe, _ in children]
+    finally:
+        for _, pipe, _ in children:
+            pipe.close()  # a child still writing then fails on EPIPE and ends
+        statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
+    for (pid, _, share), status, payload in zip(children, statuses, payloads):
+        if status != 0:
+            failure = RuntimeError(f"worker process {pid} ended with wait status {status}")
+            outcomes[share[0]] = (False, failure)
+            continue
+        share_outcomes, caught = pickle.loads(payload)
+        outcomes.update(zip(share, share_outcomes))
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+    for i in range(len(items)):
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+        yield value
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -210,12 +299,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.reference_mode:
         config = replace(config, reference_mode=True)
     out = Path(args.out)
-    for k in range(args.seeds):
+
+    def train_seed(k: int) -> Path:
         dataset = _dataset_for(kind, data_seed + k)
         result = train(dataset, model_seed + k, replace(config, seed=config.seed + k))
-        run_dir = _write_run_dir(
+        return _write_run_dir(
             out / f"run-{config.strategy}-s{k:03d}", kind, data_seed + k, result, {}
         )
+
+    for k, run_dir in enumerate(_spread(train_seed, range(args.seeds))):
         print(f"run {k}: {run_dir}")
     return 0
 
@@ -278,12 +370,13 @@ def _check_state(path: Path, config: TrainConfig, step_log: StepLog) -> None:
         raise RecordFormatError(f"{path}: layout is not the manifest's train.subset")
 
 
-def _analyze_run(run_dir: Path, fig_dir: Path) -> dict:
+def _analyze_run(run_dir: Path, fig_dir: Path) -> tuple[dict, str | None]:
     """Write one run dir's report into ``fig_dir``, with the five figures of a
-    toy run, and return the report's fields. A dense run reports its band
-    errors and mean weight only; a toy run with fewer than four seen examples
-    gets a degraded report. A state.txt, when the run has one, must agree
-    with the step log and the manifest."""
+    toy run, and return the report's fields and the warning to print, if any.
+    A dense run reports its band errors and mean weight only; a toy run with
+    fewer than four seen examples gets a degraded report, and a warning that
+    says so. A state.txt, when the run has one, must agree with the step log
+    and the manifest."""
     config, model_seed, dataset = _read_run_manifest(run_dir)
     model = load_model(run_dir / "model.txt")
     shape = (tuple(model.layer_dims), model.hidden_activation)
@@ -309,7 +402,7 @@ def _analyze_run(run_dir: Path, fig_dir: Path) -> dict:
         }
         fig_dir.mkdir(parents=True, exist_ok=True)
         write_record(fig_dir / "report.txt", "experiment-report", fields, {})
-        return fields
+        return fields, None
     trace_path = run_dir / "trace.csv"
     trace = load_trace(trace_path) if trace_path.exists() else None
     if trace is not None and trace.n != dataset.n:
@@ -332,13 +425,13 @@ def _analyze_run(run_dir: Path, fig_dir: Path) -> dict:
         for label, recall in sorted(metrics.per_class_recall.items()):
             fields[f"recall.class{label}"] = repr(recall)
         fields["weight.mean_after_warmup"] = weight
-        print(
+        warning = (
             f"warning: {run_dir} has no usable traces (trace: {fields['trace']});"
-            " writing a degraded report",
-            file=sys.stderr,
+            " writing a degraded report"
         )
         write_record(fig_dir / "report.txt", "experiment-report", fields, {})
     else:
+        warning = None
         result = TrainResult(model, trace, step_log, None, config, model_seed)
         report = experiment_report(result, dataset, grid)
         fields = report_fields(report)
@@ -350,7 +443,7 @@ def _analyze_run(run_dir: Path, fig_dir: Path) -> dict:
         entropy_figure(glyphs, trace.mean_entropy(), fig_dir / "entropy.svg")
     scatter_figure(glyphs, fig_dir / "data.svg")
     prediction_figure(grid, glyphs, fig_dir / "predictions.svg")
-    return fields
+    return fields, warning
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -359,13 +452,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:  # each run writes into out/<name>
         raise ValueError(f"run dirs share a name: {', '.join(repeated)}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for run_dir, name in zip(run_dirs, names):
+    for run_dir in run_dirs:
         if not (run_dir / "manifest.txt").exists():
             raise FileNotFoundError(f"{run_dir}/manifest.txt")
-        fields = _analyze_run(run_dir, out / name)  # one run's arrays are freed before the next
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    runs = list(zip(run_dirs, names))
+    # A toy run dir with a trace takes many times a fork's cost. A dense one is a
+    # single forward pass, and forked its BLAS threads compete with the child's:
+    # that measured slower than serial (README).
+    analyzed = _spread(
+        lambda run: _analyze_run(run[0], out / run[1]),  # arrays freed before the next run
+        runs,
+        forkable=lambda run: (run[0] / "trace.csv").exists(),
+    )
+    rows = []
+    for (run_dir, name), (fields, warning) in zip(runs, analyzed):
+        if warning is not None:
+            print(warning, file=sys.stderr)
         rows.append({"run": name, **{k: str(v) for k, v in fields.items()}})
         print(f"analyzed {run_dir} -> {out / name}")
 

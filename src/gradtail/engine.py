@@ -44,6 +44,10 @@ class TrainingDiverged(RuntimeError):
         super().__init__(message)
         self.snapshot = snapshot
 
+    def __reduce__(self):
+        # ``args`` holds the message only, so the default pickling would drop the snapshot
+        return type(self), (self.args[0], self.snapshot)
+
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -6,6 +6,7 @@ lives in the acceptance suite.
 
 import random
 import shutil
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,11 @@ def write_config(tmp_path, text, name="config.txt"):
 def dataset_rows(path):
     lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
     return lines[1:]  # drop the header
+
+
+def cpus(monkeypatch, count):
+    """Make the CLI see ``count`` usable CPUs: 1 runs every item in-process."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def read_table(path):
@@ -196,7 +202,8 @@ def test_train_reference_mode_reruns_identically(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up is the point
-def test_train_divergence_exits_3_with_snapshot(tmp_path, capsys):
+def test_train_divergence_exits_3_with_snapshot(tmp_path, capsys, monkeypatch):
+    cpus(monkeypatch, 2)  # the second seed diverges in a worker process
     toy = write_config(tmp_path, "train.steps: 400\n" + BLOW_UP)
     dense = write_config(
         tmp_path,
@@ -205,6 +212,7 @@ def test_train_divergence_exits_3_with_snapshot(tmp_path, capsys):
     )
     commands = {
         "train": ["train", "--config", toy],
+        "train-seeds": ["train", "--config", toy, "--seeds", "2"],
         "sweep": ["sweep", "--config", toy, "--param", "max_weight", "--values", "5"],
         "dense-sweep": ["sweep", "--config", dense, "--param", "pivot", "--values", "0"],
         "dense-demo": ["dense-demo", "--config", dense],
@@ -215,6 +223,9 @@ def test_train_divergence_exits_3_with_snapshot(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "numerical abort" in err and "divergence.txt" in err, name
         assert (out / "divergence.txt").exists(), name
+    # the first seed in input order decides, as in a serial loop
+    snapshot = (tmp_path / "train-seeds" / "divergence.txt").read_bytes()
+    assert snapshot == (tmp_path / "train" / "divergence.txt").read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -344,12 +355,17 @@ def test_degraded_disagreement_matches_standalone(trained_runs, tmp_path):
     assert fields["boundary_disagreement"] == repr(float(((oracle != 0.0) & (side != oracle)).mean()))
 
 
-def test_analyze_zero_step_run_degrades(tmp_path, capsys):
+def test_analyze_zero_step_run_degrades(trained_runs, tmp_path, capsys, monkeypatch):
+    """The zero-step run has a trace.csv, so it is analyzed in a worker
+    process, and the parent prints the worker's warning."""
+    cpus(monkeypatch, 2)
     config = write_config(tmp_path, "train.steps: 0\n")
     runs = tmp_path / "runs"
     assert main(["train", "--config", config, "--out", str(runs)]) == 0
     out = tmp_path / "analysis"
-    assert main(["analyze", "--out", str(out), str(runs / "run-gradtail-s000")]) == 0
+    normal = sorted(trained_runs.iterdir())[1]  # run-gradtail-s001
+    zero = runs / "run-gradtail-s000"
+    assert main(["analyze", "--out", str(out), str(normal), str(zero)]) == 0
     err = capsys.readouterr().err
     assert "degraded" in err and "config error" not in err
     report = (out / "run-gradtail-s000" / "report.txt").read_text()
@@ -769,6 +785,130 @@ def test_analyze_dense_run_dir(trained_runs, tmp_path):
     assert summary[0]["total_mre"] == demo["uniform_total_mre"]
     assert summary[2]["total_mre"] == "absent"
     assert summary[2]["total_accuracy"] != "absent"
+
+
+# ---------------------------------------------------------------------------
+# seeds and run dirs spread over worker processes
+# ---------------------------------------------------------------------------
+
+
+def tree_bytes(root):
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    return {str(p.relative_to(root)): p.read_bytes() for p in files}
+
+
+def count_forks(monkeypatch):
+    """The list gets one entry per fork this process makes."""
+    forks, fork = [], cli.os.fork
+    monkeypatch.setattr(cli.os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def test_train_seeds_in_workers_match_one_process(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path, QUICK_TRAIN)
+    outputs = {}
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        forks = count_forks(monkeypatch)
+        out = tmp_path / f"cpus{count}"
+        assert main(["train", "--config", config, "--seeds", "3", "--out", str(out)]) == 0
+        assert len(forks) == count - 1
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        outputs[count] = (stdout, tree_bytes(out))
+    assert outputs[1] == outputs[2]
+    assert len(outputs[1][1]) == 15  # three run dirs of five files
+
+
+def test_analyze_in_workers_matches_one_process(trained_runs, dense_runs, tmp_path, capsys,
+                                                monkeypatch):
+    """Standard and hard runs (with traces) go to workers; the trace-less
+    clone and the dense run dir stay in the parent."""
+    hard = tmp_path / "hard"
+    config = write_config(tmp_path, QUICK_TRAIN + "data.kind: hard\n")
+    assert main(["train", "--config", config, "--out", str(hard)]) == 0
+    clone = clone_run(trained_runs, tmp_path, "run-traceless")
+    (clone / "trace.csv").unlink()
+    capsys.readouterr()
+    run_dirs = [sorted(trained_runs.iterdir())[0],
+                (hard / "run-gradtail-s000").rename(hard / "run-hard"), clone,
+                dense_runs / "dense-gradtail-s000"]
+    outputs = {}
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        forks = count_forks(monkeypatch)
+        out = tmp_path / f"cpus{count}"
+        assert main(["analyze", "--out", str(out), *map(str, run_dirs)]) == 0
+        assert len(forks) == count - 1
+        captured = capsys.readouterr()
+        outputs[count] = (captured.out.replace(str(out), "<out>"), captured.err, tree_bytes(out))
+    assert outputs[1] == outputs[2]
+    assert "run-traceless has no usable traces" in outputs[1][1]
+    assert len(outputs[1][2]) == 2 * 7 + 3 + 1 + 1  # two toy runs, degraded, dense, summary
+
+
+def test_analyze_forks_only_for_run_dirs_with_traces(trained_runs, dense_runs, tmp_path,
+                                                    monkeypatch):
+    """Trace-less and dense run dirs stay in the parent: forked, a dense run
+    dir's single forward pass measured slower than serial."""
+    cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    clone = clone_run(trained_runs, tmp_path, "run-traceless")
+    (clone / "trace.csv").unlink()
+    run_dirs = [clone, *sorted(dense_runs.glob("dense-*"))]
+    assert main(["analyze", "--out", str(tmp_path / "analysis"), *map(str, run_dirs)]) == 0
+    assert forks == []
+
+
+@pytest.mark.parametrize("good_first", [False, True])
+def test_analyze_failures_report_the_first_in_input_order(
+    trained_runs, tmp_path, capsys, monkeypatch, good_first
+):
+    """At 2 CPUs the parent takes the 1st and 3rd run dir with a trace, a
+    worker the 2nd: whichever process fails, the first bad run dir named on
+    the command line decides the message."""
+    cpus(monkeypatch, 2)
+    bad = []
+    for name in ("run-bad-a", "run-bad-b"):
+        clone = clone_run(trained_runs, tmp_path, name)
+        lines = (clone / "model.txt").read_text().splitlines()
+        lines[2] = "garbage line here"
+        (clone / "model.txt").write_text("\n".join(lines) + "\n")
+        bad.append(clone)
+    run_dirs = ([sorted(trained_runs.iterdir())[0]] if good_first else []) + bad
+    assert main(["analyze", "--out", str(tmp_path / "analysis"), *map(str, run_dirs)]) == 4
+    err = capsys.readouterr().err
+    assert "record format error" in err
+    assert str(bad[0] / "model.txt") in err and "run-bad-b" not in err
+
+
+def test_analyze_missing_manifest_fails_before_any_run(trained_runs, tmp_path, capsys):
+    clone = clone_run(trained_runs, tmp_path, "run-no-manifest")
+    (clone / "manifest.txt").unlink()
+    out = tmp_path / "analysis"
+    run_dirs = [*sorted(trained_runs.iterdir()), clone]
+    assert main(["analyze", "--out", str(out), *map(str, run_dirs)]) == 4
+    assert "run-no-manifest/manifest.txt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spread_relays_worker_warnings(monkeypatch):
+    cpus(monkeypatch, 2)
+
+    def warn(item):
+        warnings.warn(f"item {item}", UserWarning)
+        return item * 10
+
+    with pytest.warns(UserWarning) as caught:
+        assert list(cli._spread(warn, [0, 1, 2])) == [0, 10, 20]
+    assert sorted(str(w.message) for w in caught) == ["item 0", "item 1", "item 2"]
+
+
+def test_spread_reports_a_worker_that_dies(monkeypatch):
+    cpus(monkeypatch, 2)
+    results = cli._spread(lambda item: cli.os._exit(7) if item == 1 else item, [0, 1])
+    assert next(results) == 0
+    with pytest.raises(RuntimeError, match="worker process"):
+        next(results)
 
 
 FUZZ_FILES = [

@@ -1,6 +1,7 @@
 """Training-loop oracles: optimizer recurrence, determinism, neutrality, traces."""
 
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -231,6 +232,10 @@ class TestTrain:
         with pytest.raises(TrainingDiverged) as err:
             train(ds, 11, cfg)
         assert "step" in err.value.snapshot
+        # a worker process sends the exception back pickled
+        restored = pickle.loads(pickle.dumps(err.value))
+        assert type(restored) is TrainingDiverged
+        assert (str(restored), restored.snapshot) == (str(err.value), err.value.snapshot)
 
     def test_subset_outside_the_model_is_a_config_error(self):
         with pytest.raises(ValueError):
