@@ -12,6 +12,8 @@ record-format error.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import math
 import os
 import pickle
@@ -205,6 +207,33 @@ def _run_share(fn, items) -> list:
     return outcomes
 
 
+@functools.cache
+def _openblas_threads():
+    """The ``(get, set)`` thread-count calls of the OpenBLAS this process has
+    loaded, or None: no mapped file named ``*openblas*`` in ``/proc/self/maps``
+    (no OpenBLAS, or no ``/proc``), or none exports such a pair. Looked up
+    once, by the first spread that forks."""
+    try:
+        with open("/proc/self/maps") as maps:  # the path is a line's sixth field
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
 def _spread(fn, items, forkable=lambda item: True):
     """Yield ``fn(item)`` for every item, in input order.
 
@@ -213,10 +242,17 @@ def _spread(fn, items, forkable=lambda item: True):
     child sends back one pickled outcome per item, and the warnings it
     caught, through its own pipe and ends with ``os._exit``: it prints
     nothing and runs no exit handler of this process. With one forkable
-    item, one CPU or no ``os.fork``, every item runs here. Every item runs
-    and every child is reaped before the first result is yielded; the
-    results before the first item, in input order, that raised are yielded
-    and then its exception is raised, whichever process ran it.
+    item every item runs here, and so it does with one CPU or no
+    ``os.fork``, without a call to ``forkable``. Every item runs and every
+    child is reaped before the first result is yielded; the results before
+    the first item, in input order, that raised are yielded and then its
+    exception is raised, whichever process ran it.
+
+    While there are children, OpenBLAS (when ``_openblas_threads`` finds it)
+    runs max(1, usable CPUs // processes) threads in every process: set
+    before the first fork, so the children inherit it, and restored after
+    every child is reaped. Set inside a child after the fork, it measured
+    far slower (ROADMAP dead ends).
 
     Raw ``os.fork`` rather than a ``multiprocessing`` pool: that pool
     measured slower here, and importing it raised peak RSS (ROADMAP dead
@@ -224,12 +260,18 @@ def _spread(fn, items, forkable=lambda item: True):
     OpenBLAS stops its thread pool before a fork through its fork handler.
     """
     items = list(items)
-    forked = [i for i, item in enumerate(items) if forkable(item)]
-    workers = min(_usable_cpus(), len(forked)) if hasattr(os, "fork") else 1
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
+    forked = [i for i, item in enumerate(items) if forkable(item)] if cpus > 1 else []
+    workers = min(cpus, len(forked))
     shares = [forked[w::workers] for w in range(1, workers)]
     in_children = {i for share in shares for i in share}
     children = []  # (pid, the read end of its pipe, its share)
+    blas = _openblas_threads() if shares else None
+    threads = None  # OpenBLAS's count before the spread, once changed
     try:
+        if blas is not None:
+            threads = blas[0]()
+            blas[1](max(1, cpus // workers))
         for share in shares:
             read_fd, write_fd = os.pipe()
             pid = os.fork()
@@ -254,6 +296,8 @@ def _spread(fn, items, forkable=lambda item: True):
         for _, pipe, _ in children:
             pipe.close()  # a child still writing then fails on EPIPE and ends
         statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
+        if threads is not None:
+            blas[1](threads)
     for (pid, _, share), status, payload in zip(children, statuses, payloads):
         if status != 0:
             failure = RuntimeError(f"worker process {pid} ended with wait status {status}")
@@ -583,23 +627,31 @@ def cmd_dense_demo(args: argparse.Namespace) -> int:
     base, data_seed, model_seed, _ = config_from_manifest(entries)
     if args.reference_mode:
         base = replace(base, reference_mode=True)
+    grids = [_dense_grid_for(entries, data_seed + k) for k in range(args.seeds)]
+    runs = [(k, strategy, _dense_run_config(entries, base, strategy, k))
+            for k in range(args.seeds) for strategy in ("uniform", "gradtail")]
+    dense_keys = read_settings(entries, DENSE_DEFAULTS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for k in range(args.seeds):
-        grid, sampler = _dense_grid_for(entries, data_seed + k)
-        row = {"seed": str(data_seed + k)}
-        for strategy in ("uniform", "gradtail"):
-            config = _dense_run_config(entries, base, strategy, k)
-            result = train_dense(grid, model_seed + k, config, **sampler)
-            _write_run_dir(
-                out / f"dense-{strategy}-s{k:03d}", "dense", data_seed + k, result,
-                read_settings(entries, DENSE_DEFAULTS),
-            )
-            _, rare, total = _dense_mre(result.model, grid)
-            row[f"{strategy}_rare_mre"] = _value_repr(rare)
-            row[f"{strategy}_total_mre"] = repr(total)
-        rows.append(row)
+
+    def run_strategy(run) -> tuple[str, str]:
+        k, strategy, config = run
+        grid, sampler = grids[k]
+        result = train_dense(grid, model_seed + k, config, **sampler)
+        _write_run_dir(
+            out / f"dense-{strategy}-s{k:03d}", "dense", data_seed + k, result, dense_keys
+        )
+        _, rare, total = _dense_mre(result.model, grid)
+        return _value_repr(rare), repr(total)
+
+    # With every process at 2 BLAS threads on 2 CPUs, forked runs measured
+    # slower than serial: they fork only when the spread can hold each process
+    # to its share of the CPUs (README).
+    mres = _spread(run_strategy, runs, forkable=lambda run: _openblas_threads() is not None)
+    rows = [{"seed": str(data_seed + k)} for k in range(args.seeds)]
+    for (k, strategy, _), (rare, total) in zip(runs, mres):
+        rows[k][f"{strategy}_rare_mre"] = rare
+        rows[k][f"{strategy}_total_mre"] = total
     columns = ["seed", "uniform_rare_mre", "gradtail_rare_mre",
                "uniform_total_mre", "gradtail_total_mre"]
     if len(rows) > 1:

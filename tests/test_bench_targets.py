@@ -6,6 +6,7 @@ the rebound name."""
 import importlib.util
 from pathlib import Path
 
+from gradtail import cli
 from gradtail.cli import main
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -45,9 +46,12 @@ def test_traced_train_records_every_step_layer(tmp_path):
     assert calls["records.save_trace"] == 1
 
 
-def test_traced_dense_demo_records_every_writer(tmp_path):
+def test_traced_dense_demo_records_every_writer(tmp_path, monkeypatch):
     """The run-dir writer calls the records layer through the rebound names,
-    and the dense result still carries the step log the step counter reads."""
+    and the dense result still carries the step log the step counter reads.
+    One usable CPU keeps both runs in this process, where the tracer sees
+    them: at two, a forked worker trains and writes the gradtail run."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     config = tmp_path / "config.txt"
     config.write_text("train.steps: 5\ndense.height: 16\ndense.width: 16\n")
     tracer = load_tracing().Tracer()

@@ -911,6 +911,126 @@ def test_spread_reports_a_worker_that_dies(monkeypatch):
         next(results)
 
 
+# ---------------------------------------------------------------------------
+# dense-demo in worker processes, one BLAS thread each
+# ---------------------------------------------------------------------------
+
+
+def test_openblas_is_found_when_numpy_uses_it():
+    """numpy's own build record names its BLAS: when it is OpenBLAS, the
+    locator must find its thread-count calls, or dense-demo never forks."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas:
+        pytest.skip(f"numpy uses {blas}")
+    assert cli._openblas_threads() is not None
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter, at 2 threads for the test; the count it
+    had is put back afterwards."""
+    blas = cli._openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS loaded")
+    get, set_threads = blas
+    before = get()
+    set_threads(2)
+    assert get() == 2
+    yield get
+    set_threads(before)
+
+
+def test_spread_holds_blas_to_its_share_and_restores_it(monkeypatch, blas_threads):
+    cpus(monkeypatch, 1)
+    assert list(cli._spread(lambda item: blas_threads(), [0, 1])) == [2, 2]
+    cpus(monkeypatch, 2)
+    assert list(cli._spread(lambda item: blas_threads(), [0, 1])) == [1, 1]
+    assert blas_threads() == 2
+    cpus(monkeypatch, 4)  # three processes share four CPUs
+    assert list(cli._spread(lambda item: blas_threads(), [0, 1, 2])) == [1, 1, 1]
+    assert blas_threads() == 2
+
+
+def test_spread_restores_blas_threads_after_a_failure(monkeypatch, blas_threads):
+    cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="worker process"):
+        list(cli._spread(lambda item: cli.os._exit(7) if item == 1 else item, [0, 1]))
+    assert blas_threads() == 2
+
+    def fail_in_parent(item):
+        if item == 0:  # the parent's own share
+            raise ValueError("the parent's item")
+        return item
+
+    with pytest.raises(ValueError, match="the parent's item"):
+        list(cli._spread(fail_in_parent, [0, 1]))
+    assert blas_threads() == 2
+
+
+DENSE_IN_WORKERS = {
+    "seeds-2": ("train.steps: 20\ndense.height: 16\ndense.width: 16\n", ["--seeds", "2"]),
+    "reference": ("train.steps: 10\ndense.height: 16\ndense.width: 16\n", ["--reference-mode"]),
+    "grid-48": ("train.steps: 20\ndense.height: 48\ndense.width: 48\n", []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_IN_WORKERS))
+def test_dense_demo_in_workers_matches_one_process(tmp_path, capsys, monkeypatch, name):
+    text, flags = DENSE_IN_WORKERS[name]
+    config = write_config(tmp_path, text)
+    outputs = {}
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        forks = count_forks(monkeypatch)
+        out = tmp_path / f"cpus{count}"
+        assert main(["dense-demo", "--config", config, *flags, "--out", str(out)]) == 0
+        if cli._openblas_threads() is not None:
+            assert len(forks) == count - 1
+        captured = capsys.readouterr()
+        outputs[count] = (captured.out.replace(str(out), "<out>"), captured.err, tree_bytes(out))
+    assert outputs[1] == outputs[2]
+    runs = 2 * (2 if "--seeds" in flags else 1)
+    assert len(outputs[1][2]) == 5 * runs + 1  # five files per run dir, and dense.txt
+
+
+def test_dense_demo_forks_nothing_without_openblas(tmp_path, monkeypatch):
+    """Without a BLAS thread setter each process would keep every BLAS
+    thread, and forked runs measured slower than serial."""
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+    forks = count_forks(monkeypatch)
+    config = write_config(tmp_path, "train.steps: 5\ndense.height: 12\ndense.width: 12\n")
+    assert main(["dense-demo", "--config", config, "--out", str(tmp_path / "dense")]) == 0
+    assert forks == []
+
+
+@pytest.mark.parametrize("failing", [("gradtail",), ("uniform", "gradtail")],
+                         ids=["gradtail", "both"])
+def test_dense_demo_divergence_reports_the_first_in_input_order(
+    tmp_path, capsys, monkeypatch, failing
+):
+    """At 2 CPUs the gradtail run trains in a worker: its divergence still
+    exits 3 with its own snapshot, and when both runs diverge, uniform, which
+    comes first, decides."""
+    cpus(monkeypatch, 2)
+    train_dense = cli.train_dense
+
+    def diverge(grid, seed, config, **sampler):
+        if config.strategy in failing:
+            raise cli.TrainingDiverged(f"{config.strategy} blew up", {"strategy": config.strategy})
+        return train_dense(grid, seed, config, **sampler)
+
+    monkeypatch.setattr(cli, "train_dense", diverge)
+    config = write_config(tmp_path, "train.steps: 5\ndense.height: 12\ndense.width: 12\n")
+    out = tmp_path / "dense"
+    assert main(["dense-demo", "--config", config, "--out", str(out)]) == 3
+    assert f"{failing[0]} blew up" in capsys.readouterr().err
+    _, fields, _ = read_record(out / "divergence.txt")
+    assert fields["strategy"] == failing[0]
+    assert (out / "dense-uniform-s000").exists() == ("uniform" not in failing)
+    assert not (out / "dense-gradtail-s000").exists()
+
+
 FUZZ_FILES = [
     ("toy", "manifest.txt"), ("toy", "model.txt"), ("toy", "steps.csv"), ("toy", "trace.csv"),
     ("toy", "state.txt"), ("dense", "manifest.txt"), ("dense", "model.txt"),
