@@ -254,8 +254,8 @@ def _spread(fn, items, forkable=lambda item: True):
     every child is reaped. Set inside a child after the fork, it measured
     far slower (ROADMAP dead ends).
 
-    Raw ``os.fork`` rather than a ``multiprocessing`` pool: that pool
-    measured slower here, and importing it raised peak RSS (ROADMAP dead
+    Raw ``os.fork`` rather than the standard library's process pool: that
+    pool measured slower here, and importing it raised peak RSS (ROADMAP dead
     ends). The only other threads in the process are OpenBLAS's, and
     OpenBLAS stops its thread pool before a fork through its fork handler.
     """
@@ -565,20 +565,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if kind == "dense":
         return _dense_sweep(entries, config, data_seed, model_seed, values, args, out)
 
+    def sweep_run(task):
+        value_config, k = task
+        dataset = _dataset_for(kind, data_seed + k)
+        result = train(dataset, model_seed + k, replace(value_config, seed=config.seed + k))
+        grid = boundary_grid(result.model, *dataset.specs[:2])
+        report = experiment_report(result, dataset, grid)
+        metrics = (report.balanced_accuracy, report.total_accuracy,
+                   report.boundary_disagreement, report.per_class_recall[dataset.specs[1].label])
+        return metrics, (grid, dataset) if k == 0 else None  # the panel shows the first seed
+
+    tasks = [(value_config, k) for value_config in value_configs for k in range(args.seeds)]
+    runs = list(_spread(sweep_run, tasks))
     rows, panels = [], []
-    for value, value_config in zip(values, value_configs):
-        balanced, total, disagreement, recall_uncommon = [], [], [], []
-        for k in range(args.seeds):
-            dataset = _dataset_for(kind, data_seed + k)
-            result = train(dataset, model_seed + k, replace(value_config, seed=config.seed + k))
-            grid = boundary_grid(result.model, *dataset.specs[:2])
-            report = experiment_report(result, dataset, grid)
-            balanced.append(report.balanced_accuracy)
-            total.append(report.total_accuracy)
-            disagreement.append(report.boundary_disagreement)
-            recall_uncommon.append(report.per_class_recall[dataset.specs[1].label])
-            if k == 0:  # the panel shows the first seed
-                panels.append((f"{args.param}={value:g}", grid, dataset))
+    for i, value in enumerate(values):
+        value_runs = runs[i * args.seeds:(i + 1) * args.seeds]
+        balanced, total, disagreement, recall_uncommon = zip(*(m for m, _ in value_runs))
+        panels.append((f"{args.param}={value:g}", *value_runs[0][1]))
         rows.append({
             "value": repr(value),
             "median_balanced": repr(float(np.median(balanced))),
@@ -598,16 +601,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _dense_sweep(entries, config, data_seed, model_seed, values, args, out) -> int:
+    def pivot_run(task):
+        value, k = task
+        run_config = _dense_run_config(entries, config, "gradtail", k)
+        run_config = replace(run_config, gradtail=replace(run_config.gradtail, pivot=value))
+        grid, sampler = _dense_grid_for(entries, data_seed + k)
+        result = train_dense(grid, model_seed + k, run_config, **sampler)
+        return _dense_mre(result.model, grid)
+
+    tasks = [(value, k) for value in values for k in range(args.seeds)]
+    # forked only under a BLAS thread limit, as in dense-demo
+    mres = list(_spread(pivot_run, tasks, forkable=lambda _: _openblas_threads() is not None))
     rows = []
-    for value in values:
-        mres = []
-        for k in range(args.seeds):
-            run_config = _dense_run_config(entries, config, "gradtail", k)
-            run_config = replace(run_config, gradtail=replace(run_config.gradtail, pivot=value))
-            grid, sampler = _dense_grid_for(entries, data_seed + k)
-            result = train_dense(grid, model_seed + k, run_config, **sampler)
-            mres.append(_dense_mre(result.model, grid))
-        common_mre, rare_mre, total_mre = zip(*mres)
+    for i, value in enumerate(values):
+        common_mre, rare_mre, total_mre = zip(*mres[i * args.seeds:(i + 1) * args.seeds])
         rows.append({
             "pivot": repr(value),
             "median_common_mre": _median_repr(common_mre),

@@ -1,6 +1,6 @@
 """Shared pytest plumbing: collects acceptance-criterion verdicts and prints
 them as one PASS/FAIL line each in the terminal summary, and fails any test
-that leaves an ended child process unreaped."""
+that leaves a child process behind."""
 
 import os
 
@@ -17,8 +17,8 @@ def criterion_log():
 
 @pytest.fixture(autouse=True)
 def no_stray_children():
-    """A test must reap every child process that has ended. A running child is
-    allowed: a spawn-context pool leaves its resource tracker running."""
+    """A test must leave no child process behind, running or ended: every
+    worker it starts has ended and been reaped when it returns."""
     yield
     if not hasattr(os, "WNOHANG"):
         return
@@ -26,7 +26,9 @@ def no_stray_children():
         pid, status = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:  # no child processes at all
         return
-    assert pid == 0, f"child process {pid} was left unreaped (wait status {status})"
+    if pid == 0:
+        pytest.fail("a child process is still running")
+    pytest.fail(f"child process {pid} was left unreaped (wait status {status})")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -15,11 +15,7 @@ converged examples wobble around zero instead of spreading into the aligned
 and anti-aligned tails.
 """
 
-import multiprocessing
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +32,7 @@ from gradtail.analysis import (
     dense_band_mre,
     experiment_report,
 )
+from gradtail.cli import _openblas_threads, _spread
 from gradtail.datasets import (
     dominance_holds,
     gen_dense_task,
@@ -90,29 +87,6 @@ SWEEP_SETTINGS = {
     "if15": dict(strategy="inverse_frequency", class_weights=(1.0, 15.0)),
     "if25": dict(strategy="inverse_frequency", class_weights=(1.0, 25.0)),
 }
-
-
-def _run_all(fn, tasks):
-    """``[fn(t) for t in tasks]``, spread over at most two worker processes.
-
-    Every run is seeded and independent of the others, so the results equal a
-    serial loop's bit for bit; the pool only shortens the gate's wall time.
-    Each worker gets one BLAS thread: the workers already share the CPUs, and
-    BLAS threads on top of them oversubscribe the cores and slow the dense runs.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    workers = max(1, min(2, cpus, len(tasks)))
-    if workers == 1:
-        return [fn(t) for t in tasks]
-    # spawned workers read the environment when they import numpy
-    one_thread = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
-    with mock.patch.dict(os.environ, one_thread), ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("spawn")
-    ) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def _toy_run(task):
@@ -170,7 +144,7 @@ def toy_corpus():
     runs on the dominated variant (with its grid precondition)."""
     kinds = ("uniform", "gradtail", "hard")
     tasks = [(kind, seed) for seed in TOY_SEEDS for kind in kinds]
-    rows = dict(zip(tasks, _run_all(_toy_run, tasks)))
+    rows = dict(zip(tasks, _spread(_toy_run, tasks)))
     corpus = {kind: [rows[kind, seed] for seed in TOY_SEEDS] for kind in kinds}
     corpus["dominance"] = [row.pop("dominance") for row in corpus["hard"]]
     return corpus
@@ -185,7 +159,7 @@ def sweep_corpus(toy_corpus):
         "if1": toy_corpus["uniform"][: len(SWEEP_SEEDS)],
     }
     tasks = [(label, seed) for label in SWEEP_SETTINGS for seed in SWEEP_SEEDS]
-    rows = dict(zip(tasks, _run_all(_sweep_run, tasks)))
+    rows = dict(zip(tasks, _spread(_sweep_run, tasks)))
     for label in SWEEP_SETTINGS:
         corpus[label] = [rows[label, seed] for seed in SWEEP_SEEDS]
     return corpus
@@ -196,7 +170,9 @@ def dense_corpus():
     """Seeds 0-4 of the dense regression demo, both strategies."""
     strategies = ("uniform", "gradtail")
     tasks = [(strategy, seed) for strategy in strategies for seed in DENSE_SEEDS]
-    rows = dict(zip(tasks, _run_all(_dense_run, tasks)))
+    # forked only under a BLAS thread limit, as in dense-demo
+    runs = _spread(_dense_run, tasks, forkable=lambda _: _openblas_threads() is not None)
+    rows = dict(zip(tasks, runs))
     return {strategy: [rows[strategy, seed] for seed in DENSE_SEEDS] for strategy in strategies}
 
 

@@ -203,7 +203,6 @@ def test_train_reference_mode_reruns_identically(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up is the point
 def test_train_divergence_exits_3_with_snapshot(tmp_path, capsys, monkeypatch):
-    cpus(monkeypatch, 2)  # the second seed diverges in a worker process
     toy = write_config(tmp_path, "train.steps: 400\n" + BLOW_UP)
     dense = write_config(
         tmp_path,
@@ -211,21 +210,24 @@ def test_train_divergence_exits_3_with_snapshot(tmp_path, capsys, monkeypatch):
         "dense.txt",
     )
     commands = {
-        "train": ["train", "--config", toy],
-        "train-seeds": ["train", "--config", toy, "--seeds", "2"],
-        "sweep": ["sweep", "--config", toy, "--param", "max_weight", "--values", "5"],
-        "dense-sweep": ["sweep", "--config", dense, "--param", "pivot", "--values", "0"],
+        "train": ["train", "--config", toy, "--seeds", "2"],
+        "sweep": ["sweep", "--config", toy, "--param", "max_weight", "--values", "5",
+                  "--seeds", "2"],
+        "dense-sweep": ["sweep", "--config", dense, "--param", "pivot", "--values", "0",
+                        "--seeds", "2"],
         "dense-demo": ["dense-demo", "--config", dense],
     }
     for name, argv in commands.items():
-        out = tmp_path / name
-        assert main([*argv, "--out", str(out)]) == 3, name
-        err = capsys.readouterr().err
-        assert "numerical abort" in err and "divergence.txt" in err, name
-        assert (out / "divergence.txt").exists(), name
-    # the first seed in input order decides, as in a serial loop
-    snapshot = (tmp_path / "train-seeds" / "divergence.txt").read_bytes()
-    assert snapshot == (tmp_path / "train" / "divergence.txt").read_bytes()
+        snapshots = []
+        for count in (1, 2):  # at 2 CPUs the second run diverges in a worker process
+            cpus(monkeypatch, count)
+            out = tmp_path / f"{name}-cpus{count}"
+            assert main([*argv, "--out", str(out)]) == 3, name
+            err = capsys.readouterr().err
+            assert "numerical abort" in err and "divergence.txt" in err, name
+            snapshots.append((out / "divergence.txt").read_bytes())
+        # the first run in input order decides, as in a serial loop
+        assert snapshots[0] == snapshots[1], name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -819,6 +821,36 @@ def test_train_seeds_in_workers_match_one_process(tmp_path, capsys, monkeypatch)
     assert len(outputs[1][1]) == 15  # three run dirs of five files
 
 
+SWEEP_IN_WORKERS = {
+    "toy": ("train.steps: 30\ntrain.batch_size: 64\n", ["max_weight", "1,5"], 2),
+    "dense": ("data.kind: dense\ntrain.steps: 20\ndense.height: 16\ndense.width: 16\n",
+              ["pivot", "-0.5,0"], 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_IN_WORKERS))
+def test_sweep_in_workers_matches_one_process(tmp_path, capsys, monkeypatch, kind):
+    """Every (value, seed) run of a sweep is an item of the spread; a dense
+    sweep forks only under a BLAS thread limit, as dense-demo does. At 2 CPUs
+    a worker runs the second value's first seed, whose grid and dataset it
+    sends back for the panel."""
+    text, (param, values), files = SWEEP_IN_WORKERS[kind]
+    config = write_config(tmp_path, text)
+    outputs = {}
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        forks = count_forks(monkeypatch)
+        out = tmp_path / f"cpus{count}"
+        assert main(["sweep", "--config", config, "--param", param, f"--values={values}",
+                     "--seeds", "3", "--out", str(out)]) == 0
+        if kind == "toy" or cli._openblas_threads() is not None:
+            assert len(forks) == count - 1
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        outputs[count] = (stdout, tree_bytes(out))
+    assert outputs[1] == outputs[2]
+    assert len(outputs[1][1]) == files  # sweep.txt, and the toy sweep's panel.svg
+
+
 def test_analyze_in_workers_matches_one_process(trained_runs, dense_runs, tmp_path, capsys,
                                                 monkeypatch):
     """Standard and hard runs (with traces) go to workers; the trace-less
@@ -993,14 +1025,20 @@ def test_dense_demo_in_workers_matches_one_process(tmp_path, capsys, monkeypatch
     assert len(outputs[1][2]) == 5 * runs + 1  # five files per run dir, and dense.txt
 
 
-def test_dense_demo_forks_nothing_without_openblas(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", [
+    ["dense-demo"],
+    ["sweep", "--param", "pivot", "--values", "0,0.5", "--seeds", "2"],
+], ids=["dense-demo", "dense-sweep"])
+def test_dense_demo_forks_nothing_without_openblas(tmp_path, monkeypatch, command):
     """Without a BLAS thread setter each process would keep every BLAS
     thread, and forked runs measured slower than serial."""
     cpus(monkeypatch, 2)
     monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
     forks = count_forks(monkeypatch)
-    config = write_config(tmp_path, "train.steps: 5\ndense.height: 12\ndense.width: 12\n")
-    assert main(["dense-demo", "--config", config, "--out", str(tmp_path / "dense")]) == 0
+    config = write_config(
+        tmp_path, "data.kind: dense\ntrain.steps: 5\ndense.height: 12\ndense.width: 12\n"
+    )
+    assert main([*command, "--config", config, "--out", str(tmp_path / "dense")]) == 0
     assert forks == []
 
 
