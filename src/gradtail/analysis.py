@@ -170,7 +170,8 @@ def boundary_distance(
         return np.abs(pts @ normal + offset) / np.linalg.norm(normal)
     centre = (a * mc - b * mu) / (a - b)
     radius = math.sqrt(centre @ centre - (a * (mc @ mc) - b * (mu @ mu) - k) / (a - b))
-    return np.abs(np.linalg.norm(pts - centre, axis=1) - radius)
+    dx, dy = pts[:, 0] - centre[0], pts[:, 1] - centre[1]
+    return np.abs(np.sqrt(dx * dx + dy * dy) - radius)
 
 
 @dataclass(frozen=True)

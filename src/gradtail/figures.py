@@ -12,6 +12,7 @@ mapping is readable off the file itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,29 +39,44 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Byte rows of ``_number_bytes``'s pieces: the low three integer digits
+    of 0-999 NUL-led (rows 0-999) and of 1000 or more zero-padded (row
+    1000 + n % 1000), and the ``""``, ``.d`` or ``.dd`` tail of 0-99 cents."""
+    low = [f"{n:3d}".replace(" ", "\0") for n in range(1000)] + [f"{n:03d}" for n in range(1000)]
+    tails = [f".{c:02d}".rstrip("0").rstrip(".") for c in range(100)]
+    tables = tuple(np.array(t, "S3").view(np.uint8).reshape(-1, 3) for t in (low, tails))
+    for table in tables:
+        table.setflags(write=False)  # the cache hands the same arrays to every caller
+    return tables
+
+
 def _number_bytes(values: np.ndarray) -> np.ndarray:
     """``_fmt`` of each value as one NUL-padded uint8 row, built from integer
-    cents ``rint(|v| * 100)``: sign, integer digits, then ``.d`` or ``.dd``.
-    Rounding is monotonic, so the product lands on a half-cent's correct side
-    or on it; values within 1e-6 of a half-cent, non-finite or >= 1e9 go
+    cents ``rint(|v| * 100)``: sign, integer digits, then ``.d`` or ``.dd``,
+    the low three digits and the tail gathered from ``_digit_tables``.
+    Rounding is monotonic, so the product lands on a half-cent's correct
+    side or on it; values within 1e-6 of a half-cent, non-finite or >= 1e9 go
     through ``_fmt`` itself, whose .2f decides exact binary ties (16.005)."""
     v = np.asarray(values, dtype=np.float64)
     big = ~(np.abs(v) < 1e9)  # NaN and +-inf too
     cents = np.where(big, 0.0, np.abs(v)) * 100.0
-    odd = big | (np.abs(cents % 1.0 - 0.5) < 1e-6)
-    whole, frac = np.divmod(np.rint(cents).astype(np.int64), 100)
-    d1, d2 = np.divmod(frac, 10)
+    odd = big | (np.abs(cents - np.floor(cents) - 0.5) < 1e-6)
+    n = np.rint(cents).astype(np.int64)
+    whole = n // 100  # n >= 0: divmod's values, without its slower loop
+    frac = n - whole * 100
     ndig = len(str(whole.max(initial=0)))
+    low, tails = _digit_tables()
     out = np.zeros((v.size, ndig + 4), np.uint8)
     out[np.signbit(v), 0] = ord("-")
-    for p in range(ndig):  # the ones digit in column ndig; leading zeros stay NUL
+    k = min(ndig, 3)  # the ones digit in column ndig; leading zeros stay NUL
+    rows = np.where(whole < 1000, whole, whole % 1000 + 1000) if ndig > 3 else whole
+    out[:, ndig + 1 - k : ndig + 1] = np.take(low[:, 3 - k :], rows, axis=0)
+    for p in range(3, ndig):
         out[:, ndig - p] = whole // 10**p % 10 + 48
-        if p:
-            out[whole < 10**p, ndig - p] = 0
-    tail = frac != 0
-    out[tail, ndig + 1] = ord(".")
-    out[tail, ndig + 2] = d1[tail] + 48
-    out[d2 != 0, ndig + 3] = d2[d2 != 0] + 48
+        out[whole < 10**p, ndig - p] = 0
+    out[:, ndig + 1 :] = np.take(tails, frac, axis=0)
     if odd.any():
         text = np.array([_fmt(x) for x in v[odd].tolist()], dtype=bytes)
         out = np.pad(out, ((0, 0), (0, max(0, text.itemsize - out.shape[1]))))
@@ -76,7 +92,7 @@ def _rows(*parts) -> list[str]:
         np.broadcast_to(np.frombuffer(p, np.uint8), (n, len(p))) if isinstance(p, bytes) else p
         for p in parts + (b"\n",)
     ]
-    return np.concatenate(cols, axis=1).tobytes().replace(b"\0", b"").decode().split("\n")[:-1]
+    return np.concatenate(cols, axis=1).tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
 class SvgCanvas:
@@ -237,10 +253,11 @@ def model_boundary_contour(grid: BoundaryGrid) -> list:
 class PointGlyphs:
     """A dataset's points formatted once for one canvas geometry.
 
-    ``cross`` holds each point's cross as a path piece and ``circle`` its
-    ``<circle cx cy r`` opening: common-class points draw as crosses, the rest
-    as circles. ``boundary`` is the analytic boundary's path element (empty
-    when the curve misses the grid). Figures join the pieces by mask.
+    ``cross`` holds each common-class point's cross as a path piece and
+    ``circle`` each other point's ``<circle cx cy r`` opening, the only glyphs
+    ``draw`` reads; the other entries are ``None``. ``boundary`` is the
+    analytic boundary's path element (empty when the curve misses the grid).
+    Figures join the pieces by mask.
     """
 
     geometry: dict  # SvgCanvas keyword arguments
@@ -273,25 +290,26 @@ def point_glyphs(
     dataset: Dataset2D, grid: BoundaryGrid, arm: float = 2.5, **geometry
 ) -> PointGlyphs:
     """The glyphs of every point on ``SvgCanvas(**geometry)`` and the analytic
-    boundary of ``grid``: crosses with arm ``arm`` and circles of that radius,
-    from one formatting pass over the six pixel columns of a cross."""
+    boundary of ``grid``: crosses with arm ``arm`` for common points and
+    circles of that radius for the rest (``None`` where a glyph is never
+    drawn), from one formatting pass over the pixel columns those glyphs use."""
     canvas = SvgCanvas(**geometry)
     x, y = canvas.px(dataset.points[:, 0], dataset.points[:, 1])
-    columns = np.concatenate([x - arm, y, x + arm, x, y - arm, y + arm])
-    left, mid, right, centre, top, bottom = _number_bytes(columns).reshape(6, len(x), -1)
-    cross = _rows(
+    common = dataset.labels == dataset.specs[0].label
+    (xc, yc), (xo, yo) = (x[common], y[common]), (x[~common], y[~common])
+    columns = np.concatenate([xc - arm, yc, xc + arm, xc, yc - arm, yc + arm, xo, yo])
+    formatted = _number_bytes(columns)
+    width = formatted.shape[1]
+    cross, circle = np.full((2, len(x)), None, dtype=object)
+    left, mid, right, centre, top, bottom = formatted[: 6 * len(xc)].reshape(6, len(xc), width)
+    cross[common] = _rows(
         b"M", left, b" ", mid, b"L", right, b" ", mid,
         b"M", centre, b" ", top, b"L", centre, b" ", bottom,
     )
-    circle = _rows(b'<circle cx="', centre, b'" cy="', mid, f'" r="{arm}"'.encode())
+    centre, mid = formatted[6 * len(xc) :].reshape(2, len(xo), width)
+    circle[~common] = _rows(b'<circle cx="', centre, b'" cy="', mid, f'" r="{arm}"'.encode())
     canvas.segments(analytic_boundary_contour(grid), BOUNDARY_COLOR, dashed=True)
-    return PointGlyphs(
-        geometry,
-        np.array(cross, dtype=object),
-        np.array(circle, dtype=object),
-        dataset.labels == dataset.specs[0].label,
-        canvas.elements,
-    )
+    return PointGlyphs(geometry, cross, circle, common, canvas.elements)
 
 
 def _first_appearance(codes: np.ndarray, colors, keep: np.ndarray | None = None) -> list:

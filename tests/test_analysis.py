@@ -1,5 +1,6 @@
 """Analysis oracles: labeling bands, quartiles, metrics, boundary distances, MRE."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +244,19 @@ class TestBoundaryDistance:
         pts = center + (radius + offs)[:, None] * direction
         d = boundary_distance(pts, DEFAULT_COMMON, DEFAULT_UNCOMMON)
         assert np.all(np.diff(d) > 0)
+
+    @pytest.mark.parametrize("gen", [gen_two_gaussians, gen_hard_variant])
+    def test_circle_matches_norm_form_bit_for_bit(self, gen):
+        for seed in range(5):
+            ds = gen(seed)
+            common, uncommon = ds.specs[:2]
+            mc, mu = np.asarray(common.mean), np.asarray(uncommon.mean)
+            a, b = 1.0 / common.cov_scale, 1.0 / uncommon.cov_scale
+            k = 2.0 * math.log(uncommon.cov_scale / common.cov_scale)
+            centre = (a * mc - b * mu) / (a - b)
+            radius = math.sqrt(centre @ centre - (a * (mc @ mc) - b * (mu @ mu) - k) / (a - b))
+            want = np.abs(np.linalg.norm(ds.points - centre, axis=1) - radius)
+            assert boundary_distance(ds.points, common, uncommon).tobytes() == want.tobytes()
 
 
 def brute_force_distance(points, curve, lo, hi, rounds=4, samples=1025):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from gradtail import datasets
+from gradtail.analysis import _eval_grid
 from gradtail.datasets import (
     DEFAULT_COMMON,
     DEFAULT_UNCOMMON,
@@ -18,6 +20,12 @@ from gradtail.datasets import (
     gen_two_gaussians,
     log_density,
 )
+
+
+def summed_squares_log_density(x, spec):
+    """``log_density`` in the ``np.sum(..., axis=-1)`` form it replaced."""
+    d2 = np.sum((np.asarray(x, dtype=np.float64) - np.asarray(spec.mean)) ** 2, axis=-1)
+    return -d2 / (2.0 * spec.cov_scale) - np.log(2.0 * np.pi * spec.cov_scale)
 
 
 class TestSpecs:
@@ -113,6 +121,16 @@ class TestHardVariant:
             spec = GaussianSpec((r, r), 0.5, 400, 1)
             assert dominance_holds(DEFAULT_COMMON, spec, resolution=400) is expect
 
+    def test_dominance_verdicts_match_summed_squares(self, monkeypatch):
+        r = np.sqrt(np.log(12.5) / 2.0)
+        cases = [HARD_UNCOMMON, DEFAULT_UNCOMMON] + [
+            GaussianSpec((s * r, s * r), 0.5, 400, 1) for s in (0.9, 0.99, 1.01, 1.1)
+        ]
+        verdicts = [dominance_holds(DEFAULT_COMMON, spec) for spec in cases]
+        assert set(verdicts) == {True, False}
+        monkeypatch.setattr(datasets, "log_density", summed_squares_log_density)
+        assert [dominance_holds(DEFAULT_COMMON, spec) for spec in cases] == verdicts
+
 
 class TestBoundary:
     def test_origin_is_common_side(self):
@@ -140,6 +158,16 @@ class TestBoundary:
         assert np.exp(log_density(np.zeros(2), DEFAULT_UNCOMMON)) == pytest.approx(
             np.exp(-9.68) / np.pi, rel=1e-12
         )
+
+    @pytest.mark.parametrize("gen", [gen_two_gaussians, gen_hard_variant])
+    def test_log_density_matches_summed_squares_bit_for_bit(self, gen):
+        nodes = _eval_grid()
+        for seed in range(5):
+            ds = gen(seed)
+            for spec in ds.specs:
+                for x in (nodes, ds.points):
+                    want = summed_squares_log_density(x, spec)
+                    assert log_density(x, spec).tobytes() == want.tobytes()
 
     def test_priors_shift_boundary_toward_uncommon(self):
         # downweighting the uncommon class by 1/26 shrinks its winning region

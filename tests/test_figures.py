@@ -128,10 +128,30 @@ GLYPH_POINTS = np.array([
 GLYPH_GEOMETRY = {"bounds": (0.0, 1.0), "size": 100, "margin": 10, "origin": (5, 0)}
 
 
-def glyph_dataset():
-    """GLYPH_POINTS with alternating classes: common at even indices."""
+def glyph_dataset(labels=np.arange(7) % 2):
+    """GLYPH_POINTS with alternating classes by default: common (0) at even indices."""
     specs = (GaussianSpec((0.0, 0.0), 1.0, 4, 0), GaussianSpec((1.0, 1.0), 0.5, 3, 1))
-    return Dataset2D(GLYPH_POINTS, np.arange(7) % 2, specs, 0)
+    return Dataset2D(GLYPH_POINTS, labels, specs, 0)
+
+
+def assert_drawn_glyphs(glyphs, crosses, circles):
+    """Crosses of the common points and circles of the rest, as in the per-point
+    references; the glyphs that ``draw`` never reads are None."""
+    common = glyphs.common
+    assert glyphs.cross.dtype == object and glyphs.circle.dtype == object
+    assert glyphs.cross[common].tolist() == [c for c, k in zip(crosses, common) if k]
+    assert glyphs.circle[~common].tolist() == [c for c, k in zip(circles, common) if not k]
+    assert set(glyphs.cross[~common]) <= {None} and set(glyphs.circle[common]) <= {None}
+
+
+def every_glyph(arm=2.5):
+    """Each GLYPH_POINTS point's cross and circle, from the alternating labels and
+    their swap (a point draws one glyph per labeling)."""
+    a, b = (
+        glyphs_for(glyph_dataset(labels), arm=arm, **GLYPH_GEOMETRY)
+        for labels in (np.arange(7) % 2, 1 - np.arange(7) % 2)
+    )
+    return np.where(a.common, a.cross, b.cross).tolist(), np.where(a.common, b.circle, a.circle).tolist()
 
 
 def fmt_reference(v):
@@ -149,13 +169,14 @@ def test_crosses_match_per_point_reference():
         glyphs = glyphs_for(glyph_dataset(), arm=arm, **GLYPH_GEOMETRY)
         canvas = SvgCanvas(**GLYPH_GEOMETRY)
         want = [cross_reference(canvas, x, y, arm) for x, y in GLYPH_POINTS]
-        assert glyphs.cross.tolist() == want
+        assert glyphs.cross[glyphs.common].tolist() == want[::2]
+        assert set(glyphs.cross[~glyphs.common]) == {None}
+        assert every_glyph(arm)[0] == want
         glyphs.draw(canvas, [(np.ones(7, dtype=bool), "#123456")])
         assert canvas.elements[0] == (
             f'<path d="{"".join(want[::2])}" stroke="#123456" stroke-width="1" fill="none"/>'
         )
-    glyphs = glyphs_for(glyph_dataset(), **GLYPH_GEOMETRY)
-    assert "".join(glyphs.cross[1:5]) == (
+    assert "".join(every_glyph()[0][1:5]) == (
         "M12.62 10.12L17.62 10.12M15.12 7.62L15.12 12.62"
         "M13.5 60L18.5 60M16 57.5L16 62.5M-17.5 -10L-12.5 -10M-15 -12.5L-15 -7.5"
         "M-2.5 -0L2.5 -0M-0 -2.5L-0 2.5"
@@ -169,7 +190,9 @@ def test_circles_match_per_point_reference():
     for x, y in GLYPH_POINTS:
         px, py = canvas.px(x, y)
         want.append(f'<circle cx="{fmt_reference(px)}" cy="{fmt_reference(py)}" r="1.8"')
-    assert glyphs.circle.tolist() == want
+    assert glyphs.circle[~glyphs.common].tolist() == want[1::2]
+    assert set(glyphs.circle[glyphs.common]) == {None}
+    assert every_glyph(1.8)[1] == want
     glyphs.draw(canvas, [(~glyphs.common, "#654321")])
     assert canvas.elements == [
         f'{opening} stroke="#654321" fill="none" stroke-width="1"/>' for opening in want[1::2]
@@ -232,6 +255,13 @@ def test_formatter_matches_reference_on_random_values():
     assert_formats_like_reference(rng.integers(-10**6, 10**6, 20_000) / 1000)
 
 
+def test_digit_tables_stay_small_for_nine_digit_values():
+    # a table indexed by the whole part would need 10**9 rows here
+    assert_formats_like_reference([999999999.99, -654321.125, 1e8 + 0.25])
+    assert figures._digit_tables.cache_info().currsize == 1
+    assert all(len(table) <= 2000 for table in figures._digit_tables())
+
+
 def test_rows_join_literals_and_columns():
     a, b = _number_bytes(np.array([1.5, -0.25])), _number_bytes(np.array([1000.0, 0.999]))
     assert _rows(b"<", a, b" ", b, b'"/>') == ['<1.5 1000"/>', '<-0.25 1"/>']
@@ -253,10 +283,8 @@ def test_full_size_glyphs_match_per_point_reference(gen, geometry):
         px, py = canvas.px(x, y)
         crosses.append(cross_reference(canvas, x, y, arm))
         circles.append(f'<circle cx="{fmt_reference(px)}" cy="{fmt_reference(py)}" r="{arm}"')
-    assert len(crosses) == 10_400
-    assert glyphs.cross.dtype == object and glyphs.circle.dtype == object
-    assert glyphs.cross.tolist() == crosses
-    assert glyphs.circle.tolist() == circles
+    assert len(crosses) == len(glyphs.cross) == len(glyphs.circle) == 10_400
+    assert_drawn_glyphs(glyphs, crosses, circles)
 
 
 def test_default_glyphs_rarely_use_scalar_fallback(monkeypatch):
@@ -268,7 +296,8 @@ def test_default_glyphs_rarely_use_scalar_fallback(monkeypatch):
     for gen in (gen_two_gaussians, gen_hard_variant):
         calls.clear()
         glyphs = glyphs_for(gen(0))
-        assert 6 * len(glyphs.cross) == 62_400
+        drawn = glyphs.cross[glyphs.common].tolist() + glyphs.circle[~glyphs.common].tolist()
+        assert len(drawn) == 10_400 and None not in drawn
         assert len(calls) < 10
     assert format_rows([0.125, 1.0]) == ["0.12", "1"] and calls[-1] == 0.125
 
