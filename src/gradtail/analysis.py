@@ -47,19 +47,17 @@ def label_examples(
 @dataclass(frozen=True)
 class QuartileReport:
     accuracies: tuple[float, float, float, float]
-    correlation: float
-    correlation_defined: bool
-    point_biserial: float
-    point_biserial_defined: bool
+    correlation: float | None  # None when degenerate, as is point_biserial
+    point_biserial: float | None
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
+def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     xd, yd = x - x.mean(), y - y.mean()
     sx, sy = np.sqrt((xd * xd).sum()), np.sqrt((yd * yd).sum())
     if sx == 0.0 or sy == 0.0:
-        return 0.0, False
-    return float((xd * yd).sum() / (sx * sy)), True
+        return None
+    return float((xd * yd).sum() / (sx * sy))
 
 
 def quartile_accuracy(mean_alignment: np.ndarray, correct: np.ndarray) -> QuartileReport:
@@ -67,7 +65,7 @@ def quartile_accuracy(mean_alignment: np.ndarray, correct: np.ndarray) -> Quarti
 
     Examples sort ascending by (mean alignment, example id) and split into
     four near-equal bins; the correlation is Pearson of bin index {1..4}
-    against bin accuracy, reported as 0 with a cleared flag when degenerate.
+    against bin accuracy, None when degenerate.
     """
     mean_alignment = np.asarray(mean_alignment, dtype=float)
     correct = np.asarray(correct, dtype=float)
@@ -79,9 +77,9 @@ def quartile_accuracy(mean_alignment: np.ndarray, correct: np.ndarray) -> Quarti
     order = np.lexsort((np.arange(n), mean_alignment))
     bins = np.array_split(correct[order], 4)
     accs = tuple(float(b.mean()) for b in bins)
-    corr, corr_ok = _pearson(np.arange(1, 5), np.array(accs))
-    pb, pb_ok = _pearson(mean_alignment, correct)
-    return QuartileReport(accs, corr, corr_ok, pb, pb_ok)
+    return QuartileReport(
+        accs, _pearson(np.arange(1, 5), np.array(accs)), _pearson(mean_alignment, correct)
+    )
 
 
 @dataclass(frozen=True)

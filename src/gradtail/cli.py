@@ -67,6 +67,7 @@ from .records import (
     RecordFormatError,
     config_from_manifest,
     format_manifest,
+    format_metric,
     format_value,
     load_gradtail_state,
     load_model,
@@ -146,13 +147,22 @@ def _write_run_dir(
     return run_dir
 
 
-def _value_repr(value: float | None) -> str:
-    return "absent" if value is None else repr(value)
+def _median_cell(cells) -> str:
+    present = [float(cell) for cell in cells if cell != "absent"]
+    return format_metric(float(np.median(present)) if present else None)
 
 
-def _median_repr(values) -> str:
-    present = [v for v in values if v is not None]
-    return _value_repr(float(np.median(present)) if present else None)
+def _median_rows(key: str, labels: list[str], runs: list[tuple], columns: list[str]) -> list[dict]:
+    """One row per label: ``key`` holds the label and each column the ``repr``
+    of the median of that column's numeric cells (``absent`` when none is)
+    over the label's equal, consecutive share of ``runs``, one tuple of cells
+    per run."""
+    share = len(runs) // len(labels)
+    rows = []
+    for i, label in enumerate(labels):
+        by_column = zip(*runs[i * share:(i + 1) * share])
+        rows.append({key: label, **dict(zip(columns, map(_median_cell, by_column)))})
+    return rows
 
 
 def _dense_run_config(
@@ -436,11 +446,11 @@ def _analyze_run(run_dir: Path, fig_dir: Path) -> tuple[dict, str | None]:
         )
     if (run_dir / "state.txt").exists():
         _check_state(run_dir / "state.txt", config, step_log)
-    weight = _value_repr(mean_weight_after_warmup(step_log, config.gradtail.warmup_batches))
+    weight = format_metric(mean_weight_after_warmup(step_log, config.gradtail.warmup_batches))
     if isinstance(dataset, DenseGrid):
         _, rare, total = _dense_mre(model, dataset)
         fields = {
-            "rare_mre": _value_repr(rare),
+            "rare_mre": format_metric(rare),
             "total_mre": repr(total),
             "weight.mean_after_warmup": weight,
         }
@@ -449,8 +459,17 @@ def _analyze_run(run_dir: Path, fig_dir: Path) -> tuple[dict, str | None]:
         return fields, None
     trace_path = run_dir / "trace.csv"
     trace = load_trace(trace_path) if trace_path.exists() else None
-    if trace is not None and trace.n != dataset.n:
-        raise RecordFormatError(f"{trace_path}: {trace.n} rows for {dataset.n} examples")
+    if trace is not None:
+        if trace.n != dataset.n:
+            raise RecordFormatError(f"{trace_path}: {trace.n} rows for {dataset.n} examples")
+        # every step adds train.batch_size occurrences; no count above the
+        # total passes, so the int64 sum cannot wrap
+        total, counts = config.steps * config.batch_size, trace.occurrences
+        if counts.min() < 0 or counts.max() > total or counts.sum() != total:
+            raise RecordFormatError(
+                f"{trace_path}: occurrences must be non-negative and sum to"
+                f" {config.steps} steps x {config.batch_size} = {total}"
+            )
     grid = boundary_grid(model, *dataset.specs[:2])
     seen = 0 if trace is None else int(trace.seen().sum())
     fig_dir.mkdir(parents=True, exist_ok=True)
@@ -517,16 +536,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         rows.append({"run": name, **{k: str(v) for k, v in fields.items()}})
         print(f"analyzed {run_dir} -> {out / name}")
 
-    columns = ["run", "total_accuracy", "balanced_accuracy", "boundary_disagreement", "rare.size"]
+    columns = ["total_accuracy", "balanced_accuracy", "boundary_disagreement", "rare.size"]
     if any("total_mre" in row for row in rows):
         columns += ["rare_mre", "total_mre"]
     if len(rows) > 1:
-        median_row = {"run": "median"}
-        for col in columns[1:]:
-            vals = [float(r[col]) for r in rows if r.get(col, "absent") != "absent"]
-            median_row[col] = repr(float(np.median(vals))) if vals else "absent"
-        rows.append(median_row)
-    (out / "summary.txt").write_text(summary_table(rows, columns))
+        cells = [tuple(row.get(col, "absent") for col in columns) for row in rows]
+        rows += _median_rows("run", ["median"], cells, columns)
+    (out / "summary.txt").write_text(summary_table(rows, ["run", *columns]))
     return 0
 
 
@@ -570,30 +586,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         dataset = _dataset_for(kind, data_seed + k)
         result = train(dataset, model_seed + k, replace(value_config, seed=config.seed + k))
         grid = boundary_grid(result.model, *dataset.specs[:2])
-        report = experiment_report(result, dataset, grid)
-        metrics = (report.balanced_accuracy, report.total_accuracy,
-                   report.boundary_disagreement, report.per_class_recall[dataset.specs[1].label])
-        return metrics, (grid, dataset) if k == 0 else None  # the panel shows the first seed
+        metrics = class_metrics(result.model, dataset)
+        cells = (metrics.balanced_accuracy, metrics.total_accuracy, boundary_disagreement(grid),
+                 metrics.per_class_recall[dataset.specs[1].label])
+        # the panel shows the first seed
+        return tuple(map(repr, cells)), (grid, dataset) if k == 0 else None
 
     tasks = [(value_config, k) for value_config in value_configs for k in range(args.seeds)]
     runs = list(_spread(sweep_run, tasks))
-    rows, panels = [], []
-    for i, value in enumerate(values):
-        value_runs = runs[i * args.seeds:(i + 1) * args.seeds]
-        balanced, total, disagreement, recall_uncommon = zip(*(m for m, _ in value_runs))
-        panels.append((f"{args.param}={value:g}", *value_runs[0][1]))
-        rows.append({
-            "value": repr(value),
-            "median_balanced": repr(float(np.median(balanced))),
-            "median_total": repr(float(np.median(total))),
-            "median_disagreement": repr(float(np.median(disagreement))),
-            "median_recall_uncommon": repr(float(np.median(recall_uncommon))),
-        })
-    table = summary_table(
-        rows,
-        ["value", "median_balanced", "median_total", "median_disagreement",
-         "median_recall_uncommon"],
-    )
+    panels = [(f"{args.param}={v:g}", *runs[i * args.seeds][1]) for i, v in enumerate(values)]
+    columns = ["median_balanced", "median_total", "median_disagreement", "median_recall_uncommon"]
+    rows = _median_rows("value", [repr(v) for v in values], [cells for cells, _ in runs], columns)
+    table = summary_table(rows, ["value", *columns])
     (out / "sweep.txt").write_text(f"# sweep over {args.param} ({config.strategy})\n" + table)
     panel_figure(panels, out / "panel.svg")
     print(f"swept {args.param} over {values} -> {out}")
@@ -607,22 +611,14 @@ def _dense_sweep(entries, config, data_seed, model_seed, values, args, out) -> i
         run_config = replace(run_config, gradtail=replace(run_config.gradtail, pivot=value))
         grid, sampler = _dense_grid_for(entries, data_seed + k)
         result = train_dense(grid, model_seed + k, run_config, **sampler)
-        return _dense_mre(result.model, grid)
+        return tuple(map(format_metric, _dense_mre(result.model, grid)))
 
     tasks = [(value, k) for value in values for k in range(args.seeds)]
     # forked only under a BLAS thread limit, as in dense-demo
     mres = list(_spread(pivot_run, tasks, forkable=lambda _: _openblas_threads() is not None))
-    rows = []
-    for i, value in enumerate(values):
-        common_mre, rare_mre, total_mre = zip(*mres[i * args.seeds:(i + 1) * args.seeds])
-        rows.append({
-            "pivot": repr(value),
-            "median_common_mre": _median_repr(common_mre),
-            "median_rare_mre": _median_repr(rare_mre),
-            "median_total_mre": _median_repr(total_mre),
-        })
+    columns = ["median_common_mre", "median_rare_mre", "median_total_mre"]
     table = summary_table(
-        rows, ["pivot", "median_common_mre", "median_rare_mre", "median_total_mre"]
+        _median_rows("pivot", [repr(v) for v in values], mres, columns), ["pivot", *columns]
     )
     (out / "sweep.txt").write_text("# dense pivot sweep (gradtail)\n" + table)
     print(f"swept pivot over {values} -> {out}")
@@ -649,7 +645,7 @@ def cmd_dense_demo(args: argparse.Namespace) -> int:
             out / f"dense-{strategy}-s{k:03d}", "dense", data_seed + k, result, dense_keys
         )
         _, rare, total = _dense_mre(result.model, grid)
-        return _value_repr(rare), repr(total)
+        return format_metric(rare), repr(total)
 
     # With every process at 2 BLAS threads on 2 CPUs, forked runs measured
     # slower than serial: they fork only when the spread can hold each process
@@ -659,16 +655,11 @@ def cmd_dense_demo(args: argparse.Namespace) -> int:
     for (k, strategy, _), (rare, total) in zip(runs, mres):
         rows[k][f"{strategy}_rare_mre"] = rare
         rows[k][f"{strategy}_total_mre"] = total
-    columns = ["seed", "uniform_rare_mre", "gradtail_rare_mre",
-               "uniform_total_mre", "gradtail_total_mre"]
+    columns = ["uniform_rare_mre", "gradtail_rare_mre", "uniform_total_mre", "gradtail_total_mre"]
     if len(rows) > 1:
-        median_row = {"seed": "median"}
-        for col in columns[1:]:
-            median_row[col] = _median_repr(
-                [float(r[col]) for r in rows if r[col] != "absent"]
-            )
-        rows.append(median_row)
-    (out / "dense.txt").write_text(summary_table(rows, columns))
+        cells = [tuple(map(row.get, columns)) for row in rows]
+        rows += _median_rows("seed", ["median"], cells, columns)
+    (out / "dense.txt").write_text(summary_table(rows, ["seed", *columns]))
     print(f"dense demo over {args.seeds} seed(s) -> {out}")
     return 0
 

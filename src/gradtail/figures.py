@@ -151,11 +151,14 @@ class SvgCanvas:
             f' font-size="11" text-anchor="{anchor}"{weight}>{s}</text>'
         )
 
-    def segments(self, segs: list, color: str, dashed: bool = False, width: float = 1.5) -> None:
-        """World-coordinate line segments batched into one path."""
-        if not segs:
+    def segments(
+        self, segs: np.ndarray, color: str, dashed: bool = False, width: float = 1.5
+    ) -> None:
+        """World-coordinate line segments, an (S, 2, 2) array of end points,
+        batched into one path."""
+        if not len(segs):
             return
-        (x1, y1), (x2, y2) = np.array(segs).transpose(1, 2, 0)
+        (x1, y1), (x2, y2) = segs.transpose(1, 2, 0)
         (x1, y1), (x2, y2) = self.px(x1, y1), self.px(x2, y2)
         ends = _number_bytes(np.concatenate([x1, y1, x2, y2])).reshape(4, len(segs), -1)
         d = "".join(_rows(b"M", ends[0], b" ", ends[1], b"L", ends[2], b" ", ends[3]))
@@ -163,14 +166,6 @@ class SvgCanvas:
         self.elements.append(
             f'<path d="{d}" stroke="{color}" stroke-width="{width}"'
             f' fill="none"{dash}/>'
-        )
-
-    def polyline(self, points: list, color: str, width: float = 1.5) -> None:
-        coords = " ".join(
-            f"{_fmt(px)},{_fmt(py)}" for px, py in (self.px(x, y) for x, y in points)
-        )
-        self.elements.append(
-            f'<polyline points="{coords}" stroke="{color}" stroke-width="{width}" fill="none"/>'
         )
 
 
@@ -193,11 +188,12 @@ def render_svg(canvases: list[SvgCanvas], path: str | Path) -> None:
 
 def contour_segments(
     xs: np.ndarray, ys: np.ndarray, field: np.ndarray, level: float = 0.0
-) -> list:
+) -> np.ndarray:
     """Zero-level segments of ``field[i, j] = f(xs[j], ys[i])``.
 
     Marching squares with linear edge interpolation; saddle cells are split
-    using the cell-center value. Returns world-coordinate segment pairs.
+    using the cell-center value. Returns an (S, 2, 2) array of world-coordinate
+    segments: ``segs[s] = ((ax, ay), (bx, by))``.
     """
     f = np.asarray(field, dtype=np.float64) - level
     if f.shape != (len(ys), len(xs)):
@@ -226,17 +222,16 @@ def contour_segments(
     ends = np.stack([first, second, 2 - split, 3 - split], axis=1).reshape(-1, 2, 2)
     ends = ends[np.stack([np.ones_like(saddle), saddle], axis=1)]  # drop non-saddles' second
     cell = np.repeat(np.arange(len(saddle)), 1 + saddle)[:, None]
-    segs = np.stack([px[ends, cell], py[ends, cell]], axis=-1).tolist()
-    return [((ax, ay), (bx, by)) for (ax, ay), (bx, by) in segs]
+    return np.stack([px[ends, cell], py[ends, cell]], axis=-1)
 
 
-def analytic_boundary_contour(grid: BoundaryGrid) -> list:
+def analytic_boundary_contour(grid: BoundaryGrid) -> np.ndarray:
     """Equal-density curve of the two generators (log densities: same zeros,
     no far-field underflow)."""
     return contour_segments(grid.axis, grid.axis, grid.log_gap.reshape(grid.axis.size, -1))
 
 
-def model_boundary_contour(grid: BoundaryGrid) -> list:
+def model_boundary_contour(grid: BoundaryGrid) -> np.ndarray:
     """Two-class decision boundary: zero crossing of logit(common) - logit(rare)."""
     if grid.logits.shape[1] != 2:
         raise ValueError("decision contour needs a two-logit classifier")

@@ -9,7 +9,6 @@ weighting-state snapshots round-trip bit for bit. Manifests are flat
 from __future__ import annotations
 
 import base64
-import csv
 import functools
 import io
 from dataclasses import asdict, fields, replace
@@ -308,15 +307,15 @@ def config_from_manifest(entries: dict[str, str]) -> tuple[TrainConfig, int, int
 CHUNK_ROWS = 1024  # rows formatted and written per write call
 
 
-def _write_columns(path: str | Path, header: list[str], columns: list) -> None:
-    """The bytes csv.writer writes for ``header`` and one row per entry of the
-    equally long ``columns``: ints as ``str``, floats as ``repr``, CRLF line
-    ends. Each row is one ``%`` format (``%d`` per int column, ``%r`` per
-    float column). Rows are formatted and written CHUNK_ROWS at a time, so
-    the whole file is never held in memory."""
+def _write_columns(path: str | Path, header: list[str], columns: list, lead: str = "") -> None:
+    """``lead``, then the bytes csv.writer writes for ``header`` and one row
+    per entry of the equally long ``columns``: ints as ``str``, floats as
+    ``repr``, CRLF line ends. Each row is one ``%`` format (``%d`` per int
+    column, ``%r`` per float column). Rows are formatted and written
+    CHUNK_ROWS at a time, so the whole file is never held in memory."""
     line = ",".join("%d" if col.dtype.kind in "iu" else "%r" for col in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(lead + ",".join(header) + "\r\n")
         n = len(columns[0])
         for lo in range(0, n, CHUNK_ROWS):
             rows = zip(*[col[lo : lo + CHUNK_ROWS].tolist() for col in columns])
@@ -387,22 +386,23 @@ def save_patch_log(path: str | Path, log: PatchLog) -> None:
 
 def save_dataset(path: str | Path, dataset: Dataset2D) -> None:
     """Points as x1,x2,label CSV with the regeneration manifest in comments."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# seed: {dataset.seed}\n")
-        for i, spec in enumerate(dataset.specs):
-            fh.write(
-                f"# spec{i}: mean={spec.mean[0]!r},{spec.mean[1]!r}"
-                f" cov_scale={spec.cov_scale!r} count={spec.count} label={spec.label}\n"
-            )
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "label"])
-        for p, lab in zip(dataset.points, dataset.labels):
-            writer.writerow([repr(float(p[0])), repr(float(p[1])), int(lab)])
+    lead = f"# seed: {dataset.seed}\n" + "".join(
+        f"# spec{i}: mean={spec.mean[0]!r},{spec.mean[1]!r}"
+        f" cov_scale={spec.cov_scale!r} count={spec.count} label={spec.label}\n"
+        for i, spec in enumerate(dataset.specs)
+    )
+    columns = [dataset.points[:, 0], dataset.points[:, 1], dataset.labels]
+    _write_columns(path, ["x1", "x2", "label"], columns, lead)
 
 
 # ---------------------------------------------------------------------------
 # experiment reports
 # ---------------------------------------------------------------------------
+
+
+def format_metric(value: float | None) -> str:
+    """A metric's report text: ``absent`` for None, else its ``repr``."""
+    return "absent" if value is None else repr(value)
 
 
 def report_fields(report) -> dict[str, str]:
@@ -418,10 +418,8 @@ def report_fields(report) -> dict[str, str]:
     q = report.quartiles
     for i, acc in enumerate(q.accuracies, start=1):
         fields[f"quartile.accuracy{i}"] = repr(acc)
-    fields["quartile.correlation"] = repr(q.correlation) if q.correlation_defined else "absent"
-    fields["quartile.point_biserial"] = (
-        repr(q.point_biserial) if q.point_biserial_defined else "absent"
-    )
+    fields["quartile.correlation"] = format_metric(q.correlation)
+    fields["quartile.point_biserial"] = format_metric(q.point_biserial)
     for name, count in sorted(report.tail_counts.items()):
         fields[f"tail.{name}"] = count
     rare = report.rare_set
@@ -429,12 +427,9 @@ def report_fields(report) -> dict[str, str]:
     fields["rare.empty"] = str(rare.empty).lower()
     for label, count in sorted(rare.counts_per_class.items()):
         fields[f"rare.class{label}"] = count
-    fields["rare.mean_distance"] = (
-        "absent" if rare.mean_distance_rare is None else repr(rare.mean_distance_rare)
-    )
+    fields["rare.mean_distance"] = format_metric(rare.mean_distance_rare)
     fields["rare.mean_distance_all"] = repr(rare.mean_distance_all)
-    weight = report.mean_weight_after_warmup
-    fields["weight.mean_after_warmup"] = "absent" if weight is None else repr(weight)
+    fields["weight.mean_after_warmup"] = format_metric(report.mean_weight_after_warmup)
     return fields
 
 

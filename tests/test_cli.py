@@ -412,6 +412,18 @@ def test_sweep_inverse_frequency(tmp_path):
     assert "median_recall_uncommon" in (out / "sweep.txt").read_text()
 
 
+def test_sweep_without_trace_logging(tmp_path):
+    """A sweep reads only its four metrics, none of which needs a trace."""
+    config = write_config(tmp_path, QUICK_TRAIN + "train.trace_logging: false\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config, "--param", "pivot",
+                 "--values", "0,0.5", "--seeds", "2", "--out", str(out)]) == 0
+    _, header, *rows = [line.split() for line in (out / "sweep.txt").read_text().splitlines()]
+    assert header[0] == "value" and [row[0] for row in rows] == ["0.0", "0.5"]
+    assert all(len(row) == len(header) for row in rows)
+    assert (out / "panel.svg").exists()
+
+
 @pytest.mark.parametrize("param,strategy", [
     ("max_weight", "gradtail"),
     ("inverse_frequency_w", "inverse_frequency"),
@@ -594,21 +606,31 @@ def clone_run(runs, tmp_path, name):
     return clone
 
 
-@pytest.mark.parametrize("edit", ["duplicate", "drop_last", "swap"])
+@pytest.mark.parametrize("edit", ["duplicate", "drop_last", "swap", "occurrences", "negative"])
 def test_analyze_bad_trace_rows_exit_4(trained_runs, tmp_path, capsys, edit):
     clone = clone_run(trained_runs, tmp_path, "run-trace")
     lines = (clone / "trace.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:3]]
     if edit == "duplicate":  # 10 401 rows for 10 400 examples
         lines.insert(101, lines[100])
     elif edit == "drop_last":  # ids stay 0..n-1 but one example is missing
         lines.pop()
-    else:
+    elif edit == "swap":
         lines[1], lines[2] = lines[2], lines[1]
+    elif edit == "occurrences":  # 3 more than train.steps x train.batch_size
+        rows[0][1] = str(int(rows[0][1]) + 3)
+    else:  # the right total, with example 0 seen -1 times
+        rows[1][1] = str(int(rows[1][1]) + int(rows[0][1]) + 1)
+        rows[0][1] = "-1"
+    if edit in ("occurrences", "negative"):
+        lines[1:3] = [",".join(row) for row in rows]
     (clone / "trace.csv").write_text("\n".join(lines) + "\n")
     rv = main(["analyze", "--out", str(tmp_path / "analysis"), str(clone)])
     assert rv == 4
     err = capsys.readouterr().err
     assert "record format error" in err and "trace.csv" in err
+    if edit in ("occurrences", "negative"):
+        assert "occurrences must be non-negative and sum to 40 steps x 64 = 2560" in err
 
 
 def test_analyze_refuses_the_older_seven_column_trace(trained_runs, tmp_path, capsys):

@@ -312,7 +312,7 @@ def test_contour_of_vertical_line():
     ys = np.linspace(-2.0, 2.0, 41)
     field = np.tile(xs - 0.3, (41, 1))  # f(x, y) = x - 0.3
     segs = contour_segments(xs, ys, field)
-    assert segs
+    assert segs.shape[1:] == (2, 2) and len(segs)
     for (x1, y1), (x2, y2) in segs:
         assert abs(x1 - 0.3) < 1e-9 and abs(x2 - 0.3) < 1e-9
     covered = sorted({y for seg in segs for _, y in seg})
@@ -324,8 +324,7 @@ def test_contour_of_circle_lies_on_circle():
     ys = np.linspace(-2.0, 2.0, 201)
     gx, gy = np.meshgrid(xs, ys)
     field = gx**2 + gy**2 - 1.0
-    segs = contour_segments(xs, ys, field)
-    pts = np.array([p for seg in segs for p in seg])
+    pts = contour_segments(xs, ys, field).reshape(-1, 2)
     radii = np.hypot(pts[:, 0], pts[:, 1])
     # linear interpolation error is O(h^2) with h = 0.02
     assert np.max(np.abs(radii - 1.0)) < 1e-3
@@ -395,8 +394,7 @@ def contour_reference(xs, ys, field, level=0.0):
 
 def assert_same_segments(xs, ys, field, level=0.0):
     got, want = contour_segments(xs, ys, field, level), contour_reference(xs, ys, field, level)
-    assert len(got) == len(want)
-    assert all(type(c) is float for seg in got for point in seg for c in point)
+    assert got.shape == (len(want), 2, 2) and got.dtype == np.float64
     bits = lambda segs: np.array(segs, dtype=np.float64).reshape(-1, 2, 2).view(np.uint64)
     np.testing.assert_array_equal(bits(got), bits(want))
     return got
@@ -440,7 +438,9 @@ def test_contour_matches_per_cell_reference_on_default_boundaries(gen):
     field = (log_density(pts, common) - log_density(pts, uncommon)).reshape(200, 200)
     segs = assert_same_segments(xs, ys, field)
     assert len(segs) > 100
-    assert segs == analytic_boundary_contour(boundary_grid(ANY_MODEL, common, uncommon))
+    np.testing.assert_array_equal(
+        segs, analytic_boundary_contour(boundary_grid(ANY_MODEL, common, uncommon))
+    )
 
 
 @pytest.mark.parametrize("gen", [gen_two_gaussians, gen_hard_variant])
@@ -453,15 +453,16 @@ def test_shared_grid_contours_match_standalone(gen):
         grid = boundary_grid(model, common, uncommon)
         want = model_reference(model)
         assert len(want) > 0
-        assert model_boundary_contour(grid) == want
-        assert analytic_boundary_contour(grid) == analytic_reference(common, uncommon)
+        np.testing.assert_array_equal(model_boundary_contour(grid), want)
+        np.testing.assert_array_equal(
+            analytic_boundary_contour(grid), analytic_reference(common, uncommon)
+        )
 
 
 def test_analytic_contour_matches_closed_form_circle():
     common = GaussianSpec((0.0, 0.0), 1.0, 10, 0)
     uncommon = GaussianSpec((2.2, 2.2), 0.5, 5, 1)
-    segs = analytic_boundary_contour(boundary_grid(ANY_MODEL, common, uncommon))
-    pts = np.array([p for seg in segs for p in seg])
+    pts = analytic_boundary_contour(boundary_grid(ANY_MODEL, common, uncommon)).reshape(-1, 2)
     mu = np.array([2.2, 2.2])
     radius = np.sqrt(2.0 * mu @ mu + 2.0 * np.log(2.0))
     dist = np.linalg.norm(pts - 2.0 * mu, axis=1)
@@ -476,7 +477,7 @@ def test_model_contour_matches_linear_decision_rule():
         [np.array([-1.0, 1.0])],
     )
     segs = model_boundary_contour(boundary_grid(model, DEFAULT_COMMON, DEFAULT_UNCOMMON))
-    pts = np.array([p for seg in segs for p in seg])
+    pts = segs.reshape(-1, 2)
     assert np.max(np.abs(pts.sum(axis=1) - 2.0)) < 1e-6
 
 
@@ -577,11 +578,14 @@ def test_render_svg_is_valid_xml(tmp_path):
     canvas.frame("t")
     glyphs = glyphs_for(glyph_dataset(), bounds=(0.0, 1.0), size=50, margin=5)
     glyphs.draw(canvas, [(glyphs.common, "#000000"), (~glyphs.common, "#ff0000")])
-    canvas.polyline([(0.0, 0.0), (1.0, 1.0)], "#00ff00")
+    canvas.segments(np.array([[[0.0, 0.0], [1.0, 1.0]]]), "#00ff00")
+    canvas.segments(np.empty((0, 2, 2)), "#0000ff")  # no segments, no element
     path = tmp_path / "mini.svg"
     render_svg([canvas], path)
     root = parse(path)
-    assert count_tags(root, "polyline") == 1
+    lines = [p.get("d") for p in root.findall(f".//{SVG}path") if p.get("stroke") == "#00ff00"]
+    assert lines == ["M5 55L55 5"]
+    assert not [p for p in root.findall(f".//{SVG}path") if p.get("stroke") == "#0000ff"]
     assert count_tags(root, "circle") == 3
 
 

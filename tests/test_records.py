@@ -15,7 +15,13 @@ import pytest
 
 from gradtail.algorithm import GradTailConfig, GradTailState, step_arrays
 from gradtail.analysis import ExperimentReport, QuartileReport, RareSetReport
-from gradtail.datasets import GaussianSpec, gen_two_gaussians
+from gradtail.datasets import (
+    DEFAULT_COMMON,
+    DEFAULT_UNCOMMON,
+    HARD_UNCOMMON,
+    GaussianSpec,
+    gen_two_gaussians,
+)
 from gradtail.engine import PatchLog, StepLog, TraceTable, TrainConfig
 from gradtail.mlp import MlpModel
 from gradtail.records import (
@@ -475,10 +481,18 @@ DATASET_CASES = [  # (seed, specs, the header lines save_dataset writes for them
     (3, (GaussianSpec((0.5, -1.0), 2.0, 12, 0), GaussianSpec((2.0, 2.0), 0.5, 6, 1)),
      "# seed: 3\n# spec0: mean=0.5,-1.0 cov_scale=2.0 count=12 label=0\n"
      "# spec1: mean=2.0,2.0 cov_scale=0.5 count=6 label=1\n"),
+    (7, (DEFAULT_COMMON, DEFAULT_UNCOMMON),  # the standard and hard datasets
+     "# seed: 7\n# spec0: mean=0.0,0.0 cov_scale=1.0 count=10000 label=0\n"
+     "# spec1: mean=2.2,2.2 cov_scale=0.5 count=400 label=1\n"),
+    (7, (DEFAULT_COMMON, HARD_UNCOMMON),
+     "# seed: 7\n# spec0: mean=0.0,0.0 cov_scale=1.0 count=10000 label=0\n"
+     "# spec1: mean=1.0,1.0 cov_scale=0.5 count=400 label=1\n"),
 ]
 
 
-@pytest.mark.parametrize("seed, specs, header", DATASET_CASES, ids=["seed5", "seed3"])
+@pytest.mark.parametrize(
+    "seed, specs, header", DATASET_CASES, ids=["seed5", "seed3", "standard7", "hard7"]
+)
 def test_dataset_bytes_regenerate_from_header(tmp_path, seed, specs, header):
     """A dataset file is its seed and spec lines, then csv.writer's rows of
     the points gen_two_gaussians draws from exactly those values: the file
@@ -496,7 +510,7 @@ def _toy_report():
         total_accuracy=0.9617,
         balanced_accuracy=0.766,
         per_class_recall={0: 0.97, 1: 0.562},
-        quartiles=QuartileReport((0.9, 0.95, 0.99, 1.0), 0.8, True, 0.0, False),
+        quartiles=QuartileReport((0.9, 0.95, 0.99, 1.0), 0.8, None),
         boundary_disagreement=0.0375,
         rare_set=RareSetReport({0: 3, 1: 5}, 1.25, 2.5, False, 8),
         tail_counts={"common": 10000, "rare": 350, "hard": 50},
