@@ -110,6 +110,8 @@ def _dataset_for(kind: str, seed: int) -> Dataset2D:
         return gen_two_gaussians(seed)
     if kind == "hard":
         return gen_hard_variant(seed)
+    if kind == "dense":
+        raise ValueError("dense runs come from dense-demo or a dense sweep (data.kind: dense)")
     raise ValueError(f"unknown dataset kind {kind!r} (expected standard or hard)")
 
 
@@ -420,7 +422,7 @@ def _check_state(path: Path, config: TrainConfig, step_log: StepLog) -> None:
         )
     if gradtail != config.gradtail:
         raise RecordFormatError(f"{path}: config.* differs from the manifest's gradtail.* keys")
-    if state.layout != subset_selectors(config.subset_spec, len(config.model_dims) - 1):
+    if state.layout != subset_selectors(config.subset, len(config.model_dims) - 1):
         raise RecordFormatError(f"{path}: layout is not the manifest's train.subset")
 
 
@@ -627,7 +629,8 @@ def _dense_sweep(entries, config, data_seed, model_seed, values, args, out) -> i
 
 def cmd_dense_demo(args: argparse.Namespace) -> int:
     entries = _load_entries(args.config)
-    base, data_seed, model_seed, _ = config_from_manifest(entries)
+    # every dense-demo run is a dense run, whatever data.kind says, so it reads dense.* keys
+    base, data_seed, model_seed, _ = config_from_manifest({**entries, "data.kind": "dense"})
     if args.reference_mode:
         base = replace(base, reference_mode=True)
     grids = [_dense_grid_for(entries, data_seed + k) for k in range(args.seeds)]

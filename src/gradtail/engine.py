@@ -20,6 +20,7 @@ from .algorithm import GradTailConfig, GradTailState, check_finite, step_arrays
 from .baselines import FrequencyWeights, entropy_scores
 from .datasets import Dataset2D, DenseGrid
 from .mlp import (
+    ACTIVATIONS,
     LOSSES,
     PARAM_KINDS,
     Loss,
@@ -55,6 +56,8 @@ class TrainConfig:
 
     The defaults are the 2-D toy schedule: 10000 constant-rate steps of
     look-ahead momentum on batches of 128, weighting peak 15, pivot 0.
+    Each field is the manifest key ``train.<field>``, in field order, except
+    ``gradtail``, whose fields are the ``gradtail.*`` keys in its place.
     """
 
     steps: int = 10_000
@@ -63,16 +66,16 @@ class TrainConfig:
     batch_size: int = 128
     seed: int = 0
     strategy: str = "gradtail"
-    gradtail: GradTailConfig = field(default_factory=GradTailConfig)
-    subset_spec: str = "all"
+    subset: str = "all"
     focal_gamma: float = 2.0
-    class_weights: tuple[float, ...] | None = None  # else inverse frequency from counts
+    loss: str = "softmax_xent"
     model_dims: tuple[int, ...] = (2, 5, 2)
     hidden_activation: str = "tanh"
     weight_scale: float = 1.0
-    loss: str = "softmax_xent"
     trace_logging: bool = True
     reference_mode: bool = False
+    gradtail: GradTailConfig = field(default_factory=GradTailConfig)
+    class_weights: tuple[float, ...] | None = None  # else inverse frequency from counts
 
     def __post_init__(self) -> None:
         check_finite(self)
@@ -90,7 +93,13 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.focal_gamma < 0.0:
             raise ValueError("focal_gamma must be nonnegative")
-        parse_subset_spec(self.subset_spec)  # fail fast on malformed specs
+        parse_subset_spec(self.subset)  # fail fast on malformed specs
+        if len(self.model_dims) < 2 or min(self.model_dims) < 1:
+            raise ValueError(f"model_dims must be >= 2 positive entries, got {self.model_dims}")
+        if self.hidden_activation not in ACTIVATIONS:
+            raise ValueError(f"unknown hidden_activation {self.hidden_activation!r}")
+        if self.weight_scale < 0.0:
+            raise ValueError("weight_scale must be nonnegative")
         if self.class_weights is not None:
             n, classes = len(self.class_weights), self.model_dims[-1]
             if n != classes:
@@ -151,7 +160,7 @@ class TraceTable:
     """Columnar per-example accumulators; one row per dataset example."""
 
     occurrences: np.ndarray
-    theta_sum: np.ndarray
+    alignment_sum: np.ndarray
     entropy_sum: np.ndarray
 
     @classmethod
@@ -168,7 +177,7 @@ class TraceTable:
     def mean_alignment(self) -> np.ndarray:
         """Per-example mean alignment; NaN where an example never appeared."""
         with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.occurrences > 0, self.theta_sum / self.occurrences, np.nan)
+            return np.where(self.occurrences > 0, self.alignment_sum / self.occurrences, np.nan)
 
     def mean_entropy(self) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -237,7 +246,7 @@ def _start_run(
     model = MlpModel.initialize(
         list(config.model_dims), model_seed, config.hidden_activation, config.weight_scale
     )
-    layout = subset_selectors(config.subset_spec, model.n_layers)
+    layout = subset_selectors(config.subset, model.n_layers)
     subset_idx = param_columns(model.layer_dims, layout)
     params = model.params.copy()
     track = config.trace_logging or config.strategy == "gradtail"
@@ -332,7 +341,7 @@ class _TraceBuffer:
         idx = self.idx[:k].ravel()
         outputs = self.outputs[:k].reshape(idx.size, -1)
         trace.occurrences += np.bincount(idx, minlength=trace.n)
-        np.add.at(trace.theta_sum, idx, self.alignments[:k].ravel())
+        np.add.at(trace.alignment_sum, idx, self.alignments[:k].ravel())
         np.add.at(trace.entropy_sum, idx, entropy_scores(softmax(outputs)))
         self.filled = 0
 
@@ -403,28 +412,13 @@ def focal_weights(outputs: np.ndarray, labels: np.ndarray, gamma: float) -> np.n
 class PatchLog:
     """One row per (step, surviving patch): composition, alignment, weight, loss."""
 
-    step: list[int]
-    patch_index: list[int]
-    pixels: list[int]
-    rare_fraction: list[float]
-    alignment: list[float]
-    weight: list[float]
-    loss: list[float]
-
-    @classmethod
-    def empty(cls) -> "PatchLog":
-        return cls([], [], [], [], [], [], [])
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "step": np.array(self.step, dtype=np.int64),
-            "patch_index": np.array(self.patch_index, dtype=np.int64),
-            "pixels": np.array(self.pixels, dtype=np.int64),
-            "rare_fraction": np.array(self.rare_fraction),
-            "alignment": np.array(self.alignment),
-            "weight": np.array(self.weight),
-            "loss": np.array(self.loss),
-        }
+    step: np.ndarray
+    patch_index: np.ndarray
+    pixels: np.ndarray
+    rare_fraction: np.ndarray
+    alignment: np.ndarray
+    weight: np.ndarray
+    loss: np.ndarray
 
 
 DENSE_DIMS = (2, 16, 16, 1)
@@ -439,7 +433,7 @@ def dense_config(strategy: str = "gradtail", **overrides) -> TrainConfig:
         momentum=0.9,
         strategy=strategy,
         model_dims=DENSE_DIMS,
-        subset_spec=DENSE_SUBSET,
+        subset=DENSE_SUBSET,
         loss="l1",
         gradtail=GradTailConfig(pivot=-0.5, amplitude=28.0, warmup_batches=10),
     )
@@ -474,7 +468,8 @@ def train_dense(
     targets = grid.targets.reshape(n_pix, 1)
     valid = grid.valid_mask.ravel()
     rare = grid.rare_mask.ravel()
-    patch_log = PatchLog.empty()
+    # per step, the kept regions' PatchLog columns; the first entry types a zero-step log
+    columns = [[np.empty(0, dtype=np.int64)] * 3 + [np.empty(0)] * 4]
     every_block = subset_selectors("all", run.model.n_layers)
 
     def region_gradients(run, sels):
@@ -503,16 +498,15 @@ def train_dense(
                 kept.append(j)
                 sels.append(sel)
         weighting, weights, losses, _ = _step(run, step, None, kept, region_gradients, sels)
-        for k, (j, sel) in enumerate(zip(kept, sels)):
-            patch_log.step.append(step)
-            patch_log.patch_index.append(j)
-            patch_log.pixels.append(int(sel.size))
-            patch_log.rare_fraction.append(np.count_nonzero(rare[sel]) / sel.size)
-            patch_log.alignment.append(float(weighting.alignments[k]) if weighting else 0.0)
-            patch_log.weight.append(float(weights[k]))
-            patch_log.loss.append(float(losses[k]))
+        pixels = np.array([sel.size for sel in sels], dtype=np.int64)
+        columns.append([
+            np.full(len(kept), step, dtype=np.int64), np.array(kept, dtype=np.int64), pixels,
+            np.array([np.count_nonzero(rare[sel]) for sel in sels]) / pixels,
+            weighting.alignments if weighting else np.zeros(len(kept)), weights, losses,
+        ])
 
     run.model.params[...] = run.params
+    patch_log = PatchLog(*map(np.concatenate, zip(*columns)))
     return TrainResult(run.model, None, run.log, run.state, config, model_seed, patch_log)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 # activation -> (f applied in place to the preactivation z, f' from the
 # activation value a = f(z) alone, into the buffer ``out``; relu's a > 0 is z > 0)
-_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
+ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "tanh": (lambda z: np.tanh(z, out=z),
              lambda a, out: np.subtract(1.0, np.multiply(a, a, out=out), out=out)),
     "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a, out: np.greater(a, 0.0, out=out)),
@@ -57,7 +57,7 @@ class MlpModel:
         dims = self.layer_dims
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise ValueError(f"layer_dims must be >= 2 positive entries, got {dims}")
-        if self.hidden_activation not in _ACTIVATIONS:
+        if self.hidden_activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.hidden_activation!r}")
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
             raise ValueError("need one weight matrix and bias vector per layer")
@@ -257,7 +257,7 @@ class Workspace:
 
 
 def _forward(model: MlpModel, inputs: np.ndarray, ws: Workspace) -> np.ndarray:
-    act = _ACTIVATIONS[model.hidden_activation][0]
+    act = ACTIVATIONS[model.hidden_activation][0]
     acts, last = ws.acts, model.n_layers - 1
     acts[0] = inputs
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -278,7 +278,7 @@ def backprop(
     and of its biases ``deltas[l]``, row by row.
     """
     out = _forward(model, inputs, ws)
-    deriv = _ACTIVATIONS[model.hidden_activation][1]
+    deriv = ACTIVATIONS[model.hidden_activation][1]
     losses, ws.deltas[-1] = loss_fn.batch(out, targets)
     for l in range(model.n_layers - 1, 0, -1):
         delta = np.matmul(ws.deltas[l], model.weights[l], out=ws.deltas[l - 1])

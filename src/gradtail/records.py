@@ -176,25 +176,15 @@ def load_gradtail_state(path: str | Path) -> tuple[GradTailState, GradTailConfig
 # ---------------------------------------------------------------------------
 
 
-# manifest key -> TrainConfig field, in the order format_manifest writes them;
-# a field left at None is not written
+# manifest key -> TrainConfig field path, in the order format_manifest writes
+# them: TrainConfig's field order, with GradTailConfig's fields in the gradtail
+# field's place; a field left at None is not written
 TRAIN_KEYS = {
-    "train.steps": "steps",
-    "train.learning_rate": "learning_rate",
-    "train.momentum": "momentum",
-    "train.batch_size": "batch_size",
-    "train.seed": "seed",
-    "train.strategy": "strategy",
-    "train.subset": "subset_spec",
-    "train.focal_gamma": "focal_gamma",
-    "train.loss": "loss",
-    "train.model_dims": "model_dims",
-    "train.hidden_activation": "hidden_activation",
-    "train.weight_scale": "weight_scale",
-    "train.trace_logging": "trace_logging",
-    "train.reference_mode": "reference_mode",
-    **{f"gradtail.{f.name}": f"gradtail.{f.name}" for f in fields(GradTailConfig)},
-    "train.class_weights": "class_weights",
+    path if f.name == "gradtail" else f"train.{path}": path
+    for f in fields(TrainConfig)
+    for path in (
+        [f"gradtail.{g.name}" for g in fields(GradTailConfig)] if f.name == "gradtail" else [f.name]
+    )
 }
 
 # the other keys a manifest or config may set, in manifest order, with their defaults
@@ -290,9 +280,10 @@ def config_from_manifest(entries: dict[str, str]) -> tuple[TrainConfig, int, int
     """Rebuild (TrainConfig, data_seed, model_seed, dataset kind) from entries.
 
     Unknown keys raise: a typo in a manifest must not silently fall back to a
-    default.
+    default, and only a ``data.kind: dense`` run reads the dense.* keys.
     """
-    unknown = set(entries) - {"code.version", *RUN_DEFAULTS, *TRAIN_KEYS, *DENSE_DEFAULTS}
+    dense = DENSE_DEFAULTS if entries.get("data.kind") == "dense" else {}
+    unknown = set(entries) - {"code.version", *RUN_DEFAULTS, *TRAIN_KEYS, *dense}
     if unknown:
         raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
     kind, data_seed, model_seed = read_settings(entries, RUN_DEFAULTS).values()
@@ -324,7 +315,7 @@ def _write_columns(path: str | Path, header: list[str], columns: list, lead: str
 
 def _read_columns(path: str | Path, header: list[str], kinds: list, name: str) -> list:
     """The columns _write_columns wrote under ``header``, one array per entry
-    of ``kinds`` (int or float), parsed in one ``np.loadtxt`` call. Every
+    of ``kinds`` (an int or float dtype), parsed in one ``np.loadtxt`` call. Every
     line holds one row of unquoted numbers; a blank line is refused. The
     first column must count 0..n-1 in order, and the file must end in a line
     end, as every written row does: a file cut inside its last number would
@@ -336,7 +327,7 @@ def _read_columns(path: str | Path, header: list[str], kinds: list, name: str) -
         raise RecordFormatError(f"{path}: not a {name}")
     if not text.endswith("\n"):
         raise RecordFormatError(f"{path}: cut short inside its last row")
-    dtype = np.dtype(list(zip(header, kinds)))  # int -> int64, float -> float64
+    dtype = np.dtype(list(zip(header, kinds)))
     rows = np.loadtxt(
         io.StringIO(body), dtype, comments=None, delimiter=",", quotechar=None, ndmin=1
     ) if body else np.empty(0, dtype)  # np.loadtxt warns on a header-only file
@@ -348,40 +339,38 @@ def _read_columns(path: str | Path, header: list[str], kinds: list, name: str) -
     return [rows[col].copy() for col in header]
 
 
-STEP_COLUMNS = ["step", "mean_loss", "mean_weight", "sigma", "ema_norm"]
+def _columns(log) -> tuple[list[str], list[np.ndarray]]:
+    """A log dataclass's field names, in field order, and its column arrays."""
+    names = [f.name for f in fields(log)]
+    return names, [getattr(log, name) for name in names]
 
 
 def save_step_log(path: str | Path, log: StepLog) -> None:
-    _write_columns(
-        path, STEP_COLUMNS, [log.step, log.mean_loss, log.mean_weight, log.sigma, log.ema_norm]
-    )
+    _write_columns(path, *_columns(log))
 
 
 @_reader
 def load_step_log(path: str | Path) -> StepLog:
     """The step log save_step_log wrote: one row per step, steps 0..n-1 in order."""
-    return StepLog(*_read_columns(path, STEP_COLUMNS, [int] + [float] * 4, "step log"))
-
-
-TRACE_COLUMNS = ["example_id", "occurrences", "alignment_sum", "entropy_sum"]
+    names, empty = _columns(StepLog.zeros(0))
+    return StepLog(*_read_columns(path, names, [col.dtype for col in empty], "step log"))
 
 
 def save_trace(path: str | Path, trace: TraceTable) -> None:
-    _write_columns(path, TRACE_COLUMNS, [
-        np.arange(trace.n), trace.occurrences, trace.theta_sum, trace.entropy_sum,
-    ])
+    names, columns = _columns(trace)
+    _write_columns(path, ["example_id", *names], [np.arange(trace.n), *columns])
 
 
 @_reader
 def load_trace(path: str | Path) -> TraceTable:
     """The trace save_trace wrote: one row per example, ids 0..n-1 in order."""
-    kinds = [int, int, float, float]
-    return TraceTable(*_read_columns(path, TRACE_COLUMNS, kinds, "trace")[1:])
+    names, empty = _columns(TraceTable.zeros(0))
+    kinds = [np.int64] + [col.dtype for col in empty]
+    return TraceTable(*_read_columns(path, ["example_id", *names], kinds, "trace")[1:])
 
 
 def save_patch_log(path: str | Path, log: PatchLog) -> None:
-    arrays = log.arrays()
-    _write_columns(path, list(arrays), list(arrays.values()))
+    _write_columns(path, *_columns(log))
 
 
 def save_dataset(path: str | Path, dataset: Dataset2D) -> None:

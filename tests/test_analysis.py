@@ -41,7 +41,7 @@ def trace_with_alignments(means, occurrences=10):
     n = len(means)
     t = TraceTable.zeros(n)
     t.occurrences[:] = occurrences
-    t.theta_sum[:] = np.asarray(means) * occurrences
+    t.alignment_sum[:] = np.asarray(means) * occurrences
     return t
 
 
@@ -56,7 +56,7 @@ class TestLabeling:
     def test_unvisited_excluded(self):
         t = trace_with_alignments([0.2, 0.0])
         t.occurrences[1] = 0
-        t.theta_sum[1] = 0.0
+        t.alignment_sum[1] = 0.0
         labels, seen, excluded = label_examples(t)
         assert excluded == 1
         assert labels[1] == UNVISITED and not seen[1]

@@ -121,6 +121,38 @@ def test_class_weights_of_wrong_length_are_config_error(tmp_path, capsys, weight
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", [
+    "train.hidden_activation: sigmoid", "train.model_dims: 2,0,2", "train.weight_scale: -1.0",
+])
+def test_gen_data_refuses_a_model_train_would_refuse(tmp_path, capsys, line):
+    config = write_config(tmp_path, line + "\n")
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", config, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["gen-data"], ["train"], ["sweep", "--param", "pivot", "--values", "0"],
+])
+def test_toy_commands_refuse_dense_keys(tmp_path, capsys, command):
+    config = write_config(tmp_path, "train.steps: 5\ndense.height: 16\n")
+    out = tmp_path / "out"
+    assert main([*command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown manifest keys" in err and "dense.height" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_toy_commands_send_dense_runs_to_dense_demo(tmp_path, capsys, command):
+    config = write_config(tmp_path, "data.kind: dense\ntrain.steps: 5\ndense.height: 16\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    assert "dense runs come from dense-demo or a dense sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 # ---------------------------------------------------------------------------
@@ -526,6 +558,24 @@ def test_dense_demo_median_row(tmp_path):
     lines = (out / "dense.txt").read_text().splitlines()
     assert lines[-1].startswith("median")
     assert len(lines) == 4  # header + 2 seeds + median
+
+
+@pytest.mark.parametrize("kind", ["standard", "hard", "dense", "mystery"])
+def test_dense_demo_reads_dense_keys_whatever_the_data_kind(tmp_path, kind):
+    config = write_config(tmp_path, f"data.kind: {kind}\ntrain.steps: 1\ndense.height: 8\n")
+    out = tmp_path / "dense"
+    assert main(["dense-demo", "--config", config, "--out", str(out)]) == 0
+    manifest = parse_manifest((out / "dense-gradtail-s000" / "manifest.txt").read_text())
+    assert (manifest["data.kind"], manifest["dense.height"]) == ("dense", "8")
+
+
+def test_dense_demo_zero_steps_writes_header_only_patch_logs(tmp_path):
+    config = write_config(tmp_path, "train.steps: 0\ndense.height: 12\ndense.width: 12\n")
+    out = tmp_path / "dense"
+    assert main(["dense-demo", "--config", config, "--out", str(out)]) == 0
+    for strategy in ("uniform", "gradtail"):
+        patches = (out / f"dense-{strategy}-s000" / "patches.csv").read_bytes()
+        assert patches == b"step,patch_index,pixels,rare_fraction,alignment,weight,loss\r\n"
 
 
 def test_dense_demo_rejects_misspelt_dense_key(tmp_path, capsys):

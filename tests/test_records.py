@@ -175,7 +175,7 @@ def test_manifest_round_trip():
         strategy="inverse_frequency",
         class_weights=(1.0, 17.5),
         gradtail=GradTailConfig(pivot=-0.5, amplitude=4.0),
-        subset_spec="biases:0",
+        subset="biases:0",
         reference_mode=True,
     )
     text = format_manifest(config, data_seed=9, model_seed=4, dataset="hard")
@@ -199,9 +199,42 @@ def test_every_config_field_has_one_manifest_key():
         + [f"gradtail.{f.name}" for f in fields(GradTailConfig)]
     )
     written = parse_manifest(format_manifest(TrainConfig(class_weights=(1.0, 2.0)), 0, 0))
-    assert [key for key in written if key in TRAIN_KEYS] == list(TRAIN_KEYS)
     others = {"code.version", "data.kind", "data.seed", "model.seed"}
     assert set(written) - set(TRAIN_KEYS) == others
+
+
+def test_manifest_text_is_pinned():
+    """The train.* keys follow TrainConfig's field order, so moving a field
+    would reorder every manifest: its text is spelt out here."""
+    assert format_manifest(TrainConfig(class_weights=(1.0, 2.0)), 0, 0) == (
+        "# gradtail run manifest\n"
+        "code.version: 0.1.0\n"
+        "data.kind: standard\n"
+        "data.seed: 0\n"
+        "model.seed: 0\n"
+        "train.steps: 10000\n"
+        "train.learning_rate: 0.0001\n"
+        "train.momentum: 0.9\n"
+        "train.batch_size: 128\n"
+        "train.seed: 0\n"
+        "train.strategy: gradtail\n"
+        "train.subset: all\n"
+        "train.focal_gamma: 2.0\n"
+        "train.loss: softmax_xent\n"
+        "train.model_dims: 2,5,2\n"
+        "train.hidden_activation: tanh\n"
+        "train.weight_scale: 1.0\n"
+        "train.trace_logging: true\n"
+        "train.reference_mode: false\n"
+        "gradtail.pivot: 0.0\n"
+        "gradtail.decay: 0.99\n"
+        "gradtail.amplitude: 28.0\n"
+        "gradtail.slope: 0.75\n"
+        "gradtail.sigma_floor: 0.001\n"
+        "gradtail.warmup_batches: 10\n"
+        "gradtail.epsilon_norm: 1e-12\n"
+        "train.class_weights: 1.0,2.0\n"
+    )
 
 
 def test_manifest_skips_comments_and_blank_lines():
@@ -249,12 +282,12 @@ def test_trace_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     trace = TraceTable.zeros(5)
     trace.occurrences[:] = rng.integers(0, 10, 5)
-    trace.theta_sum[:] = rng.standard_normal(5)
+    trace.alignment_sum[:] = rng.standard_normal(5)
     trace.entropy_sum[:] = rng.standard_normal(5) ** 2
     save_trace(tmp_path / "trace.csv", trace)
     back = load_trace(tmp_path / "trace.csv")
     assert back.occurrences.tolist() == trace.occurrences.tolist()
-    assert back.theta_sum.tolist() == trace.theta_sum.tolist()
+    assert back.alignment_sum.tolist() == trace.alignment_sum.tolist()
     assert back.entropy_sum.tolist() == trace.entropy_sum.tolist()
     assert back.occurrences.dtype == np.int64
 
@@ -296,7 +329,7 @@ def test_logs_round_trip_extreme_values_bit_for_bit(tmp_path):
     trace = TraceTable(counts, *floats[:2])
     save_trace(tmp_path / "trace.csv", trace)
     back = load_trace(tmp_path / "trace.csv")
-    for name in ("occurrences", "theta_sum", "entropy_sum"):
+    for name in ("occurrences", "alignment_sum", "entropy_sum"):
         got, want = getattr(back, name), getattr(trace, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert got.flags.c_contiguous
@@ -372,7 +405,8 @@ def test_analyze_refuses_header_only_trace(run_dir, tmp_path, capsys):
 
 
 def test_patch_log_columns(tmp_path):
-    log = PatchLog([0, 0], [0, 1], [16, 48], [0.0, 0.25], [0.5, -0.5], [1.0, 3.0], [0.1, 0.2])
+    columns = [0, 0], [0, 1], [16, 48], [0.0, 0.25], [0.5, -0.5], [1.0, 3.0], [0.1, 0.2]
+    log = PatchLog(*map(np.array, columns))
     save_patch_log(tmp_path / "patches.csv", log)
     lines = (tmp_path / "patches.csv").read_text().splitlines()
     assert lines[0] == "step,patch_index,pixels,rare_fraction,alignment,weight,loss"
@@ -424,7 +458,7 @@ def test_trace_bytes_match_csv_writer(tmp_path, n):
     trace = TraceTable(rng.integers(0, 50, n), *float_columns(n, 2, 200 + n))
     save_trace(tmp_path / "trace.csv", trace)
     rows = [
-        [i, int(trace.occurrences[i]), repr(float(trace.theta_sum[i])),
+        [i, int(trace.occurrences[i]), repr(float(trace.alignment_sum[i])),
          repr(float(trace.entropy_sum[i]))]
         for i in range(n)
     ]
@@ -438,7 +472,7 @@ def test_trace_bytes_match_csv_writer(tmp_path, n):
 def test_patch_log_bytes_match_csv_writer(tmp_path, n):
     ints = np.random.default_rng(300 + n).integers(0, 100, (3, n))
     floats = float_columns(n, 4, 400 + n)
-    log = PatchLog(*(col.tolist() for col in ints), *(col.tolist() for col in floats))
+    log = PatchLog(*ints, *floats)
     save_patch_log(tmp_path / "patches.csv", log)
     rows = [
         [*(int(col[i]) for col in ints), *(repr(float(col[i])) for col in floats)]

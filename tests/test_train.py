@@ -105,11 +105,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(loss="hinge")
         with pytest.raises(ValueError):
-            TrainConfig(subset_spec="weights:0")
+            TrainConfig(subset="weights:0")
         with pytest.raises(ValueError):
             TrainConfig(momentum=1.0)
         with pytest.raises(ValueError):
             TrainConfig(focal_gamma=-1.0)
+        with pytest.raises(ValueError, match="hidden_activation"):
+            TrainConfig(hidden_activation="sigmoid")
+        for dims in ((2, 0, 2), (2,), (0, 2)):
+            with pytest.raises(ValueError, match="model_dims"):
+                TrainConfig(model_dims=dims)
+        with pytest.raises(ValueError, match="weight_scale"):
+            TrainConfig(weight_scale=-1.0)
+        assert TrainConfig(weight_scale=0.0).weight_scale == 0.0
         for name in ("learning_rate", "momentum", "focal_gamma", "weight_scale"):
             for value in (float("nan"), float("inf"), float("-inf")):
                 with pytest.raises(ValueError, match=name):
@@ -157,7 +165,7 @@ class TestTrain:
         for a, b in zip(r1.model.weights, r2.model.weights):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(r1.step_log.mean_loss, r2.step_log.mean_loss)
-        np.testing.assert_array_equal(r1.trace.theta_sum, r2.trace.theta_sum)
+        np.testing.assert_array_equal(r1.trace.alignment_sum, r2.trace.alignment_sum)
 
     def test_reference_mode_bitwise_determinism(self):
         ds = small_dataset()
@@ -239,7 +247,7 @@ class TestTrain:
 
     def test_subset_outside_the_model_is_a_config_error(self):
         with pytest.raises(ValueError):
-            train(small_dataset(), 0, quick_config(subset_spec="biases:5"))
+            train(small_dataset(), 0, quick_config(subset="biases:5"))
 
     def test_focal_runs_and_weights_bounded(self):
         ds = small_dataset()
@@ -263,7 +271,7 @@ class TestTraceBuffer:
     """The buffered trace against one np.add.at per step, driven here through
     the same step kernel and batch stream as train."""
 
-    COLUMNS = ("occurrences", "theta_sum", "entropy_sum")
+    COLUMNS = ("occurrences", "alignment_sum", "entropy_sum")
 
     @staticmethod
     def per_step_trace(dataset, model_seed, config):
@@ -278,7 +286,7 @@ class TestTraceBuffer:
                 engine._example_gradients, dataset.points[idx], labels[idx],
             )
             np.add.at(trace.occurrences, idx, 1)
-            np.add.at(trace.theta_sum, idx, weighting.alignments)
+            np.add.at(trace.alignment_sum, idx, weighting.alignments)
             np.add.at(trace.entropy_sum, idx, entropy_scores(softmax(outputs)))
         return trace
 
@@ -337,7 +345,7 @@ class TestTrainDense:
 
     def test_seven_regions_logged_per_step(self):
         res = train_dense(self.grid(), 1, self.cfg(), size_min=8, size_max=16)
-        rows = res.patch_log.arrays()
+        rows = vars(res.patch_log)
         for step in range(25):
             n = int((rows["step"] == step).sum())
             assert n == 7  # 6 rects + complement (complement can't be empty here)
@@ -345,7 +353,7 @@ class TestTrainDense:
     def test_blanketing_patches_drop_complement(self):
         # patches as large as the grid: complement empty -> 6 regions
         res = train_dense(self.grid(), 2, self.cfg(steps=5), size_min=32, size_max=32)
-        rows = res.patch_log.arrays()
+        rows = vars(res.patch_log)
         assert int((rows["step"] == 0).sum()) == 6
 
     def test_determinism(self):
@@ -374,7 +382,7 @@ class TestTrainDense:
         for a, b in zip(fast.model.weights + fast.model.biases,
                         ref.model.weights + ref.model.biases):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
-        fa, ra = fast.patch_log.arrays(), ref.patch_log.arrays()
+        fa, ra = vars(fast.patch_log), vars(ref.patch_log)
         np.testing.assert_array_equal(fa["patch_index"], ra["patch_index"])
         for key in ("alignment", "weight"):
             np.testing.assert_allclose(fa[key], ra[key], rtol=0.0, atol=1e-12)
@@ -385,7 +393,7 @@ class TestTrainDense:
         fast = train_dense(grid, model_seed, cfg, **sampler)
         ref = train_dense(grid, model_seed, replace(cfg, reference_mode=True), **sampler)
         np.testing.assert_allclose(fast.model.params, ref.model.params, rtol=1e-12, atol=0.0)
-        fa, ra = fast.patch_log.arrays(), ref.patch_log.arrays()
+        fa, ra = vars(fast.patch_log), vars(ref.patch_log)
         np.testing.assert_array_equal(fa["patch_index"], ra["patch_index"])
         for key in ("alignment", "weight"):
             np.testing.assert_allclose(fa[key], ra[key], rtol=0.0, atol=1e-12)
@@ -400,13 +408,23 @@ class TestTrainDense:
 
     def test_weight_block_subset_matches_reference_mode(self):
         """``train.subset: all`` puts weight blocks in the region rows."""
-        cfg = self.cfg(steps=10, subset_spec="all", hidden_activation="relu")
+        cfg = self.cfg(steps=10, subset="all", hidden_activation="relu")
         rows = self.assert_matches_reference(self.grid(), 8, cfg, size_min=8, size_max=16)
         assert rows["weight"].max() > 1.0
 
+    def test_zero_steps_log_seven_empty_columns(self):
+        res = train_dense(self.grid(), 1, self.cfg(steps=0), size_min=8, size_max=16)
+        columns = vars(res.patch_log)
+        assert all(col.shape == (0,) for col in columns.values())
+        assert {name: col.dtype for name, col in columns.items()} == {
+            "step": np.int64, "patch_index": np.int64, "pixels": np.int64,
+            "rare_fraction": np.float64, "alignment": np.float64, "weight": np.float64,
+            "loss": np.float64,
+        }
+
     def test_warmup_weights_are_ones(self):
         res = train_dense(self.grid(), 5, self.cfg(steps=5), size_min=8, size_max=16)
-        rows = res.patch_log.arrays()
+        rows = vars(res.patch_log)
         np.testing.assert_array_equal(rows["weight"], np.ones(rows["weight"].size))
 
     def test_loss_decreases(self):
@@ -442,7 +460,7 @@ def alias_run_arrays(height, width, seed):
     cfg = dense_config(steps=12, gradtail=GradTailConfig(pivot=-0.5, warmup_batches=3))
     res = train_dense(gen_dense_task(seed, height, width, 0.05), seed, cfg, size_min=4, size_max=10)
     arrays = {f"step_log.{k}": v for k, v in vars(res.step_log).items()}
-    arrays.update({f"patch_log.{k}": v for k, v in res.patch_log.arrays().items()})
+    arrays.update({f"patch_log.{k}": v for k, v in vars(res.patch_log).items()})
     arrays["params"] = res.model.params
     return arrays
 
