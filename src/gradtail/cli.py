@@ -62,6 +62,7 @@ from .figures import (
     scatter_figure,
     tail_figure,
 )
+from .patches import check_sampler
 from .records import (
     DENSE_DEFAULTS,
     RecordFormatError,
@@ -125,6 +126,7 @@ def _dense_grid_for(entries: dict[str, str], seed: int) -> tuple[DenseGrid, dict
         "size_max": dense["dense.size_max"],
         "patch_count": dense["dense.patch_count"],
     }
+    check_sampler(*sampler.values())
     return grid, sampler
 
 
@@ -575,17 +577,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("dense sweeps support the pivot parameter only")
     if args.reference_mode:
         config = replace(config, reference_mode=True)
-    # every value's config is checked before the first run writes anything
+    # every value's config and every seed's data are checked before the
+    # first run writes anything
     value_configs = [_sweep_value_config(config, args.param, value) for value in values]
+    seeds = range(data_seed, data_seed + args.seeds)
+    data = [_dense_grid_for(entries, s) if kind == "dense" else _dataset_for(kind, s) for s in seeds]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if kind == "dense":
-        return _dense_sweep(entries, config, data_seed, model_seed, values, args, out)
+        return _dense_sweep(entries, config, data, model_seed, values, args, out)
 
     def sweep_run(task):
         value_config, k = task
-        dataset = _dataset_for(kind, data_seed + k)
+        dataset = data[k]
         result = train(dataset, model_seed + k, replace(value_config, seed=config.seed + k))
         grid = boundary_grid(result.model, *dataset.specs[:2])
         metrics = class_metrics(result.model, dataset)
@@ -606,12 +611,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dense_sweep(entries, config, data_seed, model_seed, values, args, out) -> int:
+def _dense_sweep(entries, config, grids, model_seed, values, args, out) -> int:
     def pivot_run(task):
         value, k = task
         run_config = _dense_run_config(entries, config, "gradtail", k)
         run_config = replace(run_config, gradtail=replace(run_config.gradtail, pivot=value))
-        grid, sampler = _dense_grid_for(entries, data_seed + k)
+        grid, sampler = grids[k]
         result = train_dense(grid, model_seed + k, run_config, **sampler)
         return tuple(map(format_metric, _dense_mre(result.model, grid)))
 

@@ -248,16 +248,15 @@ def model_boundary_contour(grid: BoundaryGrid) -> np.ndarray:
 class PointGlyphs:
     """A dataset's points formatted once for one canvas geometry.
 
-    ``cross`` holds each common-class point's cross as a path piece and
-    ``circle`` each other point's ``<circle cx cy r`` opening, the only glyphs
-    ``draw`` reads; the other entries are ``None``. ``boundary`` is the
-    analytic boundary's path element (empty when the curve misses the grid).
-    Figures join the pieces by mask.
+    ``piece`` holds each point's glyph as a path piece: an absolute move to
+    ``(x - arm, y)``, then a fixed relative stroke, a cross for common-class
+    points and a two-arc circle for the rest. ``boundary`` is the analytic
+    boundary's path element (empty when the curve misses the grid). Figures
+    join the pieces by mask.
     """
 
     geometry: dict  # SvgCanvas keyword arguments
-    cross: np.ndarray
-    circle: np.ndarray
+    piece: np.ndarray
     common: np.ndarray
     boundary: list[str]
 
@@ -267,18 +266,13 @@ class PointGlyphs:
         return canvas
 
     def draw(self, canvas: SvgCanvas, groups) -> None:
-        """For each (mask, color): the masked common points' crosses as one
-        path, then the masked other points' circles."""
+        """For each (mask, color): the masked points' glyphs as one path."""
         for mask, color in groups:
-            crosses = self.cross[mask & self.common]
-            if crosses.size:
+            pieces = self.piece[mask]
+            if pieces.size:
                 canvas.elements.append(
-                    f'<path d="{"".join(crosses)}" stroke="{color}" stroke-width="1" fill="none"/>'
+                    f'<path d="{"".join(pieces)}" stroke="{color}" stroke-width="1" fill="none"/>'
                 )
-            canvas.elements.extend(
-                f'{opening} stroke="{color}" fill="none" stroke-width="1"/>'
-                for opening in self.circle[mask & ~self.common]
-            )
 
 
 def point_glyphs(
@@ -286,25 +280,21 @@ def point_glyphs(
 ) -> PointGlyphs:
     """The glyphs of every point on ``SvgCanvas(**geometry)`` and the analytic
     boundary of ``grid``: crosses with arm ``arm`` for common points and
-    circles of that radius for the rest (``None`` where a glyph is never
-    drawn), from one formatting pass over the pixel columns those glyphs use."""
+    circles of that radius for the rest, each formatted as its one start
+    ``(x - arm, y)`` and a stroke relative to it, so every glyph's ends lie
+    an exact offset from its ``_fmt``-rounded start."""
     canvas = SvgCanvas(**geometry)
     x, y = canvas.px(dataset.points[:, 0], dataset.points[:, 1])
     common = dataset.labels == dataset.specs[0].label
-    (xc, yc), (xo, yo) = (x[common], y[common]), (x[~common], y[~common])
-    columns = np.concatenate([xc - arm, yc, xc + arm, xc, yc - arm, yc + arm, xo, yo])
-    formatted = _number_bytes(columns)
-    width = formatted.shape[1]
-    cross, circle = np.full((2, len(x)), None, dtype=object)
-    left, mid, right, centre, top, bottom = formatted[: 6 * len(xc)].reshape(6, len(xc), width)
-    cross[common] = _rows(
-        b"M", left, b" ", mid, b"L", right, b" ", mid,
-        b"M", centre, b" ", top, b"L", centre, b" ", bottom,
-    )
-    centre, mid = formatted[6 * len(xc) :].reshape(2, len(xo), width)
-    circle[~common] = _rows(b'<circle cx="', centre, b'" cy="', mid, f'" r="{arm}"'.encode())
+    a, d = _fmt(arm), _fmt(2 * arm)
+    strokes = (f"h{d}m-{a}-{a}v{d}", f"a{a} {a} 0 1 0 {d} 0a{a} {a} 0 1 0-{d} 0")
+    start = _number_bytes(np.concatenate([x - arm, y]))
+    left, mid = start.reshape(2, len(x), start.shape[1])
+    piece = np.empty(len(x), dtype=object)
+    for mask, stroke in zip((common, ~common), strokes):
+        piece[mask] = _rows(b"M", left[mask], b" ", mid[mask], stroke.encode())
     canvas.segments(analytic_boundary_contour(grid), BOUNDARY_COLOR, dashed=True)
-    return PointGlyphs(geometry, cross, circle, common, canvas.elements)
+    return PointGlyphs(geometry, piece, common, canvas.elements)
 
 
 def _first_appearance(codes: np.ndarray, colors, keep: np.ndarray | None = None) -> list:

@@ -41,6 +41,14 @@ class PatchSet:
         return [self._rect_indices(r) for r in self.rects] + [self.complement]
 
 
+def check_sampler(size_min: int, size_max: int, count: int) -> None:
+    """Refuse ``sample_patches`` settings it cannot draw rectangles from."""
+    if size_min > size_max:
+        raise ValueError("size_min must be <= size_max")
+    if size_min < 1 or count < 1:
+        raise ValueError("sizes and count must be positive")
+
+
 def sample_patches(
     height: int,
     width: int,
@@ -54,10 +62,7 @@ def sample_patches(
     positions; the complement region picks up every uncovered pixel."""
     if height < 1 or width < 1:
         raise ValueError("zero-area grid")
-    if size_min > size_max:
-        raise ValueError("size_min must be <= size_max")
-    if size_min < 1 or count < 1:
-        raise ValueError("sizes and count must be positive")
+    check_sampler(size_min, size_max, count)
 
     lo_h, hi_h = min(size_min, height), min(size_max, height)
     lo_w, hi_w = min(size_min, width), min(size_max, width)

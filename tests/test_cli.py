@@ -7,6 +7,7 @@ lives in the acceptance suite.
 import random
 import shutil
 import warnings
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,8 @@ train.steps: 40
 train.batch_size: 64
 train.strategy: gradtail
 """
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 # a schedule whose loss turns non-finite within a few dozen steps
 BLOW_UP = "train.learning_rate: 1e6\ntrain.loss: squared\ntrain.momentum: 0.95\n"
@@ -297,14 +300,22 @@ def dense_runs(tmp_path_factory):
     return out
 
 
+def assert_svg_without_circles(path):
+    """The file parses as XML and draws every point as a path piece."""
+    root = ET.parse(path).getroot()
+    assert root.tag == f"{SVG}svg"
+    assert not root.findall(f".//{SVG}circle"), path
+
+
 def test_analyze_emits_reports_and_figures(trained_runs, tmp_path):
     out = tmp_path / "analysis"
     run_dirs = sorted(str(p) for p in trained_runs.iterdir())
     assert main(["analyze", "--out", str(out), *run_dirs]) == 0
-    per_run = out / "run-gradtail-s000"
-    for name in ("report.txt", "report_table.txt", "data.svg", "predictions.svg",
-                 "tail.svg", "rare.svg", "entropy.svg"):
-        assert (per_run / name).exists(), name
+    for per_run in (out / "run-gradtail-s000", out / "run-gradtail-s001"):
+        for name in ("report.txt", "report_table.txt"):
+            assert (per_run / name).exists(), name
+        for name in ("data.svg", "predictions.svg", "tail.svg", "rare.svg", "entropy.svg"):
+            assert_svg_without_circles(per_run / name)
     summary = (out / "summary.txt").read_text()
     assert "median" in summary  # cross-seed row present with two runs
     assert "balanced_accuracy" in summary
@@ -430,7 +441,7 @@ def test_sweep_max_weight_table_and_panel(tmp_path):
     table = (out / "sweep.txt").read_text()
     assert "median_balanced" in table
     assert len([l for l in table.splitlines() if l and not l.startswith("#")]) == 3
-    assert (out / "panel.svg").exists()
+    assert_svg_without_circles(out / "panel.svg")
 
 
 def test_sweep_inverse_frequency(tmp_path):
@@ -491,6 +502,35 @@ def test_non_finite_config_value_exits_2_before_any_step(
     out = tmp_path / "out"
     assert main([*command, "--config", config, "--out", str(out)]) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert trained == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text,message", [
+    (["gen-data"], "data.kind: mystery\n", "unknown dataset kind"),
+    (["train"], "data.kind: mystery\n", "unknown dataset kind"),
+    (["sweep", "--param", "pivot", "--values", "0"], "data.kind: mystery\n",
+     "unknown dataset kind"),
+    (["sweep", "--param", "pivot", "--values", "0"], "data.kind: dense\ndense.height: 0\n",
+     "degenerate grid dims"),
+    (["sweep", "--param", "pivot", "--values", "0"], "data.kind: dense\ndense.size_min: 0\n",
+     "sizes and count must be positive"),
+    (["dense-demo"], "dense.height: 0\n", "degenerate grid dims"),
+    (["dense-demo"], "dense.size_min: 0\n", "sizes and count must be positive"),
+    (["dense-demo"], "dense.patch_count: 0\n", "sizes and count must be positive"),
+    (["dense-demo"], "dense.size_min: 12\ndense.size_max: 6\n", "size_min must be <= size_max"),
+], ids=["gen-data-kind", "train-kind", "sweep-kind", "dense-sweep-height", "dense-sweep-size",
+        "dense-height", "dense-size", "dense-count", "dense-size-order"])
+def test_config_error_leaves_no_output_dir(tmp_path, capsys, monkeypatch, command, text, message):
+    """Data and patch-sampler settings are checked before --out is made."""
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+    monkeypatch.setattr(cli, "train_dense", lambda *args, **kwargs: trained.append(args))
+    config = write_config(tmp_path, text + "train.steps: 5\n")
+    out = tmp_path / "out"
+    assert main([*command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
     assert trained == []
     assert not out.exists()
 

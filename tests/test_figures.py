@@ -4,7 +4,9 @@ All emitted files are parsed with the stdlib XML parser, so a malformed
 element fails loudly rather than rendering wrong.
 """
 
+import re
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -136,12 +138,11 @@ def glyph_dataset(labels=np.arange(7) % 2):
 
 def assert_drawn_glyphs(glyphs, crosses, circles):
     """Crosses of the common points and circles of the rest, as in the per-point
-    references; the glyphs that ``draw`` never reads are None."""
-    common = glyphs.common
-    assert glyphs.cross.dtype == object and glyphs.circle.dtype == object
-    assert glyphs.cross[common].tolist() == [c for c, k in zip(crosses, common) if k]
-    assert glyphs.circle[~common].tolist() == [c for c, k in zip(circles, common) if not k]
-    assert set(glyphs.cross[~common]) <= {None} and set(glyphs.circle[common]) <= {None}
+    references, one piece per point."""
+    assert glyphs.piece.dtype == object
+    assert glyphs.piece.tolist() == [
+        cross if k else circle for cross, circle, k in zip(crosses, circles, glyphs.common)
+    ]
 
 
 def every_glyph(arm=2.5):
@@ -151,17 +152,74 @@ def every_glyph(arm=2.5):
         glyphs_for(glyph_dataset(labels), arm=arm, **GLYPH_GEOMETRY)
         for labels in (np.arange(7) % 2, 1 - np.arange(7) % 2)
     )
-    return np.where(a.common, a.cross, b.cross).tolist(), np.where(a.common, b.circle, a.circle).tolist()
+    crosses, circles = np.where(a.common, a.piece, b.piece), np.where(a.common, b.piece, a.piece)
+    return crosses.tolist(), circles.tolist()
 
 
 def fmt_reference(v):
     return f"{float(v):.2f}".rstrip("0").rstrip(".")
 
 
-def cross_reference(canvas, x, y, arm):
-    f = fmt_reference
+def start_reference(canvas, x, y, arm):
+    """The move to a glyph's left end, each coordinate formatted on its own."""
     px, py = canvas.px(x, y)
-    return f"M{f(px - arm)} {f(py)}L{f(px + arm)} {f(py)}M{f(px)} {f(py - arm)}L{f(px)} {f(py + arm)}"
+    return f"M{fmt_reference(px - arm)} {fmt_reference(py)}"
+
+
+def cross_reference(canvas, x, y, arm):
+    a, d = fmt_reference(arm), fmt_reference(2 * arm)
+    return f"{start_reference(canvas, x, y, arm)}h{d}m-{a}-{a}v{d}"
+
+
+def circle_reference(canvas, x, y, arm):
+    a, d = fmt_reference(arm), fmt_reference(2 * arm)
+    return f"{start_reference(canvas, x, y, arm)}a{a} {a} 0 1 0 {d} 0a{a} {a} 0 1 0-{d} 0"
+
+
+def glyph_path(pieces, color):
+    return f'<path d="{"".join(pieces)}" stroke="{color}" stroke-width="1" fill="none"/>'
+
+
+PATH_COMMAND = re.compile(r"([A-Za-z])([^A-Za-z]*)")
+PATH_NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)")
+
+
+def glyph_shapes(d):
+    """A glyph path's pieces walked back to absolute points, one per ``M``:
+    ("cross", centre, [left, right, top, bottom] arm ends) for a move and its
+    h/m/v strokes, ("circle", centre, radius) for a move and two arcs that
+    close a circle. Any other piece fails."""
+    shapes = []
+    for piece in re.split(r"(?=M)", d)[1:]:
+        commands = [
+            (c, [float(v) for v in PATH_NUMBER.findall(args)])
+            for c, args in PATH_COMMAND.findall(piece)
+        ]
+        kinds = "".join(c for c, _ in commands)
+        x, y = commands[0][1]
+        if kinds == "Mhmv":
+            [dx], [mx, my], [dy] = (args for _, args in commands[1:])
+            top = (x + dx + mx, y + my)
+            ends = [(x, y), (x + dx, y), top, (top[0], top[1] + dy)]
+            shapes.append(("cross", (top[0], y), ends))
+        else:
+            assert kinds == "Maa", piece
+            (rx, ry, rot, large, sweep, ex, ey), second = (args for _, args in commands[1:])
+            # equal radii, a diameter as the first chord, the second arc back to
+            # the start on the other side (same sweep flag, reversed chord)
+            assert rx == ry and rot == 0 and np.hypot(ex, ey) == 2 * rx, piece
+            assert second == [rx, ry, rot, large, sweep, -ex, -ey], piece
+            shapes.append(("circle", (x + ex / 2, y + ey / 2), rx))
+    return shapes
+
+
+def glyph_counts(root):
+    """Glyph pieces by kind over a figure's glyph paths (the stroke-width 1 paths)."""
+    return Counter(
+        kind
+        for path in root.findall(f".//{SVG}path") if path.get("stroke-width") == "1"
+        for kind, _, _ in glyph_shapes(path.get("d"))
+    )
 
 
 def test_crosses_match_per_point_reference():
@@ -169,39 +227,31 @@ def test_crosses_match_per_point_reference():
         glyphs = glyphs_for(glyph_dataset(), arm=arm, **GLYPH_GEOMETRY)
         canvas = SvgCanvas(**GLYPH_GEOMETRY)
         want = [cross_reference(canvas, x, y, arm) for x, y in GLYPH_POINTS]
-        assert glyphs.cross[glyphs.common].tolist() == want[::2]
-        assert set(glyphs.cross[~glyphs.common]) == {None}
+        assert glyphs.piece[glyphs.common].tolist() == want[::2]
         assert every_glyph(arm)[0] == want
-        glyphs.draw(canvas, [(np.ones(7, dtype=bool), "#123456")])
-        assert canvas.elements[0] == (
-            f'<path d="{"".join(want[::2])}" stroke="#123456" stroke-width="1" fill="none"/>'
-        )
+        glyphs.draw(canvas, [(glyphs.common, "#123456")])
+        assert canvas.elements == [glyph_path(want[::2], "#123456")]
     assert "".join(every_glyph()[0][1:5]) == (
-        "M12.62 10.12L17.62 10.12M15.12 7.62L15.12 12.62"
-        "M13.5 60L18.5 60M16 57.5L16 62.5M-17.5 -10L-12.5 -10M-15 -12.5L-15 -7.5"
-        "M-2.5 -0L2.5 -0M-0 -2.5L-0 2.5"
+        "M12.62 10.12h5m-2.5-2.5v5M13.5 60h5m-2.5-2.5v5"
+        "M-17.5 -10h5m-2.5-2.5v5M-2.5 -0h5m-2.5-2.5v5"
     )
 
 
 def test_circles_match_per_point_reference():
     glyphs = glyphs_for(glyph_dataset(), arm=1.8, **GLYPH_GEOMETRY)
     canvas = SvgCanvas(**GLYPH_GEOMETRY)
-    want = []
-    for x, y in GLYPH_POINTS:
-        px, py = canvas.px(x, y)
-        want.append(f'<circle cx="{fmt_reference(px)}" cy="{fmt_reference(py)}" r="1.8"')
-    assert glyphs.circle[~glyphs.common].tolist() == want[1::2]
-    assert set(glyphs.circle[glyphs.common]) == {None}
+    want = [circle_reference(canvas, x, y, 1.8) for x, y in GLYPH_POINTS]
+    assert glyphs.piece[~glyphs.common].tolist() == want[1::2]
     assert every_glyph(1.8)[1] == want
     glyphs.draw(canvas, [(~glyphs.common, "#654321")])
-    assert canvas.elements == [
-        f'{opening} stroke="#654321" fill="none" stroke-width="1"/>' for opening in want[1::2]
+    assert canvas.elements == [glyph_path(want[1::2], "#654321")]
+    starts = [tuple(piece[1:piece.index("a")].split()) for piece in want]
+    assert starts == [
+        ("13.2", "10"), ("13.32", "10.12"), ("14.2", "60"), ("-16.8", "-10"), ("-1.8", "-0"),
+        ("-1.81", "76.67"), ("25.55", "135"),
     ]
-    centres = [(el.split('"')[1], el.split('"')[3]) for el in want]
-    assert centres == [
-        ("15", "10"), ("15.12", "10.12"), ("16", "60"), ("-15", "-10"), ("-0", "-0"),
-        ("-0.01", "76.67"), ("27.35", "135"),
-    ]
+    arcs = {piece[piece.index("a"):] for piece in want}
+    assert arcs == {"a1.8 1.8 0 1 0 3.6 0a1.8 1.8 0 1 0-3.6 0"}
 
 
 def test_glyphs_accept_empty_input():
@@ -210,9 +260,12 @@ def test_glyphs_accept_empty_input():
     glyphs.draw(canvas, [(np.zeros(7, dtype=bool), "#123456")])
     glyphs.draw(canvas, [])
     assert canvas.elements == []
-    # crosses for the common class only, circles for the rest
+    # one path: crosses for the common class, circles for the rest
     glyphs.draw(canvas, [(np.ones(7, dtype=bool), "#123456")])
-    assert canvas.elements[0].count("M") == 2 * 4 and len(canvas.elements) == 1 + 3
+    assert len(canvas.elements) == 1
+    assert [kind for kind, _, _ in glyph_shapes(canvas.elements[0].split('"')[1])] == [
+        "cross", "circle"
+    ] * 3 + ["cross"]
 
 
 def format_rows(values):
@@ -280,10 +333,9 @@ def test_full_size_glyphs_match_per_point_reference(gen, geometry):
     canvas = SvgCanvas(**geometry)
     crosses, circles = [], []
     for x, y in ds.points.tolist():
-        px, py = canvas.px(x, y)
         crosses.append(cross_reference(canvas, x, y, arm))
-        circles.append(f'<circle cx="{fmt_reference(px)}" cy="{fmt_reference(py)}" r="{arm}"')
-    assert len(crosses) == len(glyphs.cross) == len(glyphs.circle) == 10_400
+        circles.append(circle_reference(canvas, x, y, arm))
+    assert len(crosses) == len(glyphs.piece) == 10_400
     assert_drawn_glyphs(glyphs, crosses, circles)
 
 
@@ -296,10 +348,39 @@ def test_default_glyphs_rarely_use_scalar_fallback(monkeypatch):
     for gen in (gen_two_gaussians, gen_hard_variant):
         calls.clear()
         glyphs = glyphs_for(gen(0))
-        drawn = glyphs.cross[glyphs.common].tolist() + glyphs.circle[~glyphs.common].tolist()
+        drawn = glyphs.piece.tolist()
         assert len(drawn) == 10_400 and None not in drawn
         assert len(calls) < 10
     assert format_rows([0.125, 1.0]) == ["0.12", "1"] and calls[-1] == 0.125
+
+
+@pytest.mark.parametrize("arm", [2.5, 1.8])
+@pytest.mark.parametrize("data", ["glyph", "standard", "hard"])
+def test_glyph_paths_draw_each_point_at_its_pixel(tmp_path, data, arm):
+    """Geometry oracle, independent of the glyph text: a scatter figure's class
+    paths walk back to one cross per common point and one circle per other
+    point, in point order, each centred within 0.01 px of the point's pixel,
+    with its arm ends within 0.01 px of their places or its radius the arm."""
+    if data == "glyph":
+        ds, geometry = glyph_dataset(), GLYPH_GEOMETRY
+    else:
+        ds = {"standard": gen_two_gaussians, "hard": gen_hard_variant}[data](0)
+        geometry = {} if arm == 2.5 else {k: v for k, v in PANEL_GEOMETRY.items() if k != "arm"}
+    path = tmp_path / "data.svg"
+    scatter_figure(glyphs_for(ds, arm=arm, **geometry), path)
+    d_by_color = {p.get("stroke"): p.get("d") for p in parse(path).findall(f".//{SVG}path")}
+    canvas = SvgCanvas(**geometry)
+    common = ds.labels == ds.specs[0].label
+    for mask, color, kind in ((common, "#2ca02c", "cross"), (~common, "#9467bd", "circle")):
+        kinds, centres, sizes = zip(*glyph_shapes(d_by_color[color]))
+        assert kinds == (kind,) * mask.sum()
+        px, py = canvas.px(ds.points[mask, 0], ds.points[mask, 1])
+        assert np.abs(np.array(centres) - np.column_stack([px, py])).max() <= 0.01
+        if kind == "cross":
+            want = np.stack([[px - arm, py], [px + arm, py], [px, py - arm], [px, py + arm]])
+            assert np.abs(np.array(sizes) - want.transpose(2, 0, 1)).max() <= 0.01
+        else:
+            assert set(sizes) == {arm}
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +579,11 @@ def test_scatter_figure_structure(tmp_path):
     scatter_figure(glyphs_for(ds), path)
     root = parse(path)
     assert root.tag == f"{SVG}svg"
-    # 10 uncommon circles; crosses share one batched path, boundary one more
-    assert count_tags(root, "circle") == 10
+    # 30 common crosses in one path, 10 uncommon circles in another, boundary one more
+    assert count_tags(root, "circle") == 0
     paths = root.findall(f".//{SVG}path")
-    assert len(paths) == 2
+    assert len(paths) == 3
+    assert glyph_counts(root) == {"cross": 30, "circle": 10}
     dashes = [p.get("stroke-dasharray") for p in paths]
     assert any(d for d in dashes)
 
@@ -533,7 +615,7 @@ def test_tail_figure_rare_only_drops_other_points(tmp_path):
     tail_figure(glyphs_for(ds), codes, path, rare_only=True)
     root = parse(path)
     # the 10 rare examples are uncommon-class -> circles; nothing else drawn
-    assert count_tags(root, "circle") == 10
+    assert glyph_counts(root) == {"circle": 10}
     strokes = {el.get("stroke") for el in root.iter()} - {None}
     assert "#d62728" not in strokes
 
@@ -586,7 +668,8 @@ def test_render_svg_is_valid_xml(tmp_path):
     lines = [p.get("d") for p in root.findall(f".//{SVG}path") if p.get("stroke") == "#00ff00"]
     assert lines == ["M5 55L55 5"]
     assert not [p for p in root.findall(f".//{SVG}path") if p.get("stroke") == "#0000ff"]
-    assert count_tags(root, "circle") == 3
+    assert count_tags(root, "circle") == 0
+    assert glyph_counts(root) == {"cross": 4, "circle": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -596,23 +679,19 @@ def test_render_svg_is_valid_xml(tmp_path):
 
 def reference_canvas(ds, title, groups, arm=2.5, boundary=True, model=None, **geometry):
     """A figure as per-point formatting draws it: for each (mask, color)
-    group, the chosen common-class points' crosses in one path, then the
-    chosen other points' circles, every coordinate formatted on its own."""
+    group, one path of the chosen points' glyphs in point order, a cross for
+    the common class and a circle for the rest, every coordinate formatted
+    on its own."""
     canvas = SvgCanvas(**geometry)
     canvas.frame(title)
     common = ds.labels == ds.specs[0].label
     for mask, color in groups:
-        crosses = "".join(cross_reference(canvas, x, y, arm) for x, y in ds.points[mask & common])
-        if crosses:
-            canvas.elements.append(
-                f'<path d="{crosses}" stroke="{color}" stroke-width="1" fill="none"/>'
-            )
-        for x, y in ds.points[mask & ~common]:
-            px, py = canvas.px(x, y)
-            canvas.elements.append(
-                f'<circle cx="{fmt_reference(px)}" cy="{fmt_reference(py)}" r="{arm}"'
-                f' stroke="{color}" fill="none" stroke-width="1"/>'
-            )
+        pieces = [
+            (cross_reference if k else circle_reference)(canvas, x, y, arm)
+            for (x, y), k in zip(ds.points[mask], common[mask])
+        ]
+        if pieces:
+            canvas.elements.append(glyph_path(pieces, color))
     if boundary:
         canvas.segments(analytic_reference(*ds.specs[:2]), "#333333", dashed=True)
     if model is not None:
