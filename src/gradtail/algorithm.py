@@ -124,7 +124,10 @@ def activation_f(distance, amplitude: float, slope: float):
 
 def _activation(d: np.ndarray, amplitude: float, slope: float) -> np.ndarray:
     """activation_f's formula, 1 + amplitude / (1 + exp(slope * d)), overwriting
-    the array ``d``, already known to be nonnegative, and returning it."""
+    the array ``d``, already known to be nonnegative, and returning it. ``slope * d``
+    stops at 709, below exp's overflow at 709.78: past it every amplitude under
+    about 9e291 gives weight 1.0 already, so the cap changes no weight there."""
+    np.minimum(d, 709.0 / slope, out=d)
     d *= slope
     np.exp(d, out=d)
     d += 1.0

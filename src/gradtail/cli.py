@@ -428,14 +428,14 @@ def _check_state(path: Path, config: TrainConfig, step_log: StepLog) -> None:
         raise RecordFormatError(f"{path}: layout is not the manifest's train.subset")
 
 
-def _analyze_run(run_dir: Path, fig_dir: Path) -> tuple[dict, str | None]:
+def _analyze_run(run_dir: Path, fig_dir: Path, manifest: tuple) -> tuple[dict, str | None]:
     """Write one run dir's report into ``fig_dir``, with the five figures of a
     toy run, and return the report's fields and the warning to print, if any.
-    A dense run reports its band errors and mean weight only; a toy run with
-    fewer than four seen examples gets a degraded report, and a warning that
-    says so. A state.txt, when the run has one, must agree with the step log
-    and the manifest."""
-    config, model_seed, dataset = _read_run_manifest(run_dir)
+    ``manifest`` is the run dir's `_read_run_manifest`. A dense run reports
+    its band errors and mean weight only; a toy run with fewer than four seen
+    examples gets a degraded report, and a warning that says so. A state.txt,
+    when the run has one, must agree with the step log and the manifest."""
+    config, model_seed, dataset = manifest
     model = load_model(run_dir / "model.txt")
     shape = (tuple(model.layer_dims), model.hidden_activation)
     if shape != (config.model_dims, config.hidden_activation):
@@ -519,22 +519,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:  # each run writes into out/<name>
         raise ValueError(f"run dirs share a name: {', '.join(repeated)}")
-    for run_dir in run_dirs:
-        if not (run_dir / "manifest.txt").exists():
-            raise FileNotFoundError(f"{run_dir}/manifest.txt")
+    manifests = [_read_run_manifest(run_dir) for run_dir in run_dirs]  # a bad one makes no --out
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    runs = list(zip(run_dirs, names))
+    runs = list(zip(run_dirs, names, manifests))
     # A toy run dir with a trace takes many times a fork's cost. A dense one is a
     # single forward pass, and forked its BLAS threads compete with the child's:
     # that measured slower than serial (README).
     analyzed = _spread(
-        lambda run: _analyze_run(run[0], out / run[1]),  # arrays freed before the next run
+        lambda run: _analyze_run(run[0], out / run[1], run[2]),
         runs,
         forkable=lambda run: (run[0] / "trace.csv").exists(),
     )
     rows = []
-    for (run_dir, name), (fields, warning) in zip(runs, analyzed):
+    for (run_dir, name, _), (fields, warning) in zip(runs, analyzed):
         if warning is not None:
             print(warning, file=sys.stderr)
         rows.append({"run": name, **{k: str(v) for k, v in fields.items()}})

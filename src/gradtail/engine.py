@@ -348,11 +348,12 @@ class _TraceBuffer:
 
 def _example_gradients(run: _Run, inputs, targets, regions=None):
     """``gradients`` from materialised per-example rows (serial in reference
-    mode), or their means per ``regions``; the update is their weighted mean."""
+    mode), or their means per mask in ``regions``; the update is their weighted mean."""
     bg = batch_gradients(
         run.model, inputs, targets, run.loss_fn, ws=run.ws, serial=run.config.reference_mode
     )
     rows = bg.grads if regions is None else np.stack([bg.grads[sel].mean(axis=0) for sel in regions])
+    # a column-major copy even for 'all': step_arrays sums it in other bits than a row-major view
     return rows[:, run.subset_idx], bg.losses, bg.outputs, lambda w: weighted_mean(w, rows)
 
 
@@ -451,8 +452,9 @@ def train_dense(
 ) -> TrainResult:
     """Patch-weighted dense regression: each step treats the sampled patches
     (plus the leftover-pixel region) as the weighting batch, with per-patch
-    mean losses and gradients. With M the kept regions' (R, N) mean matrix,
-    the weighting's rows are M @ G and the update ((w / R) @ M) @ G, both by
+    mean losses and gradients. With M the kept regions' (R, N) mean matrix
+    (each region's valid-pixel mask over its pixel count), the weighting's
+    rows are M @ G and the update ((w / R) @ M) @ G, both by
     `coefficient_gradients`, so the per-pixel gradients G are never formed;
     reference mode forms G serially and averages it per region (the oracle).
     """
@@ -466,43 +468,39 @@ def train_dense(
 
     feats = grid.inputs.reshape(n_pix, -1)
     targets = grid.targets.reshape(n_pix, 1)
-    valid = grid.valid_mask.ravel()
     rare = grid.rare_mask.ravel()
     # per step, the kept regions' PatchLog columns; the first entry types a zero-step log
     columns = [[np.empty(0, dtype=np.int64)] * 3 + [np.empty(0)] * 4]
     every_block = subset_selectors("all", run.model.n_layers)
 
-    def region_gradients(run, sels):
+    def region_gradients(run, regions, pixels, masks):
         if config.reference_mode:
-            rows, losses, outputs, update = _example_gradients(run, feats, targets, sels)
+            rows, losses, outputs, update = _example_gradients(run, feats, targets, regions)
         else:
-            m = np.zeros((len(sels), n_pix))
-            for row, sel in zip(m, sels):
-                row[sel] = 1.0 / sel.size
+            m = regions / pixels[:, None]  # True / n is 1.0 / n
             ws = run.ws
             losses, outputs = backprop(run.model, feats, targets, run.loss_fn, ws)
             rows = coefficient_gradients(m, ws, run.state.layout) if run.state else None
             update = lambda w: coefficient_gradients(((w / w.size) @ m)[None], ws, every_block)[0]
         loss_grid = losses.reshape(grid.height, grid.width)
-        region_losses = [patch_mean_loss(loss_grid, grid.valid_mask, sel) for sel in sels]
+        region_losses = [patch_mean_loss(loss_grid, grid.valid_mask, mask) for mask in masks]
         return rows, np.array(region_losses), outputs, update
 
     for step in range(config.steps):
         patches = sample_patches(
             grid.height, grid.width, rng, size_min=size_min, size_max=size_max, count=patch_count
         )
-        kept, sels = [], []
-        for j, region in enumerate(patches.regions()):
-            sel = region[valid[region]]
-            if sel.size:  # an empty region is dropped: no pixels, no gradient, no cosine
-                kept.append(j)
-                sels.append(sel)
-        weighting, weights, losses, _ = _step(run, step, None, kept, region_gradients, sels)
-        pixels = np.array([sel.size for sel in sels], dtype=np.int64)
+        regions = (patches.masks & grid.valid_mask).reshape(len(patches.masks), n_pix)
+        pixels = np.count_nonzero(regions, axis=1)
+        kept = np.flatnonzero(pixels)  # an empty region has no pixels, gradient or cosine
+        regions, pixels = regions[kept], pixels[kept]
+        weighting, weights, losses, _ = _step(
+            run, step, None, kept, region_gradients, regions, pixels, patches.masks[kept]
+        )
         columns.append([
-            np.full(len(kept), step, dtype=np.int64), np.array(kept, dtype=np.int64), pixels,
-            np.array([np.count_nonzero(rare[sel]) for sel in sels]) / pixels,
-            weighting.alignments if weighting else np.zeros(len(kept)), weights, losses,
+            np.full(kept.size, step, dtype=np.int64), kept, pixels,
+            np.count_nonzero(regions & rare, axis=1) / pixels,
+            weighting.alignments if weighting else np.zeros(kept.size), weights, losses,
         ])
 
     run.model.params[...] = run.params

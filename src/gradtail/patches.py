@@ -13,32 +13,23 @@ Rect = tuple[int, int, int, int]  # row0, col0, height, width
 class PatchSet:
     """Six (by default) rectangles and the leftover-pixel region of one grid.
 
-    ``complement`` is derived from the rectangles: the flat pixel indices
-    (row-major) of every pixel none covers; it may be empty when the
-    rectangles blanket the grid.
+    ``masks`` holds one boolean (height, width) grid per region: row j is
+    rectangle j, and the last row is every pixel no rectangle covers, which
+    is all False when the rectangles blanket the grid.
     """
 
     rects: list[Rect]
     height: int
     width: int
-    complement: np.ndarray = field(init=False)
+    masks: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        covered = np.zeros(self.height * self.width, dtype=bool)
-        for r0, c0, h, w in self.rects:
+        self.masks = np.zeros((len(self.rects) + 1, self.height, self.width), dtype=bool)
+        for mask, (r0, c0, h, w) in zip(self.masks, self.rects):
             if h < 1 or w < 1 or r0 < 0 or c0 < 0 or r0 + h > self.height or c0 + w > self.width:
                 raise ValueError(f"rect {(r0, c0, h, w)} outside {self.height}x{self.width} grid")
-            covered[self._rect_indices((r0, c0, h, w))] = True
-        self.complement = np.flatnonzero(~covered)
-
-    def _rect_indices(self, rect: Rect) -> np.ndarray:
-        r0, c0, h, w = rect
-        rows = np.arange(r0, r0 + h)[:, None] * self.width
-        return (rows + np.arange(c0, c0 + w)[None, :]).ravel()
-
-    def regions(self) -> list[np.ndarray]:
-        """Flat pixel indices per region: the rectangles, then the complement."""
-        return [self._rect_indices(r) for r in self.rects] + [self.complement]
+            mask[r0 : r0 + h, c0 : c0 + w] = True
+        self.masks[-1] = ~np.logical_or.reduce(self.masks[:-1])
 
 
 def check_sampler(size_min: int, size_max: int, count: int) -> None:
@@ -77,13 +68,13 @@ def sample_patches(
 
 
 def patch_mean_loss(losses: np.ndarray, mask: np.ndarray, region: np.ndarray) -> float:
-    """Mean per-pixel loss over region ∩ valid mask; 0.0 when that set is empty."""
+    """Mean per-pixel loss over region ∩ valid mask, both boolean grids of the
+    losses' shape; 0.0 when that set is empty."""
     losses, mask = np.asarray(losses), np.asarray(mask, dtype=bool)
-    if losses.shape != mask.shape:
-        raise ValueError("loss grid and mask shapes differ")
-    region = np.asarray(region, dtype=np.intp)
-    sel = region[mask.ravel()[region]]
-    if sel.size == 0:
+    region = np.asarray(region, dtype=bool)
+    if losses.shape != mask.shape or region.shape != mask.shape:
+        raise ValueError("loss grid, mask and region shapes differ")
+    picked = losses[region & mask]  # row-major, as a flat index gather would visit them
+    if picked.size == 0:
         return 0.0
-    picked = losses.ravel()[sel]
     return float(np.add.reduce(picked) / picked.size)  # .mean() without its dispatch

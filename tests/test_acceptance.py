@@ -361,11 +361,10 @@ def test_08_patch_sampler_coverage(criterion_log):
         for draw in range(1000):
             rng = np.random.default_rng(draw)
             patches = sample_patches(height, width, rng)
-            covered = np.zeros(height * width, dtype=bool)
-            for region in patches.regions()[:-1]:
-                covered[region] = True
-            assert not np.any(covered[patches.complement]), "complement overlaps a rectangle"
-            covered[patches.complement] = True
+            covered = np.logical_or.reduce(patches.masks[:-1])
+            complement = patches.masks[-1]
+            assert not np.any(covered & complement), "complement overlaps a rectangle"
+            covered |= complement
             assert np.all(covered), "union misses pixels"
             for _, _, h, w in patches.rects:
                 assert lo_h <= h <= hi_h and lo_w <= w <= hi_w, (h, w)

@@ -1035,6 +1035,21 @@ def test_analyze_missing_manifest_fails_before_any_run(trained_runs, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_analyze_bad_manifest_fails_before_any_output(trained_runs, tmp_path, capsys, bad_first):
+    clone = clone_run(trained_runs, tmp_path, "run-bad-manifest")
+    lines = (clone / "manifest.txt").read_text().splitlines()
+    lines = ["train.steps: five" if l.startswith("train.steps:") else l for l in lines]
+    (clone / "manifest.txt").write_text("\n".join(lines) + "\n")
+    good = sorted(trained_runs.iterdir())[0]
+    out = tmp_path / "analysis"
+    run_dirs = [clone, good] if bad_first else [good, clone]
+    assert main(["analyze", "--out", str(out), *map(str, run_dirs)]) == 4
+    err = capsys.readouterr().err
+    assert "record format error" in err and "run-bad-manifest/manifest.txt" in err
+    assert not out.exists()
+
+
 def test_spread_relays_worker_warnings(monkeypatch):
     cpus(monkeypatch, 2)
 
@@ -1224,3 +1239,67 @@ def test_analyze_survives_seeded_corruption(trained_runs, dense_runs, tmp_path, 
         assert rv in (0, 4), case
         if name.endswith(".csv") and edit.endswith("_line"):
             assert rv == 4, case
+
+
+# every config key with values at or past the edges of what it accepts
+CONFIG_EDGES = {
+    "train.steps": ["0", "1", "-1"],
+    "train.learning_rate": ["1e-300", "1e6", "1e308", "0"],
+    "train.momentum": ["0", "0.999999", "1"],
+    "train.batch_size": ["1", "10400", "10401", "0"],
+    "train.seed": ["-1", "18446744073709551616"],
+    "train.strategy": ["uniform", "inverse_frequency", "focal", "none"],
+    "train.subset": ["biases", "biases:0", "biases:9", "biases:"],
+    "train.focal_gamma": ["0", "1e308", "-1"],
+    "train.loss": ["squared", "l1", "hinge"],
+    "train.model_dims": ["2,2", "2,1,2", "2,5,1", "3,5,2", "2,5,0"],
+    "train.hidden_activation": ["relu", "sigmoid"],
+    "train.weight_scale": ["0", "1e-308", "1e308", "-1"],
+    "train.trace_logging": ["false", "yes"],
+    "train.reference_mode": ["true"],
+    "train.class_weights": ["0,0", "1e308,1", "1", "-1,1"],
+    "gradtail.pivot": ["-1e308", "-1000", "1e308"],
+    "gradtail.decay": ["1e-300", "0.999999", "0", "1"],
+    "gradtail.amplitude": ["0", "1e308", "-1"],
+    "gradtail.slope": ["1e-308", "1e308", "0"],
+    "gradtail.sigma_floor": ["1e-308", "1e308", "0"],
+    "gradtail.warmup_batches": ["0", "1000", "-1"],
+    "gradtail.epsilon_norm": ["1e-308", "1e308", "0"],
+    "data.kind": ["hard", "dense", "none"],
+    "data.seed": ["1", "-1"],
+    "model.seed": ["-1", "4294967296"],
+    "dense.height": ["1", "2", "0"],
+    "dense.width": ["1", "3", "-1"],
+    "dense.rare_fraction": ["0", "1", "-0.1", "1.5"],
+    "dense.size_min": ["1", "16", "0"],
+    "dense.size_max": ["1", "16", "1000"],
+    "dense.patch_count": ["1", "20", "0"],
+}
+
+
+def test_config_edges_exit_cleanly(tmp_path, capsys, monkeypatch):
+    """Each key at each edge value, alone on a short schedule: train (20
+    steps) and dense-demo (5 steps on 16x16) train, refuse the config (2) or
+    abort numerically (3), never with a traceback. A run that trains or a
+    config that is refused prints no warning; an abort may, since its
+    overflows are the blow-up it reports (as in the divergence tests)."""
+    cpus(monkeypatch, 1)
+    cases = []
+    for key, values in CONFIG_EDGES.items():
+        commands = ["dense-demo"] if key.startswith("dense.") else ["train", "dense-demo"]
+        cases += [(command, key, value) for command in commands for value in values]
+    schedule = {
+        "train": {"train.steps": "20"},
+        "dense-demo": {"train.steps": "5", "dense.height": "16", "dense.width": "16"},
+    }
+    for i, (command, key, value) in enumerate(cases):
+        entries = {**schedule[command], key: value}  # the edge value replaces the schedule's
+        text = "".join(f"{k}: {v}\n" for k, v in entries.items())
+        config = write_config(tmp_path, text, f"edge-{i}.txt")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rv = main([command, "--config", config, "--out", str(tmp_path / f"out-{i}")])
+        case = (command, key, value, rv, [str(w.message) for w in caught])
+        assert rv in (0, 2, 3), case
+        assert rv == 3 or not caught, case
+        assert "Traceback" not in capsys.readouterr().err, case
